@@ -146,7 +146,7 @@ def _analyze_values(model, props: list[str], node: int | None, parser) -> dict:
 
 
 def cmd_analyze(args, parser) -> int:
-    with open(args.input, "r", encoding="ascii") as fh:
+    with open(args.input, "rb") as fh:
         model = deserialize(fh.read())
     props = [s for s in args.props.split(",") if s]
     if not props:
@@ -196,7 +196,7 @@ def cmd_ensemble(args, parser) -> int:
 
 
 def cmd_export(args) -> int:
-    with open(args.input, "r", encoding="ascii") as fh:
+    with open(args.input, "rb") as fh:
         model = deserialize(fh.read())
     text = edge_list_text(model, cap=args.cap)
     _write_out(text, args.out)

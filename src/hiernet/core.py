@@ -44,6 +44,9 @@ __all__ = [
 
 FORMAT_MAGIC = "BHNET 1"
 
+# resource guard on node counts, level widths and level counts; far past any desk-scale run
+MAX_NODES = 1 << 27
+
 
 class HiernetError(Exception):
     """Base class for every error raised by this package."""
@@ -111,7 +114,7 @@ class HierarchyShape:
     instead of raising, so deliberately broken shapes can be inspected.
     """
 
-    __slots__ = ("p", "_counts", "_derived_cache")
+    __slots__ = ("p", "n", "_counts", "_derived_cache")
 
     def __init__(self, p: int, levels: Iterable[Sequence[int]]):
         if int(p) != p or p < 2:
@@ -119,12 +122,14 @@ class HierarchyShape:
         self.p = int(p)
         frozen = []
         for level in levels:
-            arr = np.array(list(level), dtype=np.int64)
+            arr = np.array(level, dtype=np.int64)
             if arr.ndim != 1:
                 raise ParamError("each level must be a flat sequence of counts")
             arr.flags.writeable = False
             frozen.append(arr)
         self._counts = tuple(frozen)
+        # node count, summed once: point queries check against it at every level
+        self.n = int(frozen[0].sum()) if frozen else 1
         self._derived_cache = None
 
     # -- basic dimensions ---------------------------------------------------
@@ -132,12 +137,6 @@ class HierarchyShape:
     @property
     def gamma(self) -> int:
         return len(self._counts)
-
-    @property
-    def n(self) -> int:
-        if not self._counts:
-            return 1
-        return int(self._counts[0].sum())
 
     @property
     def levels(self) -> tuple[tuple[int, ...], ...]:
@@ -422,14 +421,19 @@ def node_path(model: NetworkModel, x: int) -> tuple[PathEntry, ...]:
     return tuple(entries)
 
 
-def validate(model: NetworkModel) -> list[str]:
-    """Check every structural invariant; returns [] when the model is well formed.
+def pow_below(p: int, gamma: int, bound: int) -> bool:
+    """Whether p**gamma < bound for p >= 2, without building a huge power.
 
-    Violations come back as human-readable strings and are never raised, so
-    a broken model can still be inspected.
+    p**gamma >= 2**gamma, which exceeds every bound of at most gamma bits,
+    so the exact power is only built when gamma is below the bound's bit
+    length.
     """
+    return gamma < int(bound).bit_length() and p ** gamma < bound
+
+
+def _shape_problems(shape: HierarchyShape) -> list[str]:
+    """The `validate` violations that concern the shape alone."""
     out: list[str] = []
-    shape, links = model.shape, model.links
     p = shape.p
     big_g = shape.gamma
     counts = shape._counts
@@ -453,14 +457,26 @@ def validate(model: NetworkModel) -> list[str]:
             )
     if big_g >= 1 and len(counts[0]) > 0:
         n = int(counts[0].sum())
-        if n > p ** big_g:
+        if pow_below(p, big_g, n):
             out.append(f"n={n} exceeds p^gamma={p ** big_g}")
+    return out
+
+
+def validate(model: NetworkModel) -> list[str]:
+    """Check every structural invariant; returns [] when the model is well formed.
+
+    Violations come back as human-readable strings and are never raised, so
+    a broken model can still be inspected.
+    """
+    shape, links = model.shape, model.links
+    out = _shape_problems(shape)
+    big_g = shape.gamma
     if links.gamma != big_g:
         out.append(f"link table has {links.gamma} levels, shape has {big_g}")
         return out
     for g in range(1, big_g + 1):
         nb = links.nbits_at(g)
-        arr = counts[g - 1]
+        arr = shape._counts[g - 1]
         if len(nb) != len(arr):
             out.append(f"level {g}: {len(nb)} bit vectors for {len(arr)} clusters")
             continue
@@ -479,6 +495,110 @@ def validate(model: NetworkModel) -> list[str]:
 
 
 # -- text format ------------------------------------------------------------
+#
+# `serialize` renders each level's `B` lines into one numpy byte buffer.
+# `deserialize` first reads its input as the exact bytes `serialize` writes
+# (`_parse_canonical`): it parses the few header and `L` lines, gathers the
+# bits at the offsets the counts imply, re-emits the model with the same
+# emitters and compares byte for byte.  Any other input goes to the line
+# walker `_parse_lines`, which also accepts the format's other spellings
+# (extra whitespace, no final newline) and names the offending line of a
+# bad file.
+
+_ZERO = np.uint8(ord("0"))
+_SPACE = ord(" ")
+_NEWLINE = ord("\n")
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _n_digits(values: np.ndarray) -> np.ndarray:
+    """Decimal digit counts of non-negative int64 values."""
+    return np.searchsorted(_POW10[1:], values, side="right") + 1
+
+
+def _put_decimal(buf: np.ndarray, last: np.ndarray, values: np.ndarray, nd: np.ndarray) -> None:
+    """Write values[j] as nd[j] decimal digits ending at buf[last[j]]."""
+    rest = values.copy()
+    for d in range(int(nd.max(initial=0))):
+        live = nd > d
+        buf[last[live] - d] = rest[live] % 10 + _ZERO
+        rest //= 10
+
+
+def _decimal_line(values: np.ndarray) -> np.ndarray:
+    """Space-separated decimals of non-negative values plus a newline, as ASCII bytes."""
+    nd = _n_digits(values)
+    end = np.cumsum(nd + 1)  # each value with the space or newline after it
+    buf = np.full(int(end[-1]), _SPACE, dtype=np.uint8)
+    _put_decimal(buf, end - 2, values, nd)
+    buf[-1] = _NEWLINE
+    return buf
+
+
+def _read_decimal_line(body: bytes) -> np.ndarray | None:
+    """Values of single-space separated decimals of at most 18 digits, else None.
+
+    Leading zeros are read, not refused; the caller's byte comparison with
+    `_decimal_line` refuses them.
+    """
+    b = np.frombuffer(body, dtype=np.uint8)
+    is_gap = b == _SPACE
+    gap = np.flatnonzero(is_gap)
+    start = np.concatenate(([0], gap + 1))
+    end = np.append(gap, len(b))
+    width = end - start
+    if width.min() < 1 or width.max() > 18:
+        return None
+    digit = b.astype(np.int64) - ord("0")
+    digit[gap] = 0
+    if digit.min() < 0 or digit.max() > 9:
+        return None
+    # a digit's place is its distance to its token's end; a gap's place is
+    # that of the next token's first digit, and it adds 0
+    place = end[np.cumsum(is_gap)] - 1 - np.arange(len(b))
+    return np.add.reduceat(digit * _POW10[place], start)
+
+
+def _head(shape: HierarchyShape) -> bytes:
+    """Magic line, header line and the `L` lines, as serialized."""
+    parts = [f"{FORMAT_MAGIC}\np={shape.p} gamma={shape.gamma} n={shape.n}\n".encode("ascii")]
+    for g in range(shape.gamma, 0, -1):
+        parts.append(b"L%d: " % g)
+        parts.append(_decimal_line(shape.counts_at(g)))
+    return b"".join(parts)
+
+
+def _bitmap_lines(g: int, counts: np.ndarray, room: int | None = None):
+    """The `B<g>.<i>: <bits>` lines of one level with the bits left blank.
+
+    Returns the level's bytes and a mask of its bit positions, or None when
+    they would take more than `room` bytes.  Bits fill the mask in cluster
+    order, each vector in pair order, exactly as `LinkTable` stores them.
+    """
+    idx = np.flatnonzero(counts >= 2) + 1
+    c = counts[idx - 1]
+    label = b"B%d." % g
+    nd = _n_digits(idx)
+    bit0 = len(label) + nd + 2  # offset of the first bit within its line
+    length = bit0 + c * (c - 1) // 2 + 1
+    end = np.cumsum(length)
+    total = int(end[-1]) if len(end) else 0
+    if room is not None and total > room:
+        return None
+    start = end - length
+    buf = np.empty(total, dtype=np.uint8)
+    for j, ch in enumerate(label):
+        buf[start + j] = ch
+    _put_decimal(buf, start + len(label) + nd - 1, idx, nd)
+    buf[start + bit0 - 2] = ord(":")
+    buf[start + bit0 - 1] = _SPACE
+    buf[end - 1] = _NEWLINE
+    # +1 where a line's bits begin, -1 at its newline; the running sum marks the bits
+    step = np.zeros(total, dtype=np.int8)
+    step[start + bit0] = 1
+    step[end - 1] = -1
+    is_bit = np.cumsum(step, dtype=np.int8).view(bool)
+    return buf, is_bit
 
 
 def serialize(model: NetworkModel) -> str:
@@ -492,26 +612,95 @@ def serialize(model: NetworkModel) -> str:
     if problems:
         raise ParamError("refusing to serialize an invalid model: " + "; ".join(problems))
     shape = model.shape
-    lines = [FORMAT_MAGIC, f"p={shape.p} gamma={shape.gamma} n={shape.n}"]
+    parts = [_head(shape)]
     for g in range(shape.gamma, 0, -1):
-        counts = shape.counts_at(g)
-        lines.append(f"L{g}: " + " ".join(str(int(c)) for c in counts))
-    for g in range(shape.gamma, 0, -1):
-        counts = shape.counts_at(g)
-        for i in range(1, len(counts) + 1):
-            if int(counts[i - 1]) >= 2:
-                lines.append(f"B{g}.{i}: " + model.links.bitstring(g, i))
-    return "\n".join(lines) + "\n"
+        buf, is_bit = _bitmap_lines(g, shape.counts_at(g))
+        buf[is_bit] = model.links.flat_at(g) + _ZERO
+        parts.append(buf)
+    return b"".join(parts).decode("ascii")
 
 
 _HEADER_RE = re.compile(r"p=(\d+) gamma=(\d+) n=(\d+)")
+_CANONICAL_HEADER_RE = re.compile(rb"p=(\d{1,18}) gamma=(\d{1,18}) n=(\d{1,18})")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
-def deserialize(text: str) -> NetworkModel:
+def deserialize(data: str | bytes) -> NetworkModel:
     """Parse the text format back into a model, verifying every structural rule.
 
-    Errors carry the 1-based line number of the offending line.
+    Accepts str or bytes; files are ASCII.  Errors carry the 1-based line
+    number of the offending line.
     """
+    if isinstance(data, str):
+        model = _parse_canonical(data.encode("ascii")) if data.isascii() else None
+        return model if model is not None else _parse_lines(data)
+    raw = bytes(data)
+    model = _parse_canonical(raw)
+    # latin-1 maps each byte to one character, so a non-ASCII byte stays visible
+    return model if model is not None else _parse_lines(raw.decode("latin-1"))
+
+
+def _parse_canonical(raw: bytes) -> NetworkModel | None:
+    """The valid model whose `serialize` output is exactly `raw`, else None."""
+    lines = raw.split(b"\n", 2)
+    if len(lines) < 3 or lines[0] != FORMAT_MAGIC.encode("ascii"):
+        return None
+    m = _CANONICAL_HEADER_RE.fullmatch(lines[1])
+    if m is None:
+        return None
+    # the declared n is checked by the comparison with `_head` below
+    p, gamma = int(m.group(1)), int(m.group(2))
+    if p < 2 or gamma > MAX_NODES:
+        return None
+    lines = raw.split(b"\n", gamma + 2)
+    if len(lines) < gamma + 3:
+        return None
+    top_down = []
+    for g, line in zip(range(gamma, 0, -1), lines[2:]):
+        label = b"L%d: " % g
+        counts = _read_decimal_line(line[len(label):]) if line.startswith(label) else None
+        if counts is None:
+            return None
+        top_down.append(counts)
+    shape = HierarchyShape(p, top_down[::-1])
+    # a valid shape of at most MAX_NODES nodes keeps every layout size in int64
+    if _shape_problems(shape) or shape.n > MAX_NODES:
+        return None
+    head = _head(shape)
+    if not raw.startswith(head):
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    pos = len(head)
+    flats, nbits = [], []
+    for g in range(gamma, 0, -1):
+        counts = shape.counts_at(g)
+        level = _bitmap_lines(g, counts, room=len(data) - pos)
+        if level is None:
+            return None
+        buf, is_bit = level
+        got = data[pos:pos + len(buf)]
+        bits = got[is_bit] - _ZERO
+        if (bits > 1).any():
+            return None
+        buf[is_bit] = bits + _ZERO
+        if not np.array_equal(buf, got):
+            return None
+        flats.append(bits)
+        nbits.append(counts * (counts - 1) // 2)
+        pos += len(buf)
+    if pos != len(data):
+        return None
+    model = NetworkModel(shape, LinkTable(flats[::-1], nbits[::-1]))
+    return None if validate(model) else model
+
+
+def _parse_lines(text: str) -> NetworkModel:
+    """Line-by-line parse of any accepted spelling; raises ParseError naming the line."""
+    bad = _NON_ASCII_RE.search(text)
+    if bad is not None:
+        raise ParseError(
+            f"non-ASCII character {ascii(bad.group())}", text.count("\n", 0, bad.start()) + 1
+        )
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # allow one trailing newline
@@ -526,12 +715,19 @@ def deserialize(text: str) -> NetworkModel:
     m = _HEADER_RE.fullmatch(need(1))
     if m is None:
         raise ParseError("bad header, want 'p=<int> gamma=<int> n=<int>'", 2)
-    p, gamma, n = (int(tok) for tok in m.groups())
+    try:
+        p, gamma, n = (int(tok) for tok in m.groups())
+    except ValueError:  # past the interpreter's limit on digits
+        raise ParseError("header value has too many digits", 2) from None
     if p < 2:
         raise ParseError(f"p={p} below the minimum of 2", 2)
     if gamma == 0 and n != 1:
         raise ParseError("gamma=0 requires n=1", 2)
-    if gamma >= 1 and n > p ** gamma:
+    if n > MAX_NODES:
+        raise ParseError(f"n={n} exceeds the supported maximum {MAX_NODES}", 2)
+    if gamma > MAX_NODES:
+        raise ParseError(f"gamma={gamma} exceeds the supported maximum {MAX_NODES}", 2)
+    if gamma >= 1 and pow_below(p, gamma, n):
         raise ParseError(f"n={n} exceeds p^gamma={p ** gamma}", 2)
 
     ln = 2  # 0-based index of the next expected line

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -144,19 +145,28 @@ def _copy_worker(args):
         ) from exc
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> dict:
     """Full report dict: params echo, seed, per-copy results, summary.
 
     Copy order is the reduction order regardless of `workers`, so the
-    report is byte-stable across parallelism degrees.
+    report is byte-stable across parallelism degrees.  At most one process
+    per copy and per usable CPU is started, whatever `workers` asks for.
     """
     if int(workers) != workers or workers < 1:
         raise ParamError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = min(int(workers), spec.copies, _usable_cpus())
     jobs = [(spec.params, c, spec.properties) for c in range(1, spec.copies + 1)]
-    if workers == 1 or spec.copies == 1:
+    if workers == 1:
         per_copy = [_copy_worker(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_copy = list(pool.map(_copy_worker, jobs))
     results = {}
     summary = {}

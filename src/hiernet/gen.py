@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HierarchyShape, LinkTable, NetworkModel, ParamError
+from .core import MAX_NODES, HierarchyShape, LinkTable, NetworkModel, ParamError, pow_below
 
 __all__ = [
     "GenParams",
@@ -36,9 +36,6 @@ __all__ = [
     "generate_links",
     "generate_network",
 ]
-
-# resource guard on node counts and level widths; far past any desk-scale run
-MAX_NODES = 1 << 27
 
 _MODES = ("by-nodes", "by-levels", "regular")
 
@@ -163,8 +160,10 @@ def generate_shape_regular(gamma: int, p: int) -> HierarchyShape:
     _check_p(p)
     if gamma < 0:
         raise ParamError(f"gamma must be >= 0, got {gamma}")
-    if p ** gamma > MAX_NODES:
-        raise ParamError(f"p**gamma = {p ** gamma} exceeds the supported maximum {MAX_NODES}")
+    if not pow_below(p, gamma, MAX_NODES + 1):
+        raise ParamError(
+            f"p**gamma for p={p}, gamma={gamma} exceeds the supported maximum {MAX_NODES}"
+        )
     levels = [np.full(p ** (gamma - g), p, dtype=np.int64) for g in range(1, gamma + 1)]
     return HierarchyShape(p, levels)
 

@@ -116,6 +116,25 @@ def test_analyze_bad_file(tmp_path, capsys):
                  "--props", "edges"]) == 1
 
 
+def test_non_ascii_file_is_a_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "bad.bhnet"
+    bad.write_bytes(DEMO_TEXT.encode("ascii").replace(b"B1.2: 100110", b"B1.2: 10\xff110"))
+    for argv in (["analyze", "--input", str(bad), "--props", "edges"],
+                 ["export", "--input", str(bad), "--out", str(tmp_path / "e.txt")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "hiernet: error: line 7: non-ASCII character '\\xff'\n"
+
+
+def test_generate_huge_regular_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "x.bhnet"
+    rc = main(["generate", "--regular", "10000", "--p", "3", "--mu", "0.5",
+               "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the supported maximum" in err
+    assert not out.exists()
+
+
 def test_export(demo_file, tmp_path, capsys):
     out = tmp_path / "edges.txt"
     rc = main(["export", "--input", str(demo_file), "--out", str(out)])

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hiernet.core as core
+from hiernet.analytics import distance, node_degree
 from hiernet.core import (
     ClusterRef,
     HierarchyShape,
@@ -21,6 +25,7 @@ from hiernet.core import (
     serialize,
     validate,
 )
+from hiernet.gen import GenParams, generate_network
 from conftest import build_model
 
 GOLDEN_TEXT = (
@@ -217,16 +222,44 @@ def test_single_child_cluster_has_no_bitmap_line():
         (lambda ls: ls[:4] + ["B2.1: 1x0"] + ls[5:], 5, "outside 0/1"),
         (lambda ls: ls[:7], 8, "unexpected end of input"),
         (lambda ls: ls + ["junk"], 9, "trailing content"),
+        (lambda ls: ls[:6] + ["B1.2: 10\xff110"] + ls[7:], 7, "non-ASCII character '\\xff'"),
+        (lambda ls: ls[:2] + ["L2: \u2163"] + ls[3:], 3, "non-ASCII character '\\u2163'"),
+        (lambda ls: [ls[0], "p=4 gamma=10000 n=9"] + ls[2:], 3, "'L10000:'"),
+        (lambda ls: [ls[0], "p=2 gamma=28 n=134217729"] + ls[2:], 2,
+         "n=134217729 exceeds the supported maximum 134217728"),
+        (lambda ls: [ls[0], "p=2 gamma=3 n=9"] + ls[2:], 2, "n=9 exceeds p^gamma=8"),
+        (lambda ls: [ls[0], "p=" + "9" * 5000 + " gamma=2 n=9"] + ls[2:], 2, "too many digits"),
+        # a root with 2^27 children declares 2^53 bits the file does not hold
+        (lambda ls: [ls[0], "p=134217728 gamma=1 n=134217728", "L1: 134217728"], 4,
+         "unexpected end of input"),
     ],
 )
 def test_parse_errors_carry_line_numbers(mutate, wantline, fragment):
     lines = GOLDEN_TEXT.splitlines()
     text = "\n".join(mutate(lines)) + "\n"
+    for data in (text, text.encode("latin-1", "replace")):
+        with pytest.raises(ParseError) as exc:
+            deserialize(data)
+        assert exc.value.line == wantline
+        if fragment is not None and data is text:
+            assert fragment in str(exc.value)
+
+
+def test_parse_error_non_ascii_byte():
+    data = GOLDEN_TEXT.encode("ascii").replace(b"B1.2: 100110", b"B1.2: 10\xff110")
+    with pytest.raises(ParseError) as exc:
+        deserialize(data)
+    assert exc.value.line == 7
+    assert str(exc.value) == "line 7: non-ASCII character '\\xff'"
+
+
+def test_parse_error_gamma_past_limit(monkeypatch):
+    monkeypatch.setattr(core, "MAX_NODES", 16)
+    text = GOLDEN_TEXT.replace("gamma=2", "gamma=17")
     with pytest.raises(ParseError) as exc:
         deserialize(text)
-    assert exc.value.line == wantline
-    if fragment is not None:
-        assert fragment in str(exc.value)
+    assert exc.value.line == 2
+    assert "gamma=17 exceeds the supported maximum 16" in str(exc.value)
 
 
 def test_parse_error_declared_n_mismatch():
@@ -243,6 +276,86 @@ def test_parse_rejects_wide_root():
     assert exc.value.line == 3
 
 
+# -- codec: canonical fast path against the line walker ----------------------
+
+REGULAR_G13_SHA256 = "41ff7994a8a635c1fe66c019e77c03c9828147fcfc10c624454bd97b4de2c51e"
+
+
+def test_serialize_regular_g13_digest():
+    params = GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=13)
+    model = generate_network(params)
+    text = serialize(model)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == REGULAR_G13_SHA256
+    assert core._parse_canonical(text.encode("ascii")) == model
+
+
+def test_canonical_path_reads_serialize_output(demo9, k4):
+    wide = generate_network(GenParams(mode="by-nodes", p=16, mu=0.3, seed=4, n=300))
+    for m in (demo9, k4, wide):
+        raw = serialize(m).encode("ascii")
+        assert core._parse_canonical(raw) == m
+        assert core._parse_lines(raw.decode("ascii")) == m
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("L1: 3 4 2", "L1:  3 4 2"),
+        ("L1: 3 4 2", "L1: 03 4 2"),
+        ("B1.2: 100110", "B1.2:   100110  "),
+        ("B1.2: 100110\n", "B1.2: 100110\r\n"),
+        ("B1.3: 1\n", "B1.3: 1"),
+    ],
+)
+def test_other_spellings_load_through_the_walker(demo9, old, new):
+    text = GOLDEN_TEXT.replace(old, new)
+    assert core._parse_canonical(text.encode("ascii")) is None
+    assert deserialize(text) == demo9
+    assert deserialize(text.encode("ascii")) == demo9
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+
+
+_FUZZ_BYTES = st.sampled_from(
+    [b"0", b"1", b"2", b"9", b" ", b"  ", b"\n", b"\r", b"\t", b":", b".", b"B", b"L",
+     b"=", b"\x00", b"\x7f", b"\x80", b"\xe9", b"\xff"]
+)
+
+
+@st.composite
+def _mutated_files(draw):
+    # p up to 12 gives multi-digit counts, n up to 80 multi-digit cluster indices
+    params = GenParams(mode="by-nodes", p=draw(st.integers(2, 12)),
+                       mu=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                       seed=draw(st.integers(0, 1000)), n=draw(st.integers(1, 80)))
+    data = bytearray(serialize(generate_network(params)).encode("ascii"))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if kind == "insert":
+            data[pos:pos] = draw(_FUZZ_BYTES)
+        elif pos < len(data):
+            data[pos:pos + 1] = draw(_FUZZ_BYTES) if kind == "flip" else b""
+    return bytes(data)
+
+
+@given(_mutated_files())
+@settings(max_examples=400, deadline=None)
+def test_codec_agrees_with_line_walker(data):
+    want = _outcome(core._parse_lines, data.decode("latin-1"))
+    assert _outcome(deserialize, data) == want
+    text = data.decode("latin-1")
+    assert _outcome(deserialize, text) == want
+    fast = core._parse_canonical(data)
+    if fast is not None:
+        assert fast == want and serialize(fast).encode("ascii") == data
+
+
 # -- immutability ------------------------------------------------------------
 
 
@@ -253,6 +366,23 @@ def test_arrays_are_frozen(demo9):
         demo9.links.flat_at(1)[0] = 1
     with pytest.raises(ValueError):
         demo9.shape.sizes_at(1)[0] = 3
+
+
+class _Unsummable(np.ndarray):
+    def sum(self, *args, **kwargs):
+        raise AssertionError("level-1 counts summed again")
+
+
+def test_point_queries_use_the_node_count_taken_at_construction(demo9):
+    shape = demo9.shape
+    node_degree(demo9, 5)  # build the navigation arrays and caches first
+    shape._counts = (shape._counts[0].view(_Unsummable),) + shape._counts[1:]
+    assert shape.n == 9
+    assert shape.node_cluster(1, 9) == 3
+    assert shape.leaf_range(1, 2) == (3, 7)
+    assert node_path(demo9, 9)[-1] == PathEntry(gamma=2, cluster_index=1, child_pos=3)
+    assert distance(demo9, 1, 5) == 1 and distance(demo9, 1, 8) is None
+    assert node_degree(demo9, 5) == 6
 
 
 def test_equality_by_value(demo9):

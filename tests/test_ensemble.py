@@ -5,6 +5,7 @@ import json
 import pytest
 
 import hiernet.analytics as an
+import hiernet.ensemble as ensemble
 from hiernet.core import ParamError
 from hiernet.gen import GenParams, generate_network
 from hiernet.ensemble import (
@@ -161,3 +162,39 @@ def test_failure_names_copy_and_stream(monkeypatch):
         run_ensemble(spec)
     assert "copy 2" in str(exc.value)
     assert "seed=314" in str(exc.value) and "stream=2" in str(exc.value)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "copies,workers,cpus,want",
+    [(3, 100000, 8, [3]), (6, 100000, 4, [4]), (6, 2, 4, [2]), (6, 5, 1, []), (1, 9, 4, [])],
+)
+def test_workers_clamped_to_copies_and_cpus(monkeypatch, copies, workers, cpus, want):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+    spec = EnsembleSpec(params=PARAMS, copies=copies, properties=("edges",))
+    report = run_ensemble(spec, workers=workers)
+    assert _RecordingPool.sizes == want
+    assert report == run_ensemble(spec, workers=1)
+
+
+def test_usable_cpus_is_positive():
+    assert ensemble._usable_cpus() >= 1
