@@ -535,28 +535,21 @@ def _decimal_line(values: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _read_decimal_line(body: bytes) -> np.ndarray | None:
-    """Values of single-space separated decimals of at most 18 digits, else None.
+def _read_counts(body: bytes) -> np.ndarray | None:
+    """The counts of a space-separated `L` line body, else None.
 
-    Leading zeros are read, not refused; the caller's byte comparison with
-    `_decimal_line` refuses them.
+    Tolerant of signs, underscores and leading zeros: the caller's byte
+    comparison with `_decimal_line` refuses them.  Counts and widths past
+    MAX_NODES already make n too large; refusing them here keeps every sum
+    of counts, and every layout size, within int64.
     """
-    b = np.frombuffer(body, dtype=np.uint8)
-    is_gap = b == _SPACE
-    gap = np.flatnonzero(is_gap)
-    start = np.concatenate(([0], gap + 1))
-    end = np.append(gap, len(b))
-    width = end - start
-    if width.min() < 1 or width.max() > 18:
+    try:
+        counts = np.array(body.split(b" "), dtype=np.int64)
+    except (ValueError, OverflowError):
         return None
-    digit = b.astype(np.int64) - ord("0")
-    digit[gap] = 0
-    if digit.min() < 0 or digit.max() > 9:
+    if len(counts) > MAX_NODES or not 1 <= counts.min() <= counts.max() <= MAX_NODES:
         return None
-    # a digit's place is its distance to its token's end; a gap's place is
-    # that of the next token's first digit, and it adds 0
-    place = end[np.cumsum(is_gap)] - 1 - np.arange(len(b))
-    return np.add.reduceat(digit * _POW10[place], start)
+    return counts
 
 
 def _head(shape: HierarchyShape) -> bytes:
@@ -658,12 +651,11 @@ def _parse_canonical(raw: bytes) -> NetworkModel | None:
     top_down = []
     for g, line in zip(range(gamma, 0, -1), lines[2:]):
         label = b"L%d: " % g
-        counts = _read_decimal_line(line[len(label):]) if line.startswith(label) else None
+        counts = _read_counts(line[len(label):]) if line.startswith(label) else None
         if counts is None:
             return None
         top_down.append(counts)
     shape = HierarchyShape(p, top_down[::-1])
-    # a valid shape of at most MAX_NODES nodes keeps every layout size in int64
     if _shape_problems(shape) or shape.n > MAX_NODES:
         return None
     head = _head(shape)

@@ -209,6 +209,17 @@ def test_single_child_cluster_has_no_bitmap_line():
     assert deserialize(text) == m
 
 
+WRAPPING_COUNTS = (
+    673668978482493649, 517877057395693528, 998942484547994690, 772521293905623371,
+    914373778643058966, 911667617644433645, 727680899708984026, 961692473298024114,
+    756306586798021123, 556178586118435394, 578380709469740510, 625084456400760307,
+    751430197302846689, 861238144855228226, 673529790671753306, 792405670287795082,
+    722436754976588196, 702286124519073658, 837272260651580120, 836798228862657626,
+    893135933055449930, 993681313700006192, 886962850730932232, 501191881682377041,
+)
+assert sum(WRAPPING_COUNTS) == 2**64 + 5
+
+
 @pytest.mark.parametrize(
     "mutate,wantline,fragment",
     [
@@ -232,6 +243,10 @@ def test_single_child_cluster_has_no_bitmap_line():
         # a root with 2^27 children declares 2^53 bits the file does not hold
         (lambda ls: [ls[0], "p=134217728 gamma=1 n=134217728", "L1: 134217728"], 4,
          "unexpected end of input"),
+        # 24 counts near 10^18 whose sum wraps to 5 in int64, as do their bit totals
+        (lambda ls: [ls[0], "p=999999999999999999 gamma=2 n=5", "L2: 24",
+                     "L1: " + " ".join(map(str, WRAPPING_COUNTS)), "B2.1: " + "0" * 276], 4,
+         "declared n=5"),
     ],
 )
 def test_parse_errors_carry_line_numbers(mutate, wantline, fragment):
