@@ -7,26 +7,38 @@ four-cycle) decomposes by how it straddles the children of a vertex, and
 each count obeys an exact bottom-up recurrence over per-cluster aggregates
 (nodes, edges, wedges, triangles, four-cycles).
 
-Per-node quantities (degree, triangles through a node) follow from one
-leaf-to-root climb; whole-network distributions reuse the same per-vertex
-terms in vectorised top-down passes.  A distance query collapses to a
-breadth-first search over the at most p children of the two nodes' lowest
-common cluster, plus a possible two-step detour through any ancestor that
-links the chain sideways, which keeps it at O(gamma + p**2); the pair
-distance distribution needs only one pass over clusters because every pair
-with the same (cluster, child, child) triple shares one distance.
+Every pass walks a level in row blocks of clusters sharing a child count
+c.  A block is one (c, c, rows) tensor A of 0/1 child adjacency holding at
+most 2**20 entries (one cluster when c**2 is larger), so a pass keeps a
+bounded working set however wide the level.  With V the children's node
+counts and dV = diag(V), three contractions of A give every per-level
+term: A.X (sums over linked siblings: W = A.V, WE = A.E, A.V**2,
+A.C(V,2)); diag(A.dV.A.dV.A) (each child's weighted triangles with two
+linked siblings, both orders); and tr((A.dV)**4), whose closed 4-walks
+minus those revisiting a child are eight times the four-child rings (the
+short-cycle trace identities of Alon, Yuster and Zwick).  Each has a
+batched-matmul evaluator and a pair-loop evaluator; blocks with fewer than
+_TENSOR_MIN_CHILDREN children take the pair loops, which are faster there.
+
+Per-node quantities follow from one leaf-to-root climb; whole-network
+distributions reuse the per-level terms in vectorised top-down passes.
+Child-graph distances come from the oracle's boolean frontier expansion
+run on a whole block, component groups from the reach it leaves.  Pairs
+with the same (lowest common cluster, child, child) share one distance,
+so the histogram weights each child pair by its two subtree sizes.  A
+distance query reads the direct bit and the ancestor reach flag of the
+lowest common cluster before it searches that one child graph, which keeps
+it at O(gamma + p**2).
 
 Aggregate arithmetic is exact.  Levels whose largest cluster holds at most
-40000 nodes run vectorised int64 (the largest intermediate product then
-stays below 2**63); bigger levels switch to object arrays of Python ints,
-which only the top few vertices of a deep tree ever reach.
+40000 nodes run vectorised int64: every product is bounded by
+(sum V)**4 <= 40000**4 < 2**63.  Bigger levels switch to object arrays of
+Python ints, which only the top few vertices of a deep tree ever reach.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -61,6 +73,10 @@ __all__ = [
 ]
 
 _INT64_SAFE_NODES = 40_000
+# a row block's (c, c, rows) tensor holds at most this many entries
+_BLOCK_ENTRIES = 1 << 20
+# child count from which the batched-matmul evaluators beat the pair loops
+_TENSOR_MIN_CHILDREN = 5
 
 
 @dataclass(frozen=True)
@@ -93,20 +109,6 @@ class Histogram:
         return sum(c for _, c in self.counts) + self.unreachable
 
 
-# -- small cached pair-geometry tables --------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _pairs(c: int) -> tuple[tuple[int, int], ...]:
-    # 0-based, in the same lexicographic order as pair_index
-    return tuple((i, j) for i in range(c) for j in range(i + 1, c))
-
-
-@lru_cache(maxsize=None)
-def _pair_offsets(c: int) -> dict[tuple[int, int], int]:
-    return {pair: t for t, pair in enumerate(_pairs(c))}
-
-
 def _comb2(x):
     return x * (x - 1) // 2
 
@@ -118,42 +120,131 @@ def _object_array(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_groups(shape, g: int):
-    """Yield (c, sel, child_idx) for level-g clusters grouped by child count.
+# -- child-graph tensors -----------------------------------------------------
+#
+# Block arrays are children-first: the adjacency A is (c, c, rows) and a
+# per-child value is (c, rows), so each child's column over the block is
+# contiguous and a pair-loop step is a handful of contiguous vector ops.
 
-    `sel` are 0-based cluster indices with count c; `child_idx` is the
-    (len(sel), c) matrix of their children's 0-based indices in level g-1.
+
+def _level_groups(shape, g: int):
+    """Yield (c, sel, child_idx) row blocks of level-g clusters with c children.
+
+    `sel` are 0-based cluster indices with count c, at most
+    _BLOCK_ENTRIES // c**2 of them (at least one); `child_idx` is the
+    (c, len(sel)) matrix of their children's 0-based indices in level g-1.
     """
     counts = shape.counts_at(g)
     starts = shape.child_start_at(g)
     for c in np.unique(counts):
         c = int(c)
-        sel = np.nonzero(counts == c)[0]
-        idx = starts[sel][:, None] + np.arange(c, dtype=np.int64)[None, :]
-        yield c, sel, idx
+        rows = max(1, _BLOCK_ENTRIES // (c * c))
+        every = np.nonzero(counts == c)[0]
+        for lo in range(0, len(every), rows):
+            sel = every[lo:lo + rows]
+            yield c, sel, np.arange(c, dtype=np.int64)[:, None] + starts[sel]
 
 
-def _bits_matrix(links, g: int, sel: np.ndarray, c: int) -> np.ndarray:
-    nb = c * (c - 1) // 2
-    if nb == 0:
-        return np.zeros((len(sel), 0), dtype=np.int64)
-    starts = links.starts_at(g)
-    idx = starts[sel][:, None] + np.arange(nb, dtype=np.int64)[None, :]
-    return links.flat_at(g)[idx].astype(np.int64)
+def _adjacency(links, g: int, sel: np.ndarray, c: int, dtype=np.int64) -> np.ndarray:
+    """(c, c, len(sel)) symmetric 0/1 child adjacency of level-g clusters `sel`."""
+    A = np.zeros((c, c, len(sel)), dtype)
+    if c > 1:
+        iu, ju = _child_pairs(c)
+        B = links.flat_at(g)[np.arange(len(iu))[:, None] + links.starts_at(g)[sel]]
+        A[iu, ju] = B
+        A[ju, iu] = B
+    return A
 
 
-def _w_matrices(B, Vm, Em=None):
-    """Per child a: W[:, a] = sum of linked sibling node counts, WE likewise for edges."""
-    W = np.zeros_like(Vm)
-    WE = np.zeros_like(Em) if Em is not None else None
-    for t, (i, j) in enumerate(_pairs(Vm.shape[1])):
-        bt = B[:, t]
-        W[:, i] = W[:, i] + bt * Vm[:, j]
-        W[:, j] = W[:, j] + bt * Vm[:, i]
-        if Em is not None:
-            WE[:, i] = WE[:, i] + bt * Em[:, j]
-            WE[:, j] = WE[:, j] + bt * Em[:, i]
-    return W, WE
+def _child_pairs(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each child pair i < j, in the bit order of pair_index."""
+    return np.nonzero(np.arange(c)[:, None] < np.arange(c))
+
+
+def _child_sizes(shape, g: int, idx: np.ndarray) -> np.ndarray:
+    """Node counts of the level g-1 clusters at `idx`, int64; ones for leaves."""
+    return np.ones(idx.shape, np.int64) if g == 1 else shape.sizes_at(g - 1)[idx]
+
+
+def _rows_first(T: np.ndarray) -> np.ndarray:
+    return np.moveaxis(T, -1, 0)
+
+
+# Each contraction has a tensor evaluator (a batched matmul over the rows)
+# and a pair-loop evaluator; both are exact on int64 and on object values.
+# A is (c, c, rows) int64, V is (c, rows) and X is (k, c, rows).
+
+
+def _link_sums_tensor(A, X):
+    return (_rows_first(A) @ X.T).T
+
+
+def _link_sums_pairs(A, X):
+    out = np.zeros_like(X)
+    for i, j in combinations(range(A.shape[0]), 2):
+        out[:, i] += A[i, j] * X[:, j]
+        out[:, j] += A[i, j] * X[:, i]
+    return out
+
+
+def _triangle_walks_tensor(A, V):
+    AV = _rows_first(A * V)  # [r, a, b] = A_ab V_b
+    return ((AV @ _rows_first(A)) * AV).sum(axis=2).T
+
+
+def _triangle_walks_pairs(A, V):
+    out = np.zeros_like(V)
+    for i, j in combinations(range(A.shape[0]), 2):
+        out += 2 * A[i, j] * V[i] * V[j] * A[i] * A[j]
+    return out
+
+
+def _ring_walks_tensor(A, V):
+    # K[a, b] = sum_k A_ak V_k A_kb, and tr((A.dV)**4) = sum_ab V_a K_ab**2 V_b
+    K = _rows_first(A * V) @ _rows_first(A)
+    VV = V.T[:, :, None] * V.T[:, None, :]
+    return (K * K * VV).sum(axis=(1, 2))
+
+
+def _ring_walks_pairs(A, V):
+    W = (A * V).sum(axis=1)  # the diagonal of K
+    out = (V * V * W * W).sum(axis=0)
+    for i, j in combinations(range(A.shape[0]), 2):
+        k = (A[i] * A[j] * V).sum(axis=0)
+        out += 2 * V[i] * V[j] * k * k
+    return out
+
+
+_TENSOR = (_link_sums_tensor, _triangle_walks_tensor, _ring_walks_tensor)
+_PAIRS = (_link_sums_pairs, _triangle_walks_pairs, _ring_walks_pairs)
+
+
+def _evaluators(c: int):
+    """(A.X, diag(A.dV.A.dV.A), tr((A.dV)**4)) evaluators for blocks of c children."""
+    return _TENSOR if c >= _TENSOR_MIN_CHILDREN else _PAIRS
+
+
+def _child_reach(A: np.ndarray) -> np.ndarray:
+    """Hop distances among the children of each cluster of a block; -1 unreachable.
+
+    The oracle's frontier expansion (`ExpandedGraph.bf_all_distances`) run
+    on a (c, c, rows) boolean adjacency at once; the result is laid out
+    like A.
+    """
+    adj = np.ascontiguousarray(_rows_first(A))
+    reach = np.broadcast_to(np.eye(A.shape[0], dtype=bool), adj.shape).copy()
+    dist = np.zeros(adj.shape, np.int64)
+    d = 0
+    while True:
+        grown = reach | (reach @ adj)
+        new = grown & ~reach
+        if not new.any():
+            break
+        d += 1
+        dist[new] = d
+        reach = grown
+    dist[~reach] = -1
+    return np.moveaxis(dist, 0, -1)
 
 
 # -- bottom-up aggregate engine ---------------------------------------------
@@ -183,11 +274,8 @@ def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
         for c, sel, idx in _level_groups(shape, g):
             m = len(sel)
             if prev is None:
-                Vm = np.ones((m, c), dtype)
-                Em = np.zeros((m, c), dtype)
-                P2m = np.zeros((m, c), dtype)
-                C3m = np.zeros((m, c), dtype)
-                C4m = np.zeros((m, c), dtype)
+                Vm = np.ones((c, m), dtype)
+                Em = P2m = C3m = C4m = np.zeros((c, m), dtype)
             else:
                 Vm, Em, P2m, C3m, C4m = (
                     a[idx] for a in (prev.v, prev.e, prev.p2, prev.c3, prev.c4)
@@ -196,8 +284,8 @@ def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
                     Vm, Em, P2m, C3m, C4m = (
                         _object_array(a) for a in (Vm, Em, P2m, C3m, C4m)
                     )
-            B = _bits_matrix(links, g, sel, c)
-            e, p2, c3, c4 = _merge_children(B, Vm, Em, P2m, C3m, C4m)
+            A = _adjacency(links, g, sel, c)
+            e, p2, c3, c4 = _merge_children(A, Vm, Em, P2m, C3m, C4m)
             E[sel] = e
             P2[sel] = p2
             C3[sel] = c3
@@ -208,10 +296,10 @@ def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     return tuple(out)
 
 
-def _merge_children(B, Vm, Em, P2m, C3m, C4m):
-    """One level of the aggregate recurrences, vectorised over clusters.
+def _merge_children(A, V, E, P2, C3, C4):
+    """One level of the aggregate recurrences, vectorised over a row block.
 
-    Rows are clusters sharing child count c, columns their children.  Each
+    Columns are clusters sharing child count c, rows their children.  Each
     term mirrors one way a pattern can straddle the children, using that a
     set bit joins two children completely:
 
@@ -220,50 +308,39 @@ def _merge_children(B, Vm, Em, P2m, C3m, C4m):
                  internal edge extended sideways) and V*C(W,2) (both arms
                  crossing out of the centre's child);
       triangles  child triangles, plus edge-with-apex (Ei*Wi) and one node
-                 in each of three mutually linked children;
+                 in each of three mutually linked children (tri / 6);
       4-cycles   child cycles; two-children terms (wedge plus apex, two
-                 disjoint internal edges, pure bipartite quad); bowtie and
-                 edge-with-two-apexes terms across three children; one node
-                 in each of four children, over the 3 cyclic pairings.
+                 disjoint internal edges, pure bipartite quad); bowtie
+                 (C(Vi,2) times the linked sibling pairs, (W**2 - A.V**2)/2)
+                 and edge-with-two-apexes (Ei*tri) across three children;
+                 one node in each of four children, the ring term.
+
+    With S = sum V <= 40000 on int64 rows, every product here and every
+    row sum stays below 2 * S**4 < 2**63.
     """
-    m, c = Vm.shape
-    pairs = _pairs(c)
-    toff = _pair_offsets(c)
-    W, WE = _w_matrices(B, Vm, Em)
-    E = Em.sum(axis=1)
-    P2 = P2m.sum(axis=1) + (2 * Em * W + Vm * _comb2(W)).sum(axis=1)
-    C3 = C3m.sum(axis=1) + (Em * W).sum(axis=1)
-    C4 = C4m.sum(axis=1)
-
-    def bit(a, b):
-        return B[:, toff[(a, b) if a < b else (b, a)]]
-
-    for t, (i, j) in enumerate(pairs):
-        bt = B[:, t]
-        E = E + bt * (Vm[:, i] * Vm[:, j])
-        C4 = C4 + bt * (
-            P2m[:, i] * Vm[:, j]
-            + P2m[:, j] * Vm[:, i]
-            + _comb2(Vm[:, i]) * _comb2(Vm[:, j])
-            + 2 * (Em[:, i] * Em[:, j])
-        )
-    for i, j, k in combinations(range(c), 3):
-        C3 = C3 + bit(i, j) * bit(j, k) * bit(i, k) * (Vm[:, i] * Vm[:, j] * Vm[:, k])
-    for i in range(c):
-        for j, k in combinations([x for x in range(c) if x != i], 2):
-            both = bit(i, j) * bit(i, k)
-            wings = Vm[:, j] * Vm[:, k]
-            C4 = C4 + both * wings * _comb2(Vm[:, i])
-            C4 = C4 + 2 * both * bit(j, k) * wings * Em[:, i]
-    for i, j, k, l in combinations(range(c), 4):
-        vv = Vm[:, i] * Vm[:, j] * Vm[:, k] * Vm[:, l]
-        rings = (
-            bit(i, j) * bit(j, k) * bit(k, l) * bit(l, i)
-            + bit(i, j) * bit(j, l) * bit(l, k) * bit(k, i)
-            + bit(i, k) * bit(k, j) * bit(j, l) * bit(l, i)
-        )
-        C4 = C4 + vv * rings
-    return E, P2, C3, C4
+    c = A.shape[0]
+    link_sums, triangle_walks, ring_walks = _evaluators(c)
+    V2 = V * V
+    C2V = _comb2(V)
+    W, WE, AV2, AC2V = link_sums(A, np.stack([V, E, V2, C2V]))
+    # a triangle needs three children and a ring four, so smaller blocks skip them
+    tri = triangle_walks(A, V) if c >= 3 else 0  # tri <= S**2; E*tri <= S**4 / 2
+    # linked sibling pairs of each child, weighted Vj*Vk and counted twice: <= S**2
+    sib_pairs = W * W - AV2
+    rings = 0
+    if c >= 4:
+        # tr((A.dV)**4) <= S**4; sum V**2*A.V**2 <= S**4; 2*sum V**2*W**2 <= 2*S**4
+        rings = (ring_walks(A, V) + (V2 * AV2).sum(axis=0) - 2 * (V2 * W * W).sum(axis=0)) // 8
+    e = E.sum(axis=0) + (V * W).sum(axis=0) // 2
+    p2 = P2.sum(axis=0) + (2 * E * W + V * _comb2(W)).sum(axis=0)
+    c3 = C3.sum(axis=0) + (E * W).sum(axis=0) + (V * tri).sum(axis=0) // 6
+    c4 = (
+        C4.sum(axis=0)
+        + (P2 * W + E * WE + E * tri).sum(axis=0)
+        + (C2V * (AC2V + sib_pairs)).sum(axis=0) // 2
+        + rings
+    )
+    return e, p2, c3, c4
 
 
 # -- whole-network and per-cluster counts ------------------------------------
@@ -366,18 +443,12 @@ def triangles_at_node(model: NetworkModel, x: int) -> int:
         v, e = _child_values(model, g, lo, hi)
 
         def linked(m_, s_):
-            return int(vec[pair_index(min(m_, s_), max(m_, s_), c)])
+            return vec[pair_index(min(m_, s_), max(m_, s_), c)]
 
-        w = 0
-        we = 0
-        for j in range(1, c + 1):
-            if j != a and linked(a, j):
-                w += int(v[j - 1])
-                we += int(e[j - 1])
-        tri = 0
-        for j, k in combinations([j for j in range(1, c + 1) if j != a], 2):
-            if linked(a, j) and linked(a, k) and linked(j, k):
-                tri += int(v[j - 1]) * int(v[k - 1])
+        sibs = [j for j in range(1, c + 1) if j != a and linked(a, j)]
+        w = sum(int(v[j - 1]) for j in sibs)
+        we = sum(int(e[j - 1]) for j in sibs)
+        tri = sum(int(v[j - 1]) * int(v[k - 1]) for j, k in combinations(sibs, 2) if linked(j, k))
         total += we + deg_below * w + tri
         deg_below += w
     return total
@@ -398,20 +469,16 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """(degrees, triangles through each node) for all nodes, top-down.
 
     Carries three per-chain accumulators down the tree: the flat terms
-    (linked siblings' edges plus the two-sibling products), the degree, and
-    the sum of squared per-level degree increments; triangles then follow
-    from S1 + (deg**2 - sumsq) / 2, because the cross products of increments
-    from two different levels are exactly the degree-times-new-weight terms.
+    (linked siblings' edges plus the two-sibling products, half the
+    triangle walks), the degree, and the sum of squared per-level degree
+    increments; triangles then follow from S1 + (deg**2 - sumsq) / 2,
+    because the cross products of increments from two different levels are
+    exactly the degree-times-new-weight terms.  V <= N <= 2**27 and
+    E < 2**53 here, so the walks (<= N**2) and squares fit int64.
     """
     if model._node_passes is not None:
         return model._node_passes
     shape = model.shape
-    if shape.gamma == 0:
-        result = (np.zeros(1, np.int64), np.zeros(1, np.int64))
-        for a in result:
-            a.flags.writeable = False
-        model._node_passes = result
-        return result
     agg = cluster_aggregates(model)
     S1 = np.zeros(1, np.int64)
     D = np.zeros(1, np.int64)
@@ -422,30 +489,15 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
         Dn = np.empty(width, np.int64)
         Qn = np.empty(width, np.int64)
         for c, sel, idx in _level_groups(shape, g):
-            m = len(sel)
-            if g == 1:
-                Vm = np.ones((m, c), np.int64)
-                Em = np.zeros((m, c), np.int64)
-            else:
-                below = agg[g - 2]
-                Vm, Em = below.v[idx], below.e[idx]
-                if Vm.dtype == object:  # V and E always fit int64, see _child_values
-                    Vm = Vm.astype(np.int64)
-                    Em = Em.astype(np.int64)
-            B = _bits_matrix(model.links, g, sel, c)
-            W, WE = _w_matrices(B, Vm, Em)
-            Ct = np.zeros((m, c), np.int64)
-            toff = _pair_offsets(c)
-            for t, (i, j) in enumerate(_pairs(c)):
-                vv = B[:, t] * Vm[:, i] * Vm[:, j]
-                for a in range(c):
-                    if a != i and a != j:
-                        tai = toff[(a, i) if a < i else (i, a)]
-                        taj = toff[(a, j) if a < j else (j, a)]
-                        Ct[:, a] += vv * B[:, tai] * B[:, taj]
-            S1n[idx] = S1[sel][:, None] + WE + Ct
-            Dn[idx] = D[sel][:, None] + W
-            Qn[idx] = Q[sel][:, None] + W * W
+            Vm = _child_sizes(shape, g, idx)
+            # E always fits int64, see _child_values
+            Em = np.zeros_like(Vm) if g == 1 else np.asarray(agg[g - 2].e[idx], np.int64)
+            A = _adjacency(model.links, g, sel, c)
+            link_sums, triangle_walks, _ = _evaluators(c)
+            W, WE = link_sums(A, np.stack([Vm, Em]))
+            S1n[idx] = S1[sel] + WE + (triangle_walks(A, Vm) // 2 if c >= 3 else 0)
+            Dn[idx] = D[sel] + W
+            Qn[idx] = Q[sel] + W * W
         S1, D, Q = S1n, Dn, Qn
     T = S1 + (D * D - Q) // 2
     D.flags.writeable = False
@@ -498,54 +550,39 @@ def _reach_flags(model: NetworkModel) -> tuple[np.ndarray, ...]:
     for g in range(big_g, 0, -1):
         exn = np.empty(shape.n_clusters(g - 1), dtype=bool)
         for c, sel, idx in _level_groups(shape, g):
-            B = _bits_matrix(model.links, g, sel, c).astype(bool)
-            rowany = np.zeros((len(sel), c), dtype=bool)
-            for t, (i, j) in enumerate(_pairs(c)):
-                rowany[:, i] |= B[:, t]
-                rowany[:, j] |= B[:, t]
-            exn[idx] = ex[g][sel][:, None] | rowany
+            A = _adjacency(model.links, g, sel, c, bool)
+            exn[idx] = ex[g][sel] | A.any(axis=1)
         ex[g - 1] = exn
     model._reach = tuple(ex)
     return model._reach
 
 
-@lru_cache(maxsize=65536)
-def _pattern_distances(c: int, bits: bytes) -> np.ndarray:
-    """All-pairs BFS over one child graph pattern; -1 marks unreachable."""
-    adj = [[] for _ in range(c)]
-    for t, (i, j) in enumerate(_pairs(c)):
-        if bits[t]:
-            adj[i].append(j)
-            adj[j].append(i)
-    dist = np.full((c, c), -1, dtype=np.int64)
-    for a in range(c):
-        dist[a, a] = 0
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[a, w] < 0:
-                    dist[a, w] = dist[a, u] + 1
-                    queue.append(w)
-    dist.flags.writeable = False
-    return dist
+def _hops(vec: np.ndarray, c: int, a: int, b: int) -> int | None:
+    """Hops from child a to child b of one cluster with bit vector `vec`; None if apart.
 
-
-@lru_cache(maxsize=65536)
-def _pattern_components(c: int, bits: bytes) -> tuple[tuple[int, ...], ...]:
-    """Connected groups of at least two children in one child graph pattern."""
-    dist = _pattern_distances(c, bits)
-    seen = [False] * c
-    groups = []
-    for a in range(c):
-        if seen[a]:
-            continue
-        members = tuple(b for b in range(c) if dist[a, b] >= 0)
-        for b in members:
-            seen[b] = True
-        if len(members) >= 2:
-            groups.append(members)
-    return tuple(groups)
+    A breadth-first search over neighbour bitmasks, one Python int per child.
+    """
+    nbr = [0] * c
+    bits = iter(vec.tolist())
+    for i in range(c):
+        for j in range(i + 1, c):
+            if next(bits):
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+    seen = frontier = 1 << a
+    d = 0
+    while frontier:
+        d += 1
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~seen
+        if frontier >> b & 1:
+            return d
+        seen |= frontier
+    return None
 
 
 def distance(model: NetworkModel, x: int, y: int) -> int | None:
@@ -555,7 +592,7 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     bit between their child positions is distance 1; otherwise the answer
     is the shorter of the child-graph path (whole children act as single
     hops, since cross links are complete) and a two-step detour through any
-    ancestor-linked outside cluster.
+    ancestor-linked outside cluster, which wins whenever it exists.
     """
     shape = model.shape
     if not 1 <= x <= shape.n or not 1 <= y <= shape.n:
@@ -564,41 +601,19 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
         return 0
     ix, iy = x - 1, y - 1  # 0-based chain positions at the level below g
     for g in range(1, shape.gamma + 1):
-        cx = shape.node_cluster(g, x) - 1
-        cy = shape.node_cluster(g, y) - 1
+        cx, cy = np.searchsorted(shape.leaf_cum_at(g), (x, y)).tolist()
         if cx == cy:
             start = int(shape.child_start_at(g)[cx])
-            a, b = ix - start, iy - start
+            a, b = sorted((ix - start, iy - start))
             c = int(shape.counts_at(g)[cx])
-            dmat = _pattern_distances(c, model.links.vector(g, cx + 1).tobytes())
-            local = int(dmat[a, b])
-            shortcut = bool(_reach_flags(model)[g][cx])
-            if local == 1:
+            vec = model.links.vector(g, cx + 1)
+            if vec[pair_index(a + 1, b + 1, c)]:
                 return 1
-            if local >= 0:
-                return min(local, 2) if shortcut else local
-            return 2 if shortcut else None
+            if _reach_flags(model)[g][cx]:
+                return 2
+            return _hops(vec, c, a, b)
         ix, iy = cx, cy
     return None  # distinct roots cannot happen in a validated model
-
-
-def _pattern_groups(B: np.ndarray):
-    """Group rows of a 0/1 bit matrix by identical pattern.
-
-    Yields (row indices, pattern bytes); the bytes value doubles as the
-    lru cache key of the pattern helpers.
-    """
-    m, nb = B.shape
-    if nb == 0:
-        yield np.arange(m), b""
-        return
-    Bu = B.astype(np.uint8)
-    packed = np.packbits(Bu, axis=1)
-    _, inv = np.unique(packed, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    for u in range(int(inv.max()) + 1):
-        rows = np.nonzero(inv == u)[0]
-        yield rows, Bu[rows[0]].tobytes()
 
 
 def _pair_distance_scan(model: NetworkModel):
@@ -606,7 +621,8 @@ def _pair_distance_scan(model: NetworkModel):
 
     Every pair's distance depends only on (lowest common cluster, child
     position, child position), so the scan weights each child pair by the
-    product of the two subtree sizes instead of visiting node pairs.
+    product of the two subtree sizes instead of visiting node pairs.  The
+    weights sum to at most C(N, 2) < 2**53, exact in int64.
     """
     if model._pair_scan is not None:
         return model._pair_scan
@@ -615,36 +631,18 @@ def _pair_distance_scan(model: NetworkModel):
     unreachable = 0
     reach = _reach_flags(model)
     for g in range(1, shape.gamma + 1):
-        ex = reach[g]
         for c, sel, idx in _level_groups(shape, g):
             if c < 2:
                 continue
-            Vm = (
-                np.ones((len(sel), c), np.int64)
-                if g == 1
-                else shape.sizes_at(g - 1)[idx]
-            )
-            B = _bits_matrix(model.links, g, sel, c)
-            for rows, bits in _pattern_groups(B):
-                dmat = _pattern_distances(c, bits)
-                has_exit = ex[sel[rows]]
-                for a, b in _pairs(c):
-                    w = Vm[rows, a] * Vm[rows, b]
-                    local = int(dmat[a, b])
-                    if local == 1:
-                        hist[1] = hist.get(1, 0) + int(w.sum())
-                        continue
-                    w_exit = int(w[has_exit].sum())
-                    w_plain = int(w[~has_exit].sum())
-                    if local < 0:
-                        if w_exit:
-                            hist[2] = hist.get(2, 0) + w_exit
-                        unreachable += w_plain
-                    else:
-                        if w_exit:
-                            hist[2] = hist.get(2, 0) + w_exit
-                        if w_plain:
-                            hist[local] = hist.get(local, 0) + w_plain
+            Vm = _child_sizes(shape, g, idx)
+            iu, ju = _child_pairs(c)
+            d = _child_reach(_adjacency(model.links, g, sel, c, bool))[iu, ju]
+            w = Vm[iu] * Vm[ju]
+            # an ancestor exit gives every unlinked pair a two-step detour
+            d[(d != 1) & reach[g][sel]] = 2
+            unreachable += int(w[d < 0].sum())
+            for k in np.unique(d[d > 0]).tolist():
+                hist[k] = hist.get(k, 0) + int(w[d == k].sum())
     model._pair_scan = (hist, unreachable)
     return model._pair_scan
 
@@ -671,11 +669,10 @@ def component_sizes(model: NetworkModel) -> list[int]:
     all their nodes, so every component is either a linked child group of
     some cluster none of whose ancestors link it further, or a single node
     whose whole chain stays unlinked.  One top-down pass with the
-    ancestor-exit flags enumerates both kinds.
+    ancestor-exit flags enumerates both kinds; each group is named by its
+    first child in the block's reach tensor.
     """
     shape = model.shape
-    if shape.gamma == 0:
-        return [1]
     reach = _reach_flags(model)
     chunks: list[np.ndarray] = []
     for g in range(1, shape.gamma + 1):
@@ -686,15 +683,11 @@ def component_sizes(model: NetworkModel) -> list[int]:
             rows = np.nonzero(free[sel])[0]
             if len(rows) == 0 or c < 2:
                 continue
-            Vm = (
-                np.ones((len(rows), c), np.int64)
-                if g == 1
-                else shape.sizes_at(g - 1)[idx[rows]]
-            )
-            B = _bits_matrix(model.links, g, sel[rows], c)
-            for grp, bits in _pattern_groups(B):
-                for members in _pattern_components(c, bits):
-                    chunks.append(Vm[grp][:, list(members)].sum(axis=1))
+            Vm = _child_sizes(shape, g, idx[:, rows])
+            R = _child_reach(_adjacency(model.links, g, sel[rows], c, bool)) >= 0
+            # a group counts once, at its first child, if it has two or more
+            lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
+            chunks.append((R * Vm).sum(axis=1)[lead])
     singles = int((~reach[0]).sum())
     if singles:
         chunks.append(np.ones(singles, np.int64))

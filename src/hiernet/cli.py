@@ -24,8 +24,8 @@ from .oracle import DEFAULT_EXPANSION_CAP, edge_list_text
 from .ensemble import (
     PROPERTIES,
     EnsembleSpec,
-    _hist_items,
     compute_properties,
+    json_hist,
     report_csv,
     report_json,
     run_ensemble,
@@ -164,26 +164,13 @@ def cmd_analyze(args, parser) -> int:
 
 
 def report_json_single(values: dict) -> str:
-    doc = {}
-    for name, v in values.items():
-        if isinstance(v, dict):
-            doc[name] = {str(k): c for k, c in _hist_items(v)}
-        else:
-            doc[name] = v
+    doc = {name: json_hist(v) if isinstance(v, dict) else v for name, v in values.items()}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_ensemble(args, parser) -> int:
+def cmd_ensemble(args) -> int:
+    # EnsembleSpec and run_ensemble refuse bad properties, copies and workers
     props = tuple(s for s in args.props.split(",") if s)
-    for name in props:
-        if name not in PROPERTIES:
-            parser.error(f"unknown property {name!r}; valid: " + ", ".join(PROPERTIES))
-    if not props:
-        parser.error("--props lists no properties")
-    if args.copies < 1:
-        parser.error("--copies must be >= 1")
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     spec = EnsembleSpec(params=_gen_params(args), copies=args.copies, properties=props)
     report = run_ensemble(spec, workers=args.workers)
     if args.format == "csv":
@@ -214,7 +201,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args, parser)
         if args.command == "ensemble":
-            return cmd_ensemble(args, parser)
+            return cmd_ensemble(args)
         return cmd_export(args)
     except SystemExit as exc:  # argparse exits; fold into the return contract
         code = exc.code

@@ -46,6 +46,10 @@ FORMAT_MAGIC = "BHNET 1"
 
 # resource guard on node counts, level widths and level counts; far past any desk-scale run
 MAX_NODES = 1 << 27
+# resource guard on the link bits of one network, about 5x those of a p=3
+# network on MAX_NODES nodes (at most 1.5 bits per node); it also bounds the
+# child count of a single vertex below 46342
+MAX_LINK_BITS = 1 << 30
 
 
 class HiernetError(Exception):

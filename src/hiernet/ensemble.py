@@ -46,6 +46,7 @@ __all__ = [
     "compute_properties",
     "run_copy",
     "run_ensemble",
+    "json_hist",
     "report_json",
     "report_csv",
     "summary_json",
@@ -66,6 +67,9 @@ PROPERTIES = (
 
 _UNREACHABLE = "unreachable"
 
+# resource guard: the copy list is built up front, one entry per copy
+MAX_COPIES = 10**6
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -76,8 +80,8 @@ class EnsembleSpec:
     properties: tuple[str, ...]
 
     def __post_init__(self):
-        if int(self.copies) != self.copies or self.copies < 1:
-            raise ParamError(f"copies must be an integer >= 1, got {self.copies!r}")
+        if int(self.copies) != self.copies or not 1 <= self.copies <= MAX_COPIES:
+            raise ParamError(f"copies must be an integer in 1..{MAX_COPIES}, got {self.copies!r}")
         object.__setattr__(self, "copies", int(self.copies))
         props = tuple(self.properties)
         if not props:
@@ -226,7 +230,8 @@ def _mean_counts(hists, copies: int) -> dict:
 # -- emitters ----------------------------------------------------------------
 
 
-def _json_hist(hist: dict) -> dict:
+def json_hist(hist: dict) -> dict:
+    """A histogram as a JSON object: string keys in numeric order, unreachable last."""
     return {str(k): v for k, v in _hist_items(hist)}
 
 
@@ -234,7 +239,7 @@ def report_json(report: dict) -> str:
     """Render a report as JSON; numeric histogram keys become ordered strings."""
     doc = dict(report)
     doc["results"] = {
-        name: [v if isinstance(v, int) else _json_hist(v) for v in vals]
+        name: [v if isinstance(v, int) else json_hist(v) for v in vals]
         for name, vals in report["results"].items()
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_NODES, HierarchyShape, LinkTable, NetworkModel, ParamError, pow_below
+from .core import (
+    MAX_LINK_BITS,
+    MAX_NODES,
+    HierarchyShape,
+    LinkTable,
+    NetworkModel,
+    ParamError,
+    pow_below,
+)
 
 __all__ = [
     "GenParams",
@@ -89,8 +97,8 @@ class GenParams:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParamError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if int(self.p) != self.p or self.p < 2:
-            raise ParamError(f"p must be an integer >= 2, got {self.p!r}")
+        if int(self.p) != self.p or not 2 <= self.p <= MAX_NODES:
+            raise ParamError(f"p must be an integer in 2..{MAX_NODES}, got {self.p!r}")
         if not self.mu >= 0.0:
             raise ParamError(f"mu must be >= 0, got {self.mu!r}")
         if self.seed < 0:
@@ -108,8 +116,8 @@ class GenParams:
 
 
 def _check_p(p: int) -> None:
-    if p < 2:
-        raise ParamError(f"p must be >= 2, got {p}")
+    if not 2 <= p <= MAX_NODES:
+        raise ParamError(f"p must be in 2..{MAX_NODES}, got {p}")
 
 
 def generate_shape_by_nodes(n: int, p: int, rng: RngStream) -> HierarchyShape:
@@ -174,20 +182,36 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
     A vertex covering k network nodes sets each of its bits independently
     with probability k**(-mu).  One uniform is consumed per bit, levels
     bottom to top, clusters in index order, bits in pair order; mu = 0
-    therefore sets every bit, since uniforms live in [0, 1).
+    therefore sets every bit, since uniforms live in [0, 1).  A shape with
+    more than MAX_LINK_BITS bits is refused before anything is drawn.
     """
     if not mu >= 0.0:
         raise ParamError(f"mu must be >= 0, got {mu!r}")
-    flats, nbits_per_level = [], []
-    for g in range(1, shape.gamma + 1):
-        counts = shape.counts_at(g)
-        nbits = counts * (counts - 1) // 2
+    nbits_per_level = _link_bit_counts(shape)
+    flats = []
+    for g, nbits in enumerate(nbits_per_level, start=1):
         omega = shape.sizes_at(g).astype(np.float64) ** (-float(mu))
         u = rng.uniforms(int(nbits.sum()))
         bits = (u < np.repeat(omega, nbits)).astype(np.uint8)
         flats.append(bits)
-        nbits_per_level.append(nbits)
     return LinkTable(flats, nbits_per_level)
+
+
+def _link_bit_counts(shape: HierarchyShape) -> list[np.ndarray]:
+    """Per-level bit counts c(c-1)/2 of every vertex; refuses more than MAX_LINK_BITS in all."""
+    out, total = [], 0
+    for g in range(1, shape.gamma + 1):
+        counts = shape.counts_at(g)
+        top = int(counts.max()) if len(counts) else 0
+        # the widest vertex is checked on its own first, so c*(c-1) stays inside int64
+        if top * (top - 1) // 2 <= MAX_LINK_BITS:
+            out.append(counts * (counts - 1) // 2)
+            total += int(out[-1].sum())
+        if top * (top - 1) // 2 > MAX_LINK_BITS or total > MAX_LINK_BITS:
+            raise ParamError(
+                f"the shape needs more than {MAX_LINK_BITS} link bits, the supported maximum"
+            )
+    return out
 
 
 def generate_network(params: GenParams, stream: int = 0) -> NetworkModel:

@@ -47,7 +47,8 @@ _MUS = (0.1, 0.5, 1.0)
 @pytest.fixture(scope="module")
 def corpus():
     nets = []
-    for p in (2, 3, 4, 5):
+    # p = 6 and 8 put vertices past _TENSOR_MIN_CHILDREN, onto the tensor evaluators
+    for p in (2, 3, 4, 5, 6, 8):
         for n in _BY_NODES_N:
             streams = (1, 2) if n in _TWO_STREAMS else (1,)
             for mu in _MUS:

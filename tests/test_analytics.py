@@ -173,26 +173,61 @@ def test_aggregate_consistency_across_levels(seed):
 
 
 def test_object_dtype_matches_int64(monkeypatch):
-    params = GenParams(mode="by-nodes", p=4, mu=0.3, seed=77, n=150)
-    m1 = generate_network(params)
-    base = (
-        an.edge_count(m1),
-        an.wedge_count(m1),
-        an.triangle_count(m1),
-        an.four_cycle_count(m1),
-    )
-    monkeypatch.setattr(an, "_INT64_SAFE_NODES", 0)
-    m2 = generate_network(params)
-    forced = (
-        an.edge_count(m2),
-        an.wedge_count(m2),
-        an.triangle_count(m2),
-        an.four_cycle_count(m2),
-    )
-    assert an.cluster_aggregates(m2)[-1].e.dtype == object
-    assert forced == base
-    assert an.node_degrees(m2).tolist() == an.node_degrees(m1).tolist()
-    assert an.distance_distribution(m2) == an.distance_distribution(m1)
+    # p=8 has vertices past _TENSOR_MIN_CHILDREN, so object values also run
+    # through the tensor evaluators, not only through the pair loops
+    for p in (4, 8):
+        params = GenParams(mode="by-nodes", p=p, mu=0.3, seed=77, n=150)
+        m1 = generate_network(params)
+        counts = an.edge_count, an.wedge_count, an.triangle_count, an.four_cycle_count
+        base = tuple(f(m1) for f in counts)
+        with monkeypatch.context() as mp:
+            mp.setattr(an, "_INT64_SAFE_NODES", 0)
+            m2 = generate_network(params)
+            forced = tuple(f(m2) for f in counts)
+            assert an.cluster_aggregates(m2)[-1].e.dtype == object
+            assert an.node_degrees(m2).tolist() == an.node_degrees(m1).tolist()
+        assert forced == base
+        assert an.distance_distribution(m2) == an.distance_distribution(m1)
+        widest = max(int(m1.shape.counts_at(g).max()) for g in range(1, m1.shape.gamma + 1))
+        assert (widest >= an._TENSOR_MIN_CHILDREN) == (p == 8)
+
+
+def _random_block(rng, c, rows, hi, dtype):
+    """(A, V, X) children-first, with A a random symmetric 0/1 adjacency."""
+    upper = np.triu(rng.integers(0, 2, (rows, c, c)), 1)
+    A = np.ascontiguousarray((upper + upper.transpose(0, 2, 1)).transpose(1, 2, 0))
+    V = rng.integers(1, hi, (c, rows))
+    X = rng.integers(0, hi, (3, c, rows))
+    if dtype is object:
+        # Python ints near 2**40, so fourth powers pass 2**63 by far
+        V, X = (an._object_array(a) * 2**20 + 1 for a in (V, X))
+    return A, V, X
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_contraction_evaluators_agree(dtype):
+    rng = np.random.default_rng(20260822)
+    hi = 1000 if dtype is np.int64 else 2**20
+    for c in range(2, 11):
+        A, V, X = _random_block(rng, c, 25, hi, dtype)
+        results = []
+        for link_sums, triangle_walks, ring_walks in (an._TENSOR, an._PAIRS):
+            out = (link_sums(A, X), triangle_walks(A, V), ring_walks(A, V))
+            assert all(r.dtype == dtype for r in out)
+            results.append(out)
+        for tensor, pairs in zip(*results):
+            assert np.array_equal(tensor, pairs), f"c={c}"
+        # both against plain matrix products, one row at a time, in Python ints
+        link, tri, ring = results[1]
+        for r in range(A.shape[-1]):
+            a = an._object_array(A[:, :, r])
+            av = a * an._object_array(V[:, r])  # A.dV
+            assert list(tri[:, r]) == list(np.diag(av @ av @ a))
+            assert ring[r] == np.trace(av @ av @ av @ av)
+            assert [list(col) for col in link[:, :, r]] == [list(a @ x) for x in X[:, :, r]]
+        if dtype is object:
+            assert max(ring) > 2**63
+        assert an._evaluators(c) is (an._TENSOR if c >= an._TENSOR_MIN_CHILDREN else an._PAIRS)
 
 
 def test_large_counts_stay_exact():

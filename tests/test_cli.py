@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hiernet import ensemble, gen
 from hiernet.cli import main
 from hiernet.core import deserialize, validate
 
@@ -191,9 +192,49 @@ def test_ensemble_workers_flag_is_transparent(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
-def test_ensemble_unknown_prop():
+def test_ensemble_unknown_prop(capsys):
     assert main(["ensemble", "--nodes", "10", "--p", "3", "--mu", "0.5", "--seed", "1",
                  "--copies", "2", "--props", "edges,girth"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown property 'girth'" in err
+
+
+def _refuse_copies(*args):
+    raise AssertionError("a copy ran")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--copies", "1000000000", "--props", "edges"],
+    ["--copies", "0", "--props", "edges"],
+    ["--copies", "2", "--props", ","],
+    ["--copies", "2", "--props", "edges", "--workers", "0"],
+])
+def test_ensemble_bad_flags_are_one_line_errors(flags, monkeypatch, capsys):
+    monkeypatch.setattr(ensemble, "run_copy", _refuse_copies)
+    assert main(["ensemble", "--nodes", "10", "--p", "3", "--mu", "0.5", "--seed", "1",
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("hiernet: parameter error: ")
+
+
+@pytest.mark.parametrize("mode", [["--nodes", "5"], ["--levels", "2"]])
+def test_generate_huge_p_is_a_one_line_error(mode, tmp_path, capsys):
+    out = tmp_path / "x.bhnet"
+    assert main(["generate", *mode, "--p", "99999999999999999999", "--mu", "0.5",
+                 "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "p must be an integer in 2.." in err
+    assert not out.exists()
+
+
+def test_generate_too_many_link_bits_is_a_one_line_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(gen, "MAX_LINK_BITS", 10)
+    out = tmp_path / "x.bhnet"
+    assert main(["generate", "--regular", "3", "--p", "3", "--mu", "0.5",
+                 "--seed", "1", "--out", str(out)]) == 2  # 13 vertices of 3 bits
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "link bits" in err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

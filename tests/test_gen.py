@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiernet.core import ParamError, validate
+from hiernet.core import MAX_LINK_BITS, HierarchyShape, ParamError, validate
 from hiernet.gen import (
     MAX_NODES,
     GenParams,
@@ -119,6 +119,31 @@ def test_size_guards():
         generate_shape_regular(30, 3)  # 3**30 far above MAX_NODES
     with pytest.raises(ParamError):
         generate_shape_by_nodes(MAX_NODES + 1, 3, FakeStream())
+
+
+def test_p_above_max_nodes_is_refused():
+    huge = 10**20  # past int64, where numpy's integer draws would raise
+    with pytest.raises(ParamError):
+        GenParams(mode="by-nodes", p=huge, mu=0.5, seed=1, n=5)
+    with pytest.raises(ParamError):
+        GenParams(mode="by-levels", p=MAX_NODES + 1, mu=0.5, seed=1, gamma=2)
+    GenParams(mode="by-levels", p=MAX_NODES, mu=0.5, seed=1, gamma=2)
+    for draw in (lambda: generate_shape_by_nodes(5, huge, FakeStream()),
+                 lambda: generate_shape_by_levels(2, huge, FakeStream()),
+                 lambda: generate_shape_regular(1, huge)):
+        with pytest.raises(ParamError):
+            draw()
+
+
+def test_link_bit_total_is_refused_before_any_draw():
+    # one 2**17-child root alone needs ~2**33 bits; two 40000-child vertices
+    # need 1.6e9 together though each fits; neither shape is allocated at scale
+    for shape in (HierarchyShape(2**17, [[2**17]]),
+                  HierarchyShape(40_000, [[40_000, 40_000], [2]])):
+        with pytest.raises(ParamError, match="link bits"):
+            generate_links(shape, 0.5, FakeStream())  # FakeStream() has no draws to give
+    # a p=3 network on MAX_NODES nodes needs at most 1.5 bits per node
+    assert MAX_LINK_BITS >= 5 * (3 * MAX_NODES // 2)
 
 
 # -- scripted link traces ----------------------------------------------------
