@@ -9,16 +9,18 @@ each count obeys an exact bottom-up recurrence over per-cluster aggregates
 
 Every pass walks a level in row blocks of clusters sharing a child count
 c.  A block is one (c, c, rows) tensor A of 0/1 child adjacency holding at
-most 2**20 entries (one cluster when c**2 is larger), so a pass keeps a
-bounded working set however wide the level.  With V the children's node
-counts and dV = diag(V), three contractions of A give every per-level
-term: A.X (sums over linked siblings: W = A.V, WE = A.E, A.V**2,
-A.C(V,2)); diag(A.dV.A.dV.A) (each child's weighted triangles with two
-linked siblings, both orders); and tr((A.dV)**4), whose closed 4-walks
-minus those revisiting a child are eight times the four-child rings (the
-short-cycle trace identities of Alon, Yuster and Zwick).  Each has a
-batched-matmul evaluator and a pair-loop evaluator; blocks with fewer than
-_TENSOR_MIN_CHILDREN children take the pair loops, which are faster there.
+most 2**20 entries (a vertex has at most 2**10 children, so one cluster
+always fits), so a pass keeps a bounded working set however wide the
+level.  With V the children's node counts and dV = diag(V), three
+contractions of A give every per-level term: A.X (sums over linked
+siblings: W = A.V, WE = A.E, A.V**2, A.C(V,2)); diag(A.dV.A.dV.A) (each
+child's weighted triangles with two linked siblings, both orders); and
+tr((A.dV)**4), whose closed 4-walks minus those revisiting a child are
+eight times the four-child rings (the short-cycle trace identities of
+Alon, Yuster and Zwick).  Each is one np.einsum sum of products, a single
+loop over the block on int64 and on object values alike; the walk matrix
+K = A.dV.A is built once per block and feeds both the triangle and the
+ring term.
 
 Per-node quantities follow from one leaf-to-root climb; whole-network
 distributions reuse the per-level terms in vectorised top-down passes.
@@ -44,6 +46,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    MAX_CHILDREN,
     ClusterRef,
     InvalidRefError,
     NetworkModel,
@@ -73,10 +76,9 @@ __all__ = [
 ]
 
 _INT64_SAFE_NODES = 40_000
-# a row block's (c, c, rows) tensor holds at most this many entries
-_BLOCK_ENTRIES = 1 << 20
-# child count from which the batched-matmul evaluators beat the pair loops
-_TENSOR_MIN_CHILDREN = 5
+# a row block's (c, c, rows) tensor holds at most this many entries, so the
+# tensor of one vertex within the child-count limit always fits one block
+_BLOCK_ENTRIES = MAX_CHILDREN ** 2
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,8 @@ def _object_array(arr: np.ndarray) -> np.ndarray:
 # -- child-graph tensors -----------------------------------------------------
 #
 # Block arrays are children-first: the adjacency A is (c, c, rows) and a
-# per-child value is (c, rows), so each child's column over the block is
-# contiguous and a pair-loop step is a handful of contiguous vector ops.
+# per-child value is (c, rows), so the row index r runs innermost and
+# contiguous in every contraction below.
 
 
 def _level_groups(shape, g: int):
@@ -166,62 +168,28 @@ def _child_sizes(shape, g: int, idx: np.ndarray) -> np.ndarray:
     return np.ones(idx.shape, np.int64) if g == 1 else shape.sizes_at(g - 1)[idx]
 
 
-def _rows_first(T: np.ndarray) -> np.ndarray:
-    return np.moveaxis(T, -1, 0)
+# The contractions, exact on int64 and on object values.  A is (c, c, rows)
+# int64, V is (c, rows) and X is (k, c, rows); S = sum V over a cluster.
 
 
-# Each contraction has a tensor evaluator (a batched matmul over the rows)
-# and a pair-loop evaluator; both are exact on int64 and on object values.
-# A is (c, c, rows) int64, V is (c, rows) and X is (k, c, rows).
+def _link_sums(A, X):
+    """A.X per row: each child's sums of X over its linked siblings."""
+    return np.einsum("ijr,kjr->kir", A, X)
 
 
-def _link_sums_tensor(A, X):
-    return (_rows_first(A) @ X.T).T
+def _walks(A, V):
+    """K = A.dV.A per row, the weighted two-step walks; each K_ij <= S."""
+    return np.einsum("ikr,kr,kjr->ijr", A, V, A)
 
 
-def _link_sums_pairs(A, X):
-    out = np.zeros_like(X)
-    for i, j in combinations(range(A.shape[0]), 2):
-        out[:, i] += A[i, j] * X[:, j]
-        out[:, j] += A[i, j] * X[:, i]
-    return out
+def _triangle_walks(K, V, A):
+    """diag(A.dV.A.dV.A) = diag(K.dV.A) per row; each entry <= S**2."""
+    return np.einsum("ijr,jr,ijr->ir", K, V, A)
 
 
-def _triangle_walks_tensor(A, V):
-    AV = _rows_first(A * V)  # [r, a, b] = A_ab V_b
-    return ((AV @ _rows_first(A)) * AV).sum(axis=2).T
-
-
-def _triangle_walks_pairs(A, V):
-    out = np.zeros_like(V)
-    for i, j in combinations(range(A.shape[0]), 2):
-        out += 2 * A[i, j] * V[i] * V[j] * A[i] * A[j]
-    return out
-
-
-def _ring_walks_tensor(A, V):
-    # K[a, b] = sum_k A_ak V_k A_kb, and tr((A.dV)**4) = sum_ab V_a K_ab**2 V_b
-    K = _rows_first(A * V) @ _rows_first(A)
-    VV = V.T[:, :, None] * V.T[:, None, :]
-    return (K * K * VV).sum(axis=(1, 2))
-
-
-def _ring_walks_pairs(A, V):
-    W = (A * V).sum(axis=1)  # the diagonal of K
-    out = (V * V * W * W).sum(axis=0)
-    for i, j in combinations(range(A.shape[0]), 2):
-        k = (A[i] * A[j] * V).sum(axis=0)
-        out += 2 * V[i] * V[j] * k * k
-    return out
-
-
-_TENSOR = (_link_sums_tensor, _triangle_walks_tensor, _ring_walks_tensor)
-_PAIRS = (_link_sums_pairs, _triangle_walks_pairs, _ring_walks_pairs)
-
-
-def _evaluators(c: int):
-    """(A.X, diag(A.dV.A.dV.A), tr((A.dV)**4)) evaluators for blocks of c children."""
-    return _TENSOR if c >= _TENSOR_MIN_CHILDREN else _PAIRS
+def _ring_walks(K, V):
+    """tr((A.dV)**4) = sum_ij V_i K_ij**2 V_j per row; <= S**4."""
+    return np.einsum("ir,ijr,ijr,jr->r", V, K, K, V)
 
 
 def _child_reach(A: np.ndarray) -> np.ndarray:
@@ -231,7 +199,7 @@ def _child_reach(A: np.ndarray) -> np.ndarray:
     on a (c, c, rows) boolean adjacency at once; the result is laid out
     like A.
     """
-    adj = np.ascontiguousarray(_rows_first(A))
+    adj = np.ascontiguousarray(np.moveaxis(A, -1, 0))
     reach = np.broadcast_to(np.eye(A.shape[0], dtype=bool), adj.shape).copy()
     dist = np.zeros(adj.shape, np.int64)
     d = 0
@@ -319,18 +287,19 @@ def _merge_children(A, V, E, P2, C3, C4):
     row sum stays below 2 * S**4 < 2**63.
     """
     c = A.shape[0]
-    link_sums, triangle_walks, ring_walks = _evaluators(c)
     V2 = V * V
     C2V = _comb2(V)
-    W, WE, AV2, AC2V = link_sums(A, np.stack([V, E, V2, C2V]))
-    # a triangle needs three children and a ring four, so smaller blocks skip them
-    tri = triangle_walks(A, V) if c >= 3 else 0  # tri <= S**2; E*tri <= S**4 / 2
+    W, WE, AV2, AC2V = _link_sums(A, np.stack([V, E, V2, C2V]))
     # linked sibling pairs of each child, weighted Vj*Vk and counted twice: <= S**2
     sib_pairs = W * W - AV2
-    rings = 0
+    # a triangle needs three children and a ring four, so smaller blocks skip them
+    tri = rings = 0
+    if c >= 3:
+        K = _walks(A, V)
+        tri = _triangle_walks(K, V, A)  # E*tri <= S**4 / 2
     if c >= 4:
-        # tr((A.dV)**4) <= S**4; sum V**2*A.V**2 <= S**4; 2*sum V**2*W**2 <= 2*S**4
-        rings = (ring_walks(A, V) + (V2 * AV2).sum(axis=0) - 2 * (V2 * W * W).sum(axis=0)) // 8
+        # sum V**2*A.V**2 <= S**4; 2*sum V**2*W**2 <= 2*S**4
+        rings = (_ring_walks(K, V) + (V2 * AV2).sum(axis=0) - 2 * (V2 * W * W).sum(axis=0)) // 8
     e = E.sum(axis=0) + (V * W).sum(axis=0) // 2
     p2 = P2.sum(axis=0) + (2 * E * W + V * _comb2(W)).sum(axis=0)
     c3 = C3.sum(axis=0) + (E * W).sum(axis=0) + (V * tri).sum(axis=0) // 6
@@ -493,9 +462,9 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
             # E always fits int64, see _child_values
             Em = np.zeros_like(Vm) if g == 1 else np.asarray(agg[g - 2].e[idx], np.int64)
             A = _adjacency(model.links, g, sel, c)
-            link_sums, triangle_walks, _ = _evaluators(c)
-            W, WE = link_sums(A, np.stack([Vm, Em]))
-            S1n[idx] = S1[sel] + WE + (triangle_walks(A, Vm) // 2 if c >= 3 else 0)
+            W, WE = _link_sums(A, np.stack([Vm, Em]))
+            tri = _triangle_walks(_walks(A, Vm), Vm, A) // 2 if c >= 3 else 0
+            S1n[idx] = S1[sel] + WE + tri
             Dn[idx] = D[sel] + W
             Qn[idx] = Q[sel] + W * W
         S1, D, Q = S1n, Dn, Qn

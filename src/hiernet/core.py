@@ -47,9 +47,11 @@ FORMAT_MAGIC = "BHNET 1"
 # resource guard on node counts, level widths and level counts; far past any desk-scale run
 MAX_NODES = 1 << 27
 # resource guard on the link bits of one network, about 5x those of a p=3
-# network on MAX_NODES nodes (at most 1.5 bits per node); it also bounds the
-# child count of a single vertex below 46342
+# network on MAX_NODES nodes (at most 1.5 bits per node)
 MAX_LINK_BITS = 1 << 30
+# resource guard on the children of one vertex: the analytics hold its
+# (c, c) child adjacency as one block of at most MAX_CHILDREN**2 entries
+MAX_CHILDREN = 1 << 10
 
 
 class HiernetError(Exception):
@@ -418,10 +420,10 @@ def node_path(model: NetworkModel, x: int) -> tuple[PathEntry, ...]:
     entries = []
     child_idx0 = x - 1  # 0-based position of the node's chain at level 0
     for g in range(1, shape.gamma + 1):
-        i = shape.node_cluster(g, x)
-        pos = child_idx0 - int(shape.child_start_at(g)[i - 1]) + 1
-        entries.append(PathEntry(gamma=g, cluster_index=i, child_pos=pos))
-        child_idx0 = i - 1
+        i = int(shape.leaf_cum_at(g).searchsorted(x))  # 0-based cluster at level g
+        pos = child_idx0 - int(shape.child_start_at(g)[i]) + 1
+        entries.append(PathEntry(gamma=g, cluster_index=i + 1, child_pos=pos))
+        child_idx0 = i
     return tuple(entries)
 
 
@@ -433,6 +435,10 @@ def pow_below(p: int, gamma: int, bound: int) -> bool:
     length.
     """
     return gamma < int(bound).bit_length() and p ** gamma < bound
+
+
+def _too_many_children(c: int) -> str:
+    return f"{c} children exceed the supported maximum {MAX_CHILDREN}"
 
 
 def _shape_problems(shape: HierarchyShape) -> list[str]:
@@ -449,6 +455,10 @@ def _shape_problems(shape: HierarchyShape) -> list[str]:
         if bad.any():
             j = int(np.argmax(bad))
             out.append(f"level {g} cluster {j + 1}: count {int(arr[j])} outside 1..p={p}")
+        wide = arr > MAX_CHILDREN
+        if wide.any():
+            j = int(np.argmax(wide))
+            out.append(f"level {g} cluster {j + 1}: {_too_many_children(int(arr[j]))}")
     if big_g >= 1 and len(counts[-1]) != 1:
         out.append(f"level {big_g}: root level has {len(counts[-1])} clusters, want 1")
     for g in range(2, big_g + 1):
@@ -767,6 +777,8 @@ def _parse_lines(text: str) -> NetworkModel:
                 level_vecs.append("")
                 continue
             line = need(ln)
+            if c > MAX_CHILDREN:
+                raise ParseError(f"level {g} cluster {i}: {_too_many_children(c)}", ln + 1)
             label = f"B{g}.{i}:"
             if not line.startswith(label + " ") and line != label:
                 raise ParseError(f"expected bitmap line '{label}'", ln + 1)

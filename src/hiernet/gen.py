@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_CHILDREN,
     MAX_LINK_BITS,
     MAX_NODES,
     HierarchyShape,
@@ -183,7 +184,8 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
     with probability k**(-mu).  One uniform is consumed per bit, levels
     bottom to top, clusters in index order, bits in pair order; mu = 0
     therefore sets every bit, since uniforms live in [0, 1).  A shape with
-    more than MAX_LINK_BITS bits is refused before anything is drawn.
+    more than MAX_LINK_BITS bits, or with a vertex of more than
+    MAX_CHILDREN children, is refused before anything is drawn.
     """
     if not mu >= 0.0:
         raise ParamError(f"mu must be >= 0, got {mu!r}")
@@ -198,7 +200,12 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
 
 
 def _link_bit_counts(shape: HierarchyShape) -> list[np.ndarray]:
-    """Per-level bit counts c(c-1)/2 of every vertex; refuses more than MAX_LINK_BITS in all."""
+    """Per-level bit counts c(c-1)/2 of every vertex.
+
+    Refuses a shape needing more than MAX_LINK_BITS bits in all, or with a
+    vertex of more than MAX_CHILDREN children; each level is held to the
+    bit limit first.
+    """
     out, total = [], 0
     for g in range(1, shape.gamma + 1):
         counts = shape.counts_at(g)
@@ -210,6 +217,11 @@ def _link_bit_counts(shape: HierarchyShape) -> list[np.ndarray]:
         if top * (top - 1) // 2 > MAX_LINK_BITS or total > MAX_LINK_BITS:
             raise ParamError(
                 f"the shape needs more than {MAX_LINK_BITS} link bits, the supported maximum"
+            )
+        if top > MAX_CHILDREN:
+            raise ParamError(
+                f"a level-{g} vertex has {top} children, more than the supported "
+                f"maximum {MAX_CHILDREN}"
             )
     return out
 

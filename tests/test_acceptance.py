@@ -47,7 +47,7 @@ _MUS = (0.1, 0.5, 1.0)
 @pytest.fixture(scope="module")
 def corpus():
     nets = []
-    # p = 6 and 8 put vertices past _TENSOR_MIN_CHILDREN, onto the tensor evaluators
+    # p = 6 and 8 add wide child graphs: many four-child rings, longer child paths
     for p in (2, 3, 4, 5, 6, 8):
         for n in _BY_NODES_N:
             streams = (1, 2) if n in _TWO_STREAMS else (1,)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiernet.analytics as an
-from hiernet.core import ClusterRef, InvalidRefError, validate
-from hiernet.gen import GenParams, generate_network
+from hiernet.core import ClusterRef, InvalidRefError, LinkTable, NetworkModel, validate
+from hiernet.gen import GenParams, generate_network, generate_shape_regular
 from conftest import build_model
 
 
@@ -173,8 +173,7 @@ def test_aggregate_consistency_across_levels(seed):
 
 
 def test_object_dtype_matches_int64(monkeypatch):
-    # p=8 has vertices past _TENSOR_MIN_CHILDREN, so object values also run
-    # through the tensor evaluators, not only through the pair loops
+    # p=8 gives object values child graphs wide enough for every term
     for p in (4, 8):
         params = GenParams(mode="by-nodes", p=p, mu=0.3, seed=77, n=150)
         m1 = generate_network(params)
@@ -188,8 +187,6 @@ def test_object_dtype_matches_int64(monkeypatch):
             assert an.node_degrees(m2).tolist() == an.node_degrees(m1).tolist()
         assert forced == base
         assert an.distance_distribution(m2) == an.distance_distribution(m1)
-        widest = max(int(m1.shape.counts_at(g).max()) for g in range(1, m1.shape.gamma + 1))
-        assert (widest >= an._TENSOR_MIN_CHILDREN) == (p == 8)
 
 
 def _random_block(rng, c, rows, hi, dtype):
@@ -206,28 +203,25 @@ def _random_block(rng, c, rows, hi, dtype):
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_contraction_evaluators_agree(dtype):
+    # each contraction against plain matrix products, one row at a time, in Python ints
     rng = np.random.default_rng(20260822)
     hi = 1000 if dtype is np.int64 else 2**20
-    for c in range(2, 11):
+    for c in range(1, 11):
         A, V, X = _random_block(rng, c, 25, hi, dtype)
-        results = []
-        for link_sums, triangle_walks, ring_walks in (an._TENSOR, an._PAIRS):
-            out = (link_sums(A, X), triangle_walks(A, V), ring_walks(A, V))
-            assert all(r.dtype == dtype for r in out)
-            results.append(out)
-        for tensor, pairs in zip(*results):
-            assert np.array_equal(tensor, pairs), f"c={c}"
-        # both against plain matrix products, one row at a time, in Python ints
-        link, tri, ring = results[1]
+        link = an._link_sums(A, X)
+        K = an._walks(A, V)
+        tri = an._triangle_walks(K, V, A)
+        ring = an._ring_walks(K, V)
+        assert all(r.dtype == dtype for r in (link, K, tri, ring))
         for r in range(A.shape[-1]):
             a = an._object_array(A[:, :, r])
             av = a * an._object_array(V[:, r])  # A.dV
+            assert [list(row) for row in K[:, :, r]] == [list(row) for row in av @ a]
             assert list(tri[:, r]) == list(np.diag(av @ av @ a))
             assert ring[r] == np.trace(av @ av @ av @ av)
             assert [list(col) for col in link[:, :, r]] == [list(a @ x) for x in X[:, :, r]]
-        if dtype is object:
-            assert max(ring) > 2**63
-        assert an._evaluators(c) is (an._TENSOR if c >= an._TENSOR_MIN_CHILDREN else an._PAIRS)
+        if dtype is object and c >= 2:
+            assert max(ring) > 2**63, f"c={c}"
 
 
 def test_large_counts_stay_exact():
@@ -239,6 +233,39 @@ def test_large_counts_stay_exact():
     assert an.triangle_count(m) == math.comb(n, 3)
     assert an.four_cycle_count(m) == 3 * math.comb(n, 4)
     assert an.wedge_count(m) == n * math.comb(n - 1, 2)
+
+
+def _assert_root_on_object_arrays(m):
+    # regular p=3 gamma=10: N = 59049 puts the root past _INT64_SAFE_NODES
+    assert m.shape.n == 59049 > an._INT64_SAFE_NODES
+    aggs = an.cluster_aggregates(m)
+    assert aggs[-1].e.dtype == object and aggs[-2].e.dtype == np.int64
+
+
+def test_complete_graph_past_the_int64_switch():
+    # mu=0 sets every bit: K_N
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.0, seed=1, gamma=10))
+    _assert_root_on_object_arrays(m)
+    n = m.shape.n
+    assert an.edge_count(m) == math.comb(n, 2)
+    assert an.wedge_count(m) == n * math.comb(n - 1, 2)
+    assert an.triangle_count(m) == math.comb(n, 3)
+    assert an.four_cycle_count(m) == 3 * math.comb(n, 4)
+    assert an.diameter(m) == 1
+    assert an.component_sizes(m) == [n]
+
+
+def test_isolated_nodes_past_the_int64_switch():
+    shape = generate_shape_regular(10, 3)
+    nbits = [shape.counts_at(g) * (shape.counts_at(g) - 1) // 2 for g in range(1, 11)]
+    m = NetworkModel(shape, LinkTable([np.zeros(int(b.sum()), np.uint8) for b in nbits], nbits))
+    assert validate(m) == []
+    _assert_root_on_object_arrays(m)
+    n = shape.n
+    assert an.edge_count(m) == 0
+    assert an.component_sizes(m) == [1] * n
+    h = an.distance_distribution(m)
+    assert h.counts == () and h.unreachable == math.comb(n, 2)
 
 
 # -- distance engine vs per-pair recomputation -------------------------------

@@ -237,6 +237,16 @@ def test_generate_too_many_link_bits_is_a_one_line_error(monkeypatch, tmp_path, 
     assert not out.exists()
 
 
+def test_generate_too_wide_vertex_is_a_one_line_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(gen, "MAX_CHILDREN", 2)
+    out = tmp_path / "x.bhnet"
+    assert main(["generate", "--regular", "2", "--p", "3", "--mu", "0.5",
+                 "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "3 children, more than the supported maximum 2" in err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "hiernet" in capsys.readouterr().out

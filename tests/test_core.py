@@ -171,6 +171,14 @@ def test_validate_level_count_mismatch():
     assert any("link table has 1 levels" in s for s in validate(NetworkModel(shape, links)))
 
 
+def test_validate_vertex_past_max_children():
+    c = core.MAX_CHILDREN + 1
+    shape = HierarchyShape(c, [[c]])
+    links = LinkTable([np.zeros(c * (c - 1) // 2, np.uint8)], [np.array([c * (c - 1) // 2])])
+    msgs = validate(NetworkModel(shape, links))
+    assert msgs == [f"level 1 cluster 1: {c} children exceed the supported maximum {c - 1}"]
+
+
 def test_n_exceeds_p_pow_gamma():
     m = build_model(2, [[2, 2, 2], [3]], [["1", "1", "1"], ["111"]])
     assert any("exceeds p^gamma" in s for s in validate(m))
@@ -247,6 +255,9 @@ assert sum(WRAPPING_COUNTS) == 2**64 + 5
         (lambda ls: [ls[0], "p=999999999999999999 gamma=2 n=5", "L2: 24",
                      "L1: " + " ".join(map(str, WRAPPING_COUNTS)), "B2.1: " + "0" * 276], 4,
          "declared n=5"),
+        # a vertex one past MAX_CHILDREN, with a complete 524800-bit line
+        (lambda ls: [ls[0], "p=1025 gamma=1 n=1025", "L1: 1025", "B1.1: " + "0" * 524800], 4,
+         "level 1 cluster 1: 1025 children exceed the supported maximum 1024"),
     ],
 )
 def test_parse_errors_carry_line_numbers(mutate, wantline, fragment):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiernet.core import MAX_LINK_BITS, HierarchyShape, ParamError, validate
+from hiernet.core import MAX_CHILDREN, MAX_LINK_BITS, HierarchyShape, ParamError, validate
 from hiernet.gen import (
     MAX_NODES,
     GenParams,
@@ -144,6 +144,14 @@ def test_link_bit_total_is_refused_before_any_draw():
             generate_links(shape, 0.5, FakeStream())  # FakeStream() has no draws to give
     # a p=3 network on MAX_NODES nodes needs at most 1.5 bits per node
     assert MAX_LINK_BITS >= 5 * (3 * MAX_NODES // 2)
+
+
+def test_vertex_past_max_children_is_refused_before_any_draw():
+    # 1025 children need only 524800 bits, far inside MAX_LINK_BITS
+    with pytest.raises(ParamError, match="1025 children, more than the supported maximum 1024"):
+        generate_links(HierarchyShape(2000, [[1025, 975], [2]]), 0.5, FakeStream())
+    links = generate_links(HierarchyShape(MAX_CHILDREN, [[MAX_CHILDREN]]), 0.5, RngStream(1))
+    assert links.nbits_at(1).tolist() == [MAX_CHILDREN * (MAX_CHILDREN - 1) // 2]
 
 
 # -- scripted link traces ----------------------------------------------------
