@@ -24,13 +24,17 @@ ring term.
 
 Per-node quantities follow from one leaf-to-root climb; whole-network
 distributions reuse the per-level terms in vectorised top-down passes.
-Child-graph distances come from the oracle's boolean frontier expansion
-run on a whole block, component groups from the reach it leaves.  Pairs
-with the same (lowest common cluster, child, child) share one distance,
-so the histogram weights each child pair by its two subtree sizes.  A
-distance query reads the direct bit and the ancestor reach flag of the
-lowest common cluster before it searches that one child graph, which keeps
-it at O(gamma + p**2).
+Pairs with the same (lowest common cluster, child, child) share one
+distance, so the distance histogram weights each child pair by its two
+subtree sizes.  A cluster that some ancestor links sideways ("exited")
+gives its children distance 1 where their bit is set and 2 elsewhere, read
+off the bits with no search.  One batched BFS runs on the child graphs of
+the free clusters only, at O(c**3) per hop for c children, and its reach
+feeds both the histogram and the connected components; one cached scan
+serves the histogram, the diameter and the components.  A distance query
+reads the direct bit and the ancestor reach flag of the lowest common
+cluster before it searches that one child graph, which keeps it at
+O(gamma + p**2).
 
 Aggregate arithmetic is exact.  Levels whose largest cluster holds at most
 40000 nodes run vectorised int64: every product is bounded by
@@ -197,14 +201,16 @@ def _child_reach(A: np.ndarray) -> np.ndarray:
 
     The oracle's frontier expansion (`ExpandedGraph.bf_all_distances`) run
     on a (c, c, rows) boolean adjacency at once; the result is laid out
-    like A.
+    like A.  Each hop is one batched product, O(rows * c**3).
     """
-    adj = np.ascontiguousarray(np.moveaxis(A, -1, 0))
+    # numpy's boolean matmul skips BLAS; float32 products count at most
+    # c <= 2**10 paths per entry, so they are exact and the test > 0 is too
+    adj = np.ascontiguousarray(np.moveaxis(A, -1, 0), np.float32)
     reach = np.broadcast_to(np.eye(A.shape[0], dtype=bool), adj.shape).copy()
     dist = np.zeros(adj.shape, np.int64)
     d = 0
     while True:
-        grown = reach | (reach @ adj)
+        grown = reach | (reach.astype(np.float32) @ adj > 0)
         new = grown & ~reach
         if not new.any():
             break
@@ -585,83 +591,64 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     return None  # distinct roots cannot happen in a validated model
 
 
-def _pair_distance_scan(model: NetworkModel):
-    """Distance histogram over all unordered node pairs, one pass over clusters.
+def _free_scan(model: NetworkModel):
+    """(distance histogram, unreachable pairs, component sizes), one pass over clusters.
 
-    Every pair's distance depends only on (lowest common cluster, child
-    position, child position), so the scan weights each child pair by the
-    product of the two subtree sizes instead of visiting node pairs.  The
-    weights sum to at most C(N, 2) < 2**53, exact in int64.
+    The histogram weights each child pair by the product of its two subtree
+    sizes; the weights sum to at most C(N, 2) < 2**53, exact in int64.
+    Exited clusters take distances 1 and 2 from their bits.  Free clusters
+    run the child-graph BFS, and its reach also names the components:
+    linked children of a cluster none of whose ancestors link it further
+    form one component, counted at the group's first child, and a node
+    whose whole chain stays unlinked is one on its own.  The model caches
+    these sums only, never a reach tensor.
     """
-    if model._pair_scan is not None:
-        return model._pair_scan
+    if model._free_scan is not None:
+        return model._free_scan
     shape = model.shape
-    hist: dict[int, int] = {}
-    unreachable = 0
     reach = _reach_flags(model)
+    # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket,
+    # where -1 lands, is free to collect the unreachable pairs
+    hist = np.zeros(MAX_CHILDREN + 1, np.int64)
+    groups: list[np.ndarray] = [np.ones(int((~reach[0]).sum()), np.int64)]
     for g in range(1, shape.gamma + 1):
         for c, sel, idx in _level_groups(shape, g):
             if c < 2:
                 continue
             Vm = _child_sizes(shape, g, idx)
             iu, ju = _child_pairs(c)
-            d = _child_reach(_adjacency(model.links, g, sel, c, bool))[iu, ju]
-            w = Vm[iu] * Vm[ju]
-            # an ancestor exit gives every unlinked pair a two-step detour
-            d[(d != 1) & reach[g][sel]] = 2
-            unreachable += int(w[d < 0].sum())
-            for k in np.unique(d[d > 0]).tolist():
-                hist[k] = hist.get(k, 0) + int(w[d == k].sum())
-    model._pair_scan = (hist, unreachable)
-    return model._pair_scan
+            A = _adjacency(model.links, g, sel, c, bool)
+            d = np.where(A[iu, ju], 1, 2)
+            free = np.nonzero(~reach[g][sel])[0]
+            if len(free):
+                dist = _child_reach(A[:, :, free])
+                d[:, free] = dist[iu, ju]
+                R = dist >= 0
+                # a group counts once, at its first child, if it has two or more
+                lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
+                groups.append((R * Vm[:, free]).sum(axis=1)[lead])
+            np.add.at(hist, d, Vm[iu] * Vm[ju])
+    sizes = np.concatenate(groups)
+    sizes[::-1].sort()
+    model._free_scan = (hist[:-1], int(hist[-1]), sizes)
+    return model._free_scan
 
 
 def distance_distribution(model: NetworkModel) -> Histogram:
     """Histogram over all N(N-1)/2 node pairs, disconnected ones bucketed apart."""
-    hist, unreachable = _pair_distance_scan(model)
-    return Histogram(tuple(sorted(hist.items())), unreachable=unreachable)
+    hist, unreachable, _ = _free_scan(model)
+    return Histogram(
+        tuple((k, int(hist[k])) for k in np.nonzero(hist)[0].tolist()),
+        unreachable=unreachable,
+    )
 
 
 def diameter(model: NetworkModel) -> int:
     """Largest finite pairwise distance; 0 when no pair is connected."""
-    hist, _ = _pair_distance_scan(model)
-    return max(hist) if hist else 0
-
-
-# -- connectivity ------------------------------------------------------------
+    ks = np.nonzero(_free_scan(model)[0])[0]
+    return int(ks[-1]) if len(ks) else 0
 
 
 def component_sizes(model: NetworkModel) -> list[int]:
-    """Connected component sizes, descending.
-
-    Linked children of one vertex merge into a single component spanning
-    all their nodes, so every component is either a linked child group of
-    some cluster none of whose ancestors link it further, or a single node
-    whose whole chain stays unlinked.  One top-down pass with the
-    ancestor-exit flags enumerates both kinds; each group is named by its
-    first child in the block's reach tensor.
-    """
-    shape = model.shape
-    reach = _reach_flags(model)
-    chunks: list[np.ndarray] = []
-    for g in range(1, shape.gamma + 1):
-        free = ~reach[g]
-        if not free.any():
-            continue
-        for c, sel, idx in _level_groups(shape, g):
-            rows = np.nonzero(free[sel])[0]
-            if len(rows) == 0 or c < 2:
-                continue
-            Vm = _child_sizes(shape, g, idx[:, rows])
-            R = _child_reach(_adjacency(model.links, g, sel[rows], c, bool)) >= 0
-            # a group counts once, at its first child, if it has two or more
-            lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
-            chunks.append((R * Vm).sum(axis=1)[lead])
-    singles = int((~reach[0]).sum())
-    if singles:
-        chunks.append(np.ones(singles, np.int64))
-    if not chunks:
-        return []
-    sizes = np.concatenate(chunks)
-    sizes[::-1].sort()
-    return [int(s) for s in sizes]
+    """Connected component sizes, descending."""
+    return _free_scan(model)[2].tolist()

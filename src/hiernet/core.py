@@ -295,14 +295,15 @@ class LinkTable:
         """Build from per-cluster bit sequences, e.g. [["011", "100110", "1"], ["100"]].
 
         Strings and 0/1 sequences are both accepted; a cluster with a single
-        child gets the empty vector "".
+        child gets the empty vector "".  A string must be ASCII; any character
+        other than 0 or 1 becomes a value above 1, which `validate` reports.
         """
         flats, nbits = [], []
         for level in vectors_per_level:
             vecs = []
             for v in level:
                 if isinstance(v, str):
-                    vecs.append(np.array([int(ch) for ch in v], dtype=np.uint8))
+                    vecs.append(np.frombuffer(v.encode("ascii"), np.uint8) - ord("0"))
                 else:
                     vecs.append(np.array(list(v), dtype=np.uint8))
             nbits.append(np.array([len(v) for v in vecs], dtype=np.int64))
@@ -361,7 +362,7 @@ class NetworkModel:
     concurrent readers is harmless.
     """
 
-    __slots__ = ("shape", "links", "_aggregates", "_reach", "_node_passes", "_pair_scan")
+    __slots__ = ("shape", "links", "_aggregates", "_reach", "_node_passes", "_free_scan")
 
     def __init__(self, shape: HierarchyShape, links: LinkTable):
         self.shape = shape
@@ -369,7 +370,7 @@ class NetworkModel:
         self._aggregates = None
         self._reach = None
         self._node_passes = None
-        self._pair_scan = None
+        self._free_scan = None
 
     def __eq__(self, other):
         if not isinstance(other, NetworkModel):

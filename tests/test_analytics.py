@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiernet.analytics as an
-from hiernet.core import ClusterRef, InvalidRefError, LinkTable, NetworkModel, validate
+from hiernet import oracle
+from hiernet.core import (
+    ClusterRef,
+    HierarchyShape,
+    InvalidRefError,
+    LinkTable,
+    NetworkModel,
+    pair_index,
+    validate,
+)
 from hiernet.gen import GenParams, generate_network, generate_shape_regular
 from conftest import build_model
 
@@ -266,6 +275,56 @@ def test_isolated_nodes_past_the_int64_switch():
     assert an.component_sizes(m) == [1] * n
     h = an.distance_distribution(m)
     assert h.counts == () and h.unreachable == math.comb(n, 2)
+
+
+# -- the widest child graphs --------------------------------------------------
+
+
+def _path_bits(c):
+    """Bit vector of a c-child vertex whose child graph is the path 1-2-...-c."""
+    bits = np.zeros(c * (c - 1) // 2, np.uint8)
+    bits[[pair_index(i, i + 1, c) for i in range(1, c)]] = 1
+    return bits
+
+
+def test_free_path_of_512_children():
+    # the root is free, so its child graph runs the BFS: 511 hops
+    bits = _path_bits(512)
+
+    def path():
+        m = NetworkModel(HierarchyShape(512, [[512]]), LinkTable([bits], [[len(bits)]]))
+        assert validate(m) == []
+        return m
+
+    m = path()
+    h = an.distance_distribution(m)
+    assert h.as_dict() == {k: 512 - k for k in range(1, 512)}
+    assert h.unreachable == 0
+    assert an.diameter(m) == 511
+    assert an.component_sizes(m) == [512]
+    # the shared scan answers the same whichever reader fills it
+    m = path()
+    assert an.component_sizes(m) == [512]
+    assert an.distance_distribution(m) == h
+
+
+def test_exited_path_of_512_children():
+    # the same path as level-1 cluster 1, linked by the root to a lone node:
+    # every unlinked pair takes the two-step detour through that node
+    bits = _path_bits(512)
+    m = NetworkModel(
+        HierarchyShape(512, [[512, 1], [2]]),
+        LinkTable([bits, [1]], [[len(bits), 0], [1]]),
+    )
+    assert validate(m) == []
+    h = an.distance_distribution(m)
+    assert h.as_dict() == {1: 1023, 2: 130305}
+    assert h.unreachable == 0
+    assert an.diameter(m) == 2
+    assert an.component_sizes(m) == [513]
+    g = oracle.expand(m)
+    assert (h.as_dict(), h.unreachable) == g.bf_distance_histogram()
+    assert an.component_sizes(m) == g.bf_components()
 
 
 # -- distance engine vs per-pair recomputation -------------------------------
