@@ -382,7 +382,7 @@ def _child_values(model: NetworkModel, g: int, lo: int, hi: int):
 
 
 def node_degree(model: NetworkModel, x: int) -> int:
-    """Degree of node x, by one leaf-to-root climb over its chain."""
+    """Degree of node x, by one leaf-to-root climb over its chain; needs no aggregates."""
     deg = 0
     for entry in node_path(model, x):
         g, i, a = entry.gamma, entry.cluster_index, entry.child_pos
@@ -391,7 +391,7 @@ def node_degree(model: NetworkModel, x: int) -> int:
             continue
         vec = model.links.vector(g, i)
         lo, hi = model.shape.child_range(g, i)
-        v, _ = _child_values(model, g, lo, hi)
+        v = model.shape.sizes_at(g - 1)[lo:hi] if g > 1 else np.ones(c, np.int64)
         for j in range(1, c + 1):
             if j != a and vec[pair_index(min(a, j), max(a, j), c)]:
                 deg += int(v[j - 1])
@@ -535,15 +535,21 @@ def _reach_flags(model: NetworkModel) -> tuple[np.ndarray, ...]:
 def _hops(vec: np.ndarray, c: int, a: int, b: int) -> int | None:
     """Hops from child a to child b of one cluster with bit vector `vec`; None if apart.
 
-    A breadth-first search over neighbour bitmasks, one Python int per child.
+    A breadth-first search over neighbour bitmasks, one Python int per child,
+    built from the set bits alone: O(c + set bits) before the search.
     """
+    on = np.flatnonzero(vec).tolist()
+    if not on:
+        return None
     nbr = [0] * c
-    bits = iter(vec.tolist())
-    for i in range(c):
-        for j in range(i + 1, c):
-            if next(bits):
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
+    i, end = 0, c - 1  # bits end-(c-1-i) .. end-1 pair child i with i+1 .. c-1
+    for k in on:
+        while k >= end:
+            i += 1
+            end += c - 1 - i
+        j = k - end + c
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
     seen = frontier = 1 << a
     d = 0
     while frontier:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 internal or validation failure (bad input file,
 refused expansion, generation failure), 2 usage error (bad flags, unknown
-property names).  All output is deterministic for fixed flags: rerunning a
-command with the same seed reproduces every artifact byte for byte.
+property names).  Every error is one `hiernet: ...` line on stderr, and
+usage errors are found before any file is read.  All output is
+deterministic for fixed flags: rerunning a command with the same seed
+reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from . import analytics as _an
 from .oracle import DEFAULT_EXPANSION_CAP, edge_list_text
 from .ensemble import (
     PROPERTIES,
+    PROPERTY_TABLE,
     EnsembleSpec,
-    compute_properties,
-    json_hist,
+    check_properties,
+    csv_rows,
+    json_value,
     report_csv,
     report_json,
     run_ensemble,
@@ -33,7 +37,24 @@ from .ensemble import (
 )
 from . import __version__
 
-NODE_PROPERTIES = ("degree", "c3", "clustering")
+# what `analyze` reports: of the whole network, or with --node of one node
+_NETWORK_OPS = {**PROPERTY_TABLE, "wedges": _an.wedge_count}
+_NODE_OPS = {
+    "degree": _an.node_degree,
+    "c3": _an.triangles_at_node,
+    "clustering": _an.clustering_coefficient,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParamError, so main prints them as one line like any other."""
+
+    def error(self, message):
+        raise ParamError(message)
+
+
+def _names(text: str) -> list[str]:
+    return [s for s in text.split(",") if s]
 
 
 def _add_gen_flags(sub: argparse.ArgumentParser) -> None:
@@ -69,7 +90,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hiernet",
         description="Generate and analyze random block-hierarchical networks.",
     )
@@ -83,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = subs.add_parser("analyze", help="compute properties of a stored network")
     a.add_argument("--input", required=True, help="BHNET file to read")
     a.add_argument("--props", required=True,
-                   help="comma list; network: " + ",".join(PROPERTIES)
-                        + ",wedges; with --node: " + ",".join(NODE_PROPERTIES))
+                   help="comma list; network: " + ",".join(_NETWORK_OPS)
+                        + "; with --node: " + ",".join(_NODE_OPS))
     a.add_argument("--node", type=int, default=None, metavar="X",
                    help="report per-node properties of node X instead")
     a.add_argument("--format", choices=("json", "csv"), default="json")
@@ -116,62 +137,31 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_NODE_OPS = {
-    "degree": _an.node_degree,
-    "c3": _an.triangles_at_node,
-    "clustering": _an.clustering_coefficient,
-}
-
-
-def _analyze_values(model, props: list[str], node: int | None, parser) -> dict:
-    out = {}
-    if node is not None:
-        for name in props:
-            if name not in NODE_PROPERTIES:
-                parser.error(
-                    f"unknown per-node property {name!r}; valid: "
-                    + ", ".join(NODE_PROPERTIES)
-                )
-            out[name] = _NODE_OPS[name](model, node)
-        return out
-    for name in props:
-        if name == "wedges":
-            out[name] = _an.wedge_count(model)
-        elif name in PROPERTIES:
-            out.update(compute_properties(model, [name]))
-        else:
-            parser.error(f"unknown property {name!r}; valid: "
-                         + ", ".join(PROPERTIES + ("wedges",)))
-    return out
-
-
-def cmd_analyze(args, parser) -> int:
+def cmd_analyze(args) -> int:
+    if args.node is None:
+        ops, kind, extra = _NETWORK_OPS, "property", ()
+    else:
+        ops, kind, extra = _NODE_OPS, "per-node property", (args.node,)
+    names = check_properties(_names(args.props), ops, kind)
     with open(args.input, "rb") as fh:
         model = deserialize(fh.read())
-    props = [s for s in args.props.split(",") if s]
-    if not props:
-        parser.error("--props lists no properties")
-    values = _analyze_values(model, props, args.node, parser)
-    report = {
-        "copies": 1,
-        "results": {name: [v] for name, v in values.items()},
-    }
+    values = {name: ops[name](model, *extra) for name in names}
     if args.format == "csv":
-        _write_out(report_csv(report), args.out)
+        _write_out(csv_rows((1, name, v) for name, v in values.items()), args.out)
     else:
         _write_out(report_json_single(values), args.out)
     return 0
 
 
 def report_json_single(values: dict) -> str:
-    doc = {name: json_hist(v) if isinstance(v, dict) else v for name, v in values.items()}
+    doc = {name: json_value(v) for name, v in values.items()}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_ensemble(args) -> int:
     # EnsembleSpec and run_ensemble refuse bad properties, copies and workers
-    props = tuple(s for s in args.props.split(",") if s)
-    spec = EnsembleSpec(params=_gen_params(args), copies=args.copies, properties=props)
+    spec = EnsembleSpec(params=_gen_params(args), copies=args.copies,
+                        properties=_names(args.props))
     report = run_ensemble(spec, workers=args.workers)
     if args.format == "csv":
         _write_out(report_csv(report), args.out)
@@ -199,15 +189,12 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "analyze":
-            return cmd_analyze(args, parser)
+            return cmd_analyze(args)
         if args.command == "ensemble":
             return cmd_ensemble(args)
         return cmd_export(args)
-    except SystemExit as exc:  # argparse exits; fold into the return contract
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # --help and --version print, then exit 0
+        return exc.code or 0
     except ParamError as exc:
         print(f"hiernet: parameter error: {exc}", file=sys.stderr)
         return 2

@@ -39,31 +39,19 @@ from .analytics import (
 )
 
 __all__ = [
-    "SCALAR_PROPERTIES",
-    "HISTOGRAM_PROPERTIES",
     "PROPERTIES",
+    "PROPERTY_TABLE",
     "EnsembleSpec",
+    "check_properties",
     "compute_properties",
     "run_copy",
     "run_ensemble",
-    "json_hist",
+    "json_value",
+    "csv_rows",
     "report_json",
     "report_csv",
     "summary_json",
 ]
-
-SCALAR_PROPERTIES = ("edges", "c3", "c4", "diameter")
-HISTOGRAM_PROPERTIES = ("degree-dist", "distance-dist", "components", "clustering-dist")
-PROPERTIES = (
-    "edges",
-    "c3",
-    "c4",
-    "degree-dist",
-    "distance-dist",
-    "components",
-    "diameter",
-    "clustering-dist",
-)
 
 _UNREACHABLE = "unreachable"
 
@@ -83,15 +71,18 @@ class EnsembleSpec:
         if int(self.copies) != self.copies or not 1 <= self.copies <= MAX_COPIES:
             raise ParamError(f"copies must be an integer in 1..{MAX_COPIES}, got {self.copies!r}")
         object.__setattr__(self, "copies", int(self.copies))
-        props = tuple(self.properties)
-        if not props:
-            raise ParamError("at least one property must be requested")
-        for name in props:
-            if name not in PROPERTIES:
-                raise ParamError(
-                    f"unknown property {name!r}; valid: {', '.join(PROPERTIES)}"
-                )
-        object.__setattr__(self, "properties", props)
+        object.__setattr__(self, "properties", check_properties(self.properties, PROPERTIES))
+
+
+def check_properties(names, valid, kind: str = "property") -> tuple[str, ...]:
+    """`names` as a tuple; ParamError when it is empty or lists a name not in `valid`."""
+    names = tuple(names)
+    if not names:
+        raise ParamError(f"at least one {kind} must be requested")
+    for name in names:
+        if name not in valid:
+            raise ParamError(f"unknown {kind} {name!r}; valid: {', '.join(valid)}")
+    return names
 
 
 def _clustering_histogram(model: NetworkModel) -> dict:
@@ -102,34 +93,34 @@ def _clustering_histogram(model: NetworkModel) -> dict:
     return {f"{b / 100:.2f}": int(c) for b, c in zip(uniq, cnt)}
 
 
+def _distance_histogram(model: NetworkModel) -> dict:
+    h = distance_distribution(model)
+    return {**h.as_dict(), _UNREACHABLE: h.unreachable}
+
+
+def _component_histogram(model: NetworkModel) -> dict:
+    uniq, cnt = np.unique(np.array(component_sizes(model), dtype=np.int64), return_counts=True)
+    return {int(s): int(c) for s, c in zip(uniq, cnt)}
+
+
+# every network property, in report order: an int or a histogram dict of a model
+PROPERTY_TABLE = {
+    "edges": edge_count,
+    "c3": triangle_count,
+    "c4": four_cycle_count,
+    "degree-dist": lambda model: degree_distribution(model).as_dict(),
+    "distance-dist": _distance_histogram,
+    "components": _component_histogram,
+    "diameter": diameter,
+    "clustering-dist": _clustering_histogram,
+}
+PROPERTIES = tuple(PROPERTY_TABLE)
+
+
 def compute_properties(model: NetworkModel, properties) -> dict:
     """Requested property values of one network, keyed by property name."""
-    out = {}
-    for name in properties:
-        if name == "edges":
-            out[name] = edge_count(model)
-        elif name == "c3":
-            out[name] = triangle_count(model)
-        elif name == "c4":
-            out[name] = four_cycle_count(model)
-        elif name == "diameter":
-            out[name] = diameter(model)
-        elif name == "degree-dist":
-            out[name] = degree_distribution(model).as_dict()
-        elif name == "distance-dist":
-            h = distance_distribution(model)
-            d = h.as_dict()
-            d[_UNREACHABLE] = h.unreachable
-            out[name] = d
-        elif name == "components":
-            sizes = component_sizes(model)
-            uniq, cnt = np.unique(np.array(sizes, dtype=np.int64), return_counts=True)
-            out[name] = {int(s): int(c) for s, c in zip(uniq, cnt)}
-        elif name == "clustering-dist":
-            out[name] = _clustering_histogram(model)
-        else:
-            raise ParamError(f"unknown property {name!r}")
-    return out
+    return {name: PROPERTY_TABLE[name](model)
+            for name in check_properties(properties, PROPERTIES)}
 
 
 def run_copy(params: GenParams, copy: int, properties) -> dict:
@@ -177,7 +168,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> dict:
     for name in spec.properties:
         vals = [pc[name] for pc in per_copy]
         results[name] = vals
-        if name in SCALAR_PROPERTIES:
+        if isinstance(vals[0], int):
             summary[name] = _scalar_summary(vals)
         else:
             summary[name] = {"mean_counts": _mean_counts(vals, spec.copies)}
@@ -230,36 +221,36 @@ def _mean_counts(hists, copies: int) -> dict:
 # -- emitters ----------------------------------------------------------------
 
 
-def json_hist(hist: dict) -> dict:
-    """A histogram as a JSON object: string keys in numeric order, unreachable last."""
-    return {str(k): v for k, v in _hist_items(hist)}
+def json_value(v):
+    """A property value for JSON: histogram keys as strings in numeric order, unreachable last."""
+    return {str(k): c for k, c in _hist_items(v)} if isinstance(v, dict) else v
 
 
 def report_json(report: dict) -> str:
     """Render a report as JSON; numeric histogram keys become ordered strings."""
     doc = dict(report)
-    doc["results"] = {
-        name: [v if isinstance(v, int) else json_hist(v) for v in vals]
-        for name, vals in report["results"].items()
-    }
+    doc["results"] = {name: [json_value(v) for v in vals]
+                      for name, vals in report["results"].items()}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _pack_hist(hist: dict) -> str:
-    return ";".join(f"{k}:{v}" for k, v in _hist_items(hist))
-
-
-def report_csv(report: dict) -> str:
-    """Per-copy rows in `copy,property,value` form; histograms packed as k:v;k:v."""
+def csv_rows(rows) -> str:
+    """`copy,property,value` CSV of (copy, name, value) rows; histograms packed as k:v;k:v."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["copy", "property", "value"])
-    copies = report["copies"]
-    for c in range(copies):
-        for name, vals in report["results"].items():
-            v = vals[c]
-            w.writerow([c + 1, name, v if isinstance(v, int) else _pack_hist(v)])
+    for c, name, v in rows:
+        if isinstance(v, dict):
+            v = ";".join(f"{k}:{n}" for k, n in _hist_items(v))
+        w.writerow([c, name, v])
     return buf.getvalue()
+
+
+def report_csv(report: dict) -> str:
+    """Per-copy rows of a report, copy by copy, properties in report order."""
+    results = report["results"].items()
+    return csv_rows((c, name, vals[c - 1])
+                    for c in range(1, report["copies"] + 1) for name, vals in results)
 
 
 def summary_json(report: dict) -> str:

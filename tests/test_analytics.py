@@ -52,6 +52,13 @@ def test_degrees(demo9):
         an.node_degree(demo9, 10)
 
 
+def test_node_degree_reads_sizes_not_aggregates():
+    m = generate_network(GenParams(mode="by-nodes", p=4, mu=0.3, seed=11, n=400))
+    degs = [an.node_degree(m, x) for x in range(1, m.shape.n + 1)]
+    assert m._aggregates is None
+    assert degs == oracle.expand(m).bf_degrees().tolist()
+
+
 def test_degree_distribution(demo9):
     assert an.degree_distribution(demo9).as_dict() == {1: 2, 4: 3, 5: 2, 6: 2}
 
@@ -277,6 +284,25 @@ def test_isolated_nodes_past_the_int64_switch():
     assert h.counts == () and h.unreachable == math.comb(n, 2)
 
 
+def test_root_only_bits_past_the_int64_switch():
+    # only the root's three bits set: K_{s,s,s} over its three children
+    shape = generate_shape_regular(10, 3)
+    nbits = [shape.counts_at(g) * (shape.counts_at(g) - 1) // 2 for g in range(1, 11)]
+    bits = [np.zeros(int(b.sum()), np.uint8) for b in nbits[:-1]] + [np.ones(3, np.uint8)]
+    m = NetworkModel(shape, LinkTable(bits, nbits))
+    assert validate(m) == []
+    _assert_root_on_object_arrays(m)
+    n, s = shape.n, 3**9
+    assert an.edge_count(m) == 3 * s * s
+    assert an.wedge_count(m) == n * math.comb(2 * s, 2)
+    assert an.triangle_count(m) == s**3
+    assert an.four_cycle_count(m) == 3 * math.comb(s, 2) ** 2 + 3 * s * s * math.comb(s, 2)
+    h = an.distance_distribution(m)
+    assert h.as_dict() == {1: 3 * s * s, 2: 3 * math.comb(s, 2)} and h.unreachable == 0
+    assert an.diameter(m) == 2
+    assert an.component_sizes(m) == [n]
+
+
 # -- the widest child graphs --------------------------------------------------
 
 
@@ -302,6 +328,9 @@ def test_free_path_of_512_children():
     assert h.unreachable == 0
     assert an.diameter(m) == 511
     assert an.component_sizes(m) == [512]
+    # point queries on the free root walk the path through its set bits
+    assert an.distance(m, 1, 512) == 511
+    assert an.distance(m, 1, 3) == 2
     # the shared scan answers the same whichever reader fills it
     m = path()
     assert an.component_sizes(m) == [512]

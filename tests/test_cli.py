@@ -250,3 +250,72 @@ def test_generate_too_wide_vertex_is_a_one_line_error(monkeypatch, tmp_path, cap
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "hiernet" in capsys.readouterr().out
+
+
+def test_analyze_per_node_csv(demo_file, capsys):
+    rc = main(["analyze", "--input", str(demo_file), "--props", "degree,clustering",
+               "--node", "5", "--format", "csv"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["copy,property,value", "1,degree,6"]
+    assert lines[2].startswith("1,clustering,") and float(lines[2][13:]) == pytest.approx(22 / 30)
+
+
+# -- every error is one stderr line -------------------------------------------
+#
+# Each case: (argv, exit code).  "{demo}" is a valid BHNET file, "{text}" a
+# file that is not BHNET, "{absent}" a path that does not exist and "{dir}"
+# a scratch directory.  The analyze usage errors name the absent input, so
+# they also show that flags and properties are checked before any file is
+# read: reading it first would exit 1.
+_GEN = ["--nodes", "10", "--p", "3", "--mu", "0.5", "--seed", "1"]
+_ERROR_CASES = {
+    "no-command": ([], 2),
+    "unknown-command": (["girth"], 2),
+    "unknown-flag": (["--bogus"], 2),
+    "generate-bad-value": (["generate", *_GEN[:4], "--mu", "x", "--seed", "1",
+                            "--out", "{dir}/x.bhnet"], 2),
+    "generate-missing-flag": (["generate", *_GEN[:6], "--out", "{dir}/x.bhnet"], 2),
+    "generate-bad-param": (["generate", "--nodes", "5", "--p", "1", "--mu", "0.5",
+                            "--seed", "1", "--out", "{dir}/x.bhnet"], 2),
+    "generate-missing-dir": (["generate", *_GEN, "--out", "{absent}/x.bhnet"], 1),
+    "analyze-bad-value": (["analyze", "--input", "{absent}", "--props", "edges",
+                           "--format", "xml"], 2),
+    "analyze-bad-node-value": (["analyze", "--input", "{absent}", "--props", "degree",
+                                "--node", "x"], 2),
+    "analyze-missing-flag": (["analyze", "--input", "{absent}"], 2),
+    "analyze-unknown-prop": (["analyze", "--input", "{absent}", "--props", "edges,girth"], 2),
+    "analyze-unknown-node-prop": (["analyze", "--input", "{absent}", "--props", "edges",
+                                   "--node", "3"], 2),
+    "analyze-empty-props": (["analyze", "--input", "{absent}", "--props", ","], 2),
+    "analyze-node-too-high": (["analyze", "--input", "{demo}", "--props", "degree",
+                               "--node", "10"], 1),
+    "analyze-node-zero": (["analyze", "--input", "{demo}", "--props", "c3", "--node", "0"], 1),
+    "analyze-missing-input": (["analyze", "--input", "{absent}", "--props", "edges"], 1),
+    "analyze-not-bhnet": (["analyze", "--input", "{text}", "--props", "edges"], 1),
+    "ensemble-bad-value": (["ensemble", *_GEN, "--copies", "x", "--props", "edges"], 2),
+    "ensemble-missing-flag": (["ensemble", *_GEN, "--props", "edges"], 2),
+    "ensemble-unknown-prop": (["ensemble", *_GEN, "--copies", "2", "--props", "girth"], 2),
+    "ensemble-node-prop": (["ensemble", *_GEN, "--copies", "2", "--props", "degree"], 2),
+    "ensemble-empty-props": (["ensemble", *_GEN, "--copies", "2", "--props", ","], 2),
+    "ensemble-missing-dir": (["ensemble", *_GEN, "--copies", "1", "--props", "edges",
+                              "--out", "{absent}/r.json"], 1),
+    "export-bad-value": (["export", "--input", "{demo}", "--out", "{dir}/e.txt",
+                          "--cap", "x"], 2),
+    "export-missing-flag": (["export", "--input", "{demo}"], 2),
+    "export-missing-input": (["export", "--input", "{absent}", "--out", "{dir}/e.txt"], 1),
+    "export-not-bhnet": (["export", "--input", "{text}", "--out", "{dir}/e.txt"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(_ERROR_CASES.values()), ids=list(_ERROR_CASES))
+def test_cli_error_matrix(argv, code, demo_file, tmp_path, capsys):
+    text = tmp_path / "notes.txt"
+    text.write_text("not a network\n")
+    paths = {"demo": demo_file, "text": text, "absent": tmp_path / "absent", "dir": tmp_path}
+    assert main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    prefix = "hiernet: parameter error: " if code == 2 else "hiernet: "
+    assert captured.err.startswith(prefix)
