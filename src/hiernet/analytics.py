@@ -22,19 +22,20 @@ loop over the block on int64 and on object values alike; the walk matrix
 K = A.dV.A is built once per block and feeds both the triangle and the
 ring term.
 
-Per-node quantities follow from one leaf-to-root climb; whole-network
-distributions reuse the per-level terms in vectorised top-down passes.
-Pairs with the same (lowest common cluster, child, child) share one
-distance, so the distance histogram weights each child pair by its two
-subtree sizes.  A cluster that some ancestor links sideways ("exited")
-gives its children distance 1 where their bit is set and 2 elsewhere, read
-off the bits with no search.  One batched BFS runs on the child graphs of
-the free clusters only, at O(c**3) per hop for c children, and its reach
-feeds both the histogram and the connected components; one cached scan
-serves the histogram, the diameter and the components.  A distance query
-reads the direct bit and the ancestor reach flag of the lowest common
-cluster before it searches that one child graph, which keeps it at
-O(gamma + p**2).
+Per-node quantities follow from one leaf-to-root climb, `core.node_climb`;
+whole-network distributions reuse the per-level terms in vectorised
+top-down passes.  Pairs with the same (lowest common cluster, child, child)
+share one distance, so the distance histogram weights each child pair by
+its two subtree sizes.  A cluster that some ancestor links sideways
+("exited") gives its children distance 1 where their bit is set and 2
+elsewhere, read off the bits with no search.  One top-down scan carries the
+exited flags from level to level and runs a batched BFS on the child
+graphs of the free clusters only, at O(c**3) per hop for c children; its
+one cached result serves the histogram, the diameter and the components.
+A distance query reads the direct bit of the lowest common cluster, climbs
+on to the first ancestor that links the chain sideways (distance 2), and
+searches that one child graph only when there is none: O(gamma * p +
+p**2), with no whole-network pass.
 
 Aggregate arithmetic is exact.  Levels whose largest cluster holds at most
 40000 nodes run vectorised int64: every product is bounded by
@@ -45,7 +46,6 @@ Python ints, which only the top few vertices of a deep tree ever reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -54,7 +54,9 @@ from .core import (
     ClusterRef,
     InvalidRefError,
     NetworkModel,
-    node_path,
+    checked_node,
+    child_pair_offsets,
+    node_climb,
     pair_index,
 )
 
@@ -329,8 +331,7 @@ def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> i
         cluster = ClusterRef(shape.gamma, 1)
     g, i = cluster.gamma, cluster.index
     if g == 0:
-        if not 1 <= i <= shape.n:
-            raise InvalidRefError(f"no node {i} in a {shape.n}-node network")
+        checked_node(shape, i)
         return 1 if field == "v" else 0
     if not 1 <= g <= shape.gamma:
         raise InvalidRefError(f"no level {g} in a {shape.gamma}-level model")
@@ -363,78 +364,60 @@ def four_cycle_count(model: NetworkModel, cluster: ClusterRef | None = None) -> 
 # -- per-node climbs ---------------------------------------------------------
 
 
-def _child_values(model: NetworkModel, g: int, lo: int, hi: int):
-    """(V, E) int64 arrays of the children occupying level g-1 slots [lo, hi).
+def _linked_levels(model: NetworkModel, x: int, above: int = 0):
+    """The levels of x's climb whose chain child has linked siblings.
 
-    V and E of any cluster fit int64 even when the wider aggregates have
-    moved to object arrays (both are at most C(n, 2) < 2**63 for supported
-    n), so this narrowing is lossless.
+    Yields (g, lo, c, off, v, sibs) as `node_climb` numbers them, with v the
+    node counts of the c children and sibs the linked ones, 0-based, in order.
     """
-    width = hi - lo
-    if g == 1:
-        return np.ones(width, np.int64), np.zeros(width, np.int64)
-    agg = cluster_aggregates(model)[g - 2]
-    v, e = agg.v[lo:hi], agg.e[lo:hi]
-    if v.dtype == object:
-        v = v.astype(np.int64)
-        e = e.astype(np.int64)
-    return v, e
+    for g, _, lo, a, c, off in node_climb(model, x, above):
+        flat = model.links.flat_at(g)
+        # offset s belongs to sibling s before a and to sibling s + 1 past it
+        sibs = [s + (s >= a) for s, o in enumerate(child_pair_offsets(a, c)) if flat[off + o]]
+        if sibs:
+            v = model.shape.sizes_at(g - 1)[lo:lo + c].tolist() if g > 1 else [1] * c
+            yield g, lo, c, off, v, sibs
 
 
 def node_degree(model: NetworkModel, x: int) -> int:
     """Degree of node x, by one leaf-to-root climb over its chain; needs no aggregates."""
-    deg = 0
-    for entry in node_path(model, x):
-        g, i, a = entry.gamma, entry.cluster_index, entry.child_pos
-        c = model.shape.count(g, i)
-        if c == 1:
-            continue
-        vec = model.links.vector(g, i)
-        lo, hi = model.shape.child_range(g, i)
-        v = model.shape.sizes_at(g - 1)[lo:hi] if g > 1 else np.ones(c, np.int64)
-        for j in range(1, c + 1):
-            if j != a and vec[pair_index(min(a, j), max(a, j), c)]:
-                deg += int(v[j - 1])
-    return deg
+    return sum(v[s] for *_, v, sibs in _linked_levels(model, x) for s in sibs)
 
 
-def triangles_at_node(model: NetworkModel, x: int) -> int:
-    """Triangles through node x, accumulated level by level along its chain.
+def _chain_triangles(model: NetworkModel, x: int) -> tuple[int, int]:
+    """(degree, triangles through node x), accumulated level by level along its chain.
 
     At each level the new triangles either use a linked sibling's internal
     edge as the far side, pair one linked sibling node with the degree
     already accumulated below, or take one node from each of two siblings
     that are linked to the chain child and to each other.
     """
-    total = 0
-    deg_below = 0
-    for entry in node_path(model, x):
-        g, i, a = entry.gamma, entry.cluster_index, entry.child_pos
-        c = model.shape.count(g, i)
-        if c == 1:
-            continue
-        vec = model.links.vector(g, i)
-        lo, hi = model.shape.child_range(g, i)
-        v, e = _child_values(model, g, lo, hi)
+    total = deg = 0
+    for g, lo, c, off, v, sibs in _linked_levels(model, x):
+        # tolist() reads int64 and object levels alike as exact Python ints
+        e = cluster_aggregates(model)[g - 2].e[lo:lo + c].tolist() if g > 1 else [0] * c
+        flat = model.links.flat_at(g)
+        w = sum(v[s] for s in sibs)
+        tri = 0
+        for n, j in enumerate(sibs[:-1]):
+            row = child_pair_offsets(j, c)  # sibling k > j is entry k - 1
+            tri += v[j] * sum(v[k] for k in sibs[n + 1:] if flat[off + row[k - 1]])
+        total += sum(e[s] for s in sibs) + deg * w + tri
+        deg += w
+    return deg, total
 
-        def linked(m_, s_):
-            return vec[pair_index(min(m_, s_), max(m_, s_), c)]
 
-        sibs = [j for j in range(1, c + 1) if j != a and linked(a, j)]
-        w = sum(int(v[j - 1]) for j in sibs)
-        we = sum(int(e[j - 1]) for j in sibs)
-        tri = sum(int(v[j - 1]) * int(v[k - 1]) for j, k in combinations(sibs, 2) if linked(j, k))
-        total += we + deg_below * w + tri
-        deg_below += w
-    return total
+def triangles_at_node(model: NetworkModel, x: int) -> int:
+    """Triangles through node x, by one leaf-to-root climb over its chain."""
+    return _chain_triangles(model, x)[1]
 
 
 def clustering_coefficient(model: NetworkModel, x: int) -> float:
     """2 * triangles_at_node / (d * (d - 1)); 0 by convention when d < 2."""
-    d = node_degree(model, x)
+    d, t = _chain_triangles(model, x)
     if d < 2:
         return 0.0
-    return 2.0 * triangles_at_node(model, x) / (d * (d - 1))
+    return 2.0 * t / (d * (d - 1))
 
 
 # -- vectorised all-node passes ----------------------------------------------
@@ -465,7 +448,7 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
         Qn = np.empty(width, np.int64)
         for c, sel, idx in _level_groups(shape, g):
             Vm = _child_sizes(shape, g, idx)
-            # E always fits int64, see _child_values
+            # E always fits int64: at most C(N, 2) < 2**53
             Em = np.zeros_like(Vm) if g == 1 else np.asarray(agg[g - 2].e[idx], np.int64)
             A = _adjacency(model.links, g, sel, c)
             W, WE = _link_sums(A, np.stack([Vm, Em]))
@@ -506,30 +489,6 @@ def clustering_values(model: NetworkModel) -> np.ndarray:
 
 
 # -- distances ---------------------------------------------------------------
-
-
-def _reach_flags(model: NetworkModel) -> tuple[np.ndarray, ...]:
-    """Per level Gamma..0: whether any strict ancestor links the chain sideways.
-
-    Entry [g][i] answers: walking up from cluster i at level g, does some
-    ancestor vertex set a bit between the walked-through child and any
-    sibling?  If so, every node under the cluster has a neighbour outside
-    it, which bounds cross-cluster distances by 2.
-    """
-    if model._reach is not None:
-        return model._reach
-    shape = model.shape
-    big_g = shape.gamma
-    ex: list[np.ndarray | None] = [None] * (big_g + 1)
-    ex[big_g] = np.zeros(1, dtype=bool)
-    for g in range(big_g, 0, -1):
-        exn = np.empty(shape.n_clusters(g - 1), dtype=bool)
-        for c, sel, idx in _level_groups(shape, g):
-            A = _adjacency(model.links, g, sel, c, bool)
-            exn[idx] = ex[g][sel] | A.any(axis=1)
-        ex[g - 1] = exn
-    model._reach = tuple(ex)
-    return model._reach
 
 
 def _hops(vec: np.ndarray, c: int, a: int, b: int) -> int | None:
@@ -573,33 +532,36 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     bit between their child positions is distance 1; otherwise the answer
     is the shorter of the child-graph path (whole children act as single
     hops, since cross links are complete) and a two-step detour through any
-    ancestor-linked outside cluster, which wins whenever it exists.
+    ancestor-linked outside cluster, which wins whenever it exists.  The
+    climb of x goes on above that cluster to look for such an ancestor
+    before the child graph is searched.
     """
     shape = model.shape
-    if not 1 <= x <= shape.n or not 1 <= y <= shape.n:
-        raise InvalidRefError(f"node pair ({x},{y}) outside 1..{shape.n}")
+    x, y = checked_node(shape, x), checked_node(shape, y)
     if x == y:
         return 0
     ix, iy = x - 1, y - 1  # 0-based chain positions at the level below g
     for g in range(1, shape.gamma + 1):
-        cx, cy = np.searchsorted(shape.leaf_cum_at(g), (x, y)).tolist()
+        cx, cy = shape.leaf_cum_at(g).searchsorted((x, y)).tolist()
         if cx == cy:
-            start = int(shape.child_start_at(g)[cx])
-            a, b = sorted((ix - start, iy - start))
-            c = int(shape.counts_at(g)[cx])
-            vec = model.links.vector(g, cx + 1)
-            if vec[pair_index(a + 1, b + 1, c)]:
-                return 1
-            if _reach_flags(model)[g][cx]:
-                return 2
-            return _hops(vec, c, a, b)
+            break
         ix, iy = cx, cy
-    return None  # distinct roots cannot happen in a validated model
+    start = int(shape.child_start_at(g)[cx])
+    a, b = sorted((ix - start, iy - start))
+    c = int(shape.counts_at(g)[cx])
+    vec = model.links.vector(g, cx + 1)
+    if vec[pair_index(a + 1, b + 1, c)]:
+        return 1
+    if next(_linked_levels(model, x, above=g), None):
+        return 2
+    return _hops(vec, c, a, b)
 
 
 def _free_scan(model: NetworkModel):
     """(distance histogram, unreachable pairs, component sizes), one pass over clusters.
 
+    Walks the levels top-down.  A cluster is exited when its parent is, or
+    when its row of the bool adjacency built for the parent has a set bit.
     The histogram weights each child pair by the product of its two subtree
     sizes; the weights sum to at most C(N, 2) < 2**53, exact in int64.
     Exited clusters take distances 1 and 2 from their bits.  Free clusters
@@ -607,25 +569,28 @@ def _free_scan(model: NetworkModel):
     linked children of a cluster none of whose ancestors link it further
     form one component, counted at the group's first child, and a node
     whose whole chain stays unlinked is one on its own.  The model caches
-    these sums only, never a reach tensor.
+    these sums only, never a reach tensor or the flags.
     """
     if model._free_scan is not None:
         return model._free_scan
     shape = model.shape
-    reach = _reach_flags(model)
     # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket,
     # where -1 lands, is free to collect the unreachable pairs
     hist = np.zeros(MAX_CHILDREN + 1, np.int64)
-    groups: list[np.ndarray] = [np.ones(int((~reach[0]).sum()), np.int64)]
-    for g in range(1, shape.gamma + 1):
+    groups: list[np.ndarray] = []
+    ex = np.zeros(1, dtype=bool)  # the root has no ancestor
+    for g in range(shape.gamma, 0, -1):
+        exn = np.empty(shape.n_clusters(g - 1), dtype=bool)
         for c, sel, idx in _level_groups(shape, g):
             if c < 2:
+                exn[idx] = ex[sel]
                 continue
+            A = _adjacency(model.links, g, sel, c, bool)
+            exn[idx] = ex[sel] | A.any(axis=1)
             Vm = _child_sizes(shape, g, idx)
             iu, ju = _child_pairs(c)
-            A = _adjacency(model.links, g, sel, c, bool)
             d = np.where(A[iu, ju], 1, 2)
-            free = np.nonzero(~reach[g][sel])[0]
+            free = np.nonzero(~ex[sel])[0]
             if len(free):
                 dist = _child_reach(A[:, :, free])
                 d[:, free] = dist[iu, ju]
@@ -634,6 +599,8 @@ def _free_scan(model: NetworkModel):
                 lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
                 groups.append((R * Vm[:, free]).sum(axis=1)[lead])
             np.add.at(hist, d, Vm[iu] * Vm[ju])
+        ex = exn
+    groups.append(np.ones(int((~ex).sum()), np.int64))
     sizes = np.concatenate(groups)
     sizes[::-1].sort()
     model._free_scan = (hist[:-1], int(hist[-1]), sizes)

@@ -16,6 +16,7 @@ here; the oracle module materialises edges when verification needs them.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -34,8 +35,11 @@ __all__ = [
     "LinkTable",
     "NetworkModel",
     "pair_index",
+    "child_pair_offsets",
     "psi",
     "cluster_size",
+    "checked_node",
+    "node_climb",
     "node_path",
     "validate",
     "serialize",
@@ -88,6 +92,16 @@ def pair_index(n: int, s: int, k: int) -> int:
         raise InvalidPairError(f"pair ({n},{s}) invalid for k={k}")
     # pairs whose first element is below n occupy (n-1)(2k-n)/2 leading slots
     return (n - 1) * (2 * k - n) // 2 + (s - n - 1)
+
+
+def child_pair_offsets(a: int, k: int) -> list[int]:
+    """Offsets of the pairs of 0-based child a with each sibling, siblings in order.
+
+    Each sibling s < a holds one pair on its own row; the pairs of a with
+    the siblings past it are one contiguous run, row a.
+    """
+    row = a * (2 * k - a - 1) // 2 - a - 1  # the pair (a, s), s > a, sits at row + s
+    return [s * (2 * k - s - 3) // 2 + a - 1 for s in range(a)] + [*range(row + a + 1, row + k)]
 
 
 @dataclass(frozen=True)
@@ -217,8 +231,7 @@ class HierarchyShape:
 
     def cluster_size(self, gamma: int, i: int) -> int:
         if gamma == 0:
-            if not 1 <= i <= self.n:
-                raise InvalidRefError(f"no node {i} in a {self.n}-node network")
+            checked_node(self, i)
             return 1
         arr = self.sizes_at(gamma)
         if not 1 <= i <= len(arr):
@@ -233,16 +246,14 @@ class HierarchyShape:
     def leaf_range(self, gamma: int, i: int) -> tuple[int, int]:
         """Half-open 0-based range of the nodes covered by cluster (gamma, i)."""
         if gamma == 0:
-            if not 1 <= i <= self.n:
-                raise InvalidRefError(f"no node {i} in a {self.n}-node network")
+            i = checked_node(self, i)
             return i - 1, i
         hi = int(self.leaf_cum_at(gamma)[i - 1])
         return hi - self.cluster_size(gamma, i), hi
 
     def node_cluster(self, gamma: int, x: int) -> int:
         """1-based index of the level-gamma cluster containing node x."""
-        if not 1 <= x <= self.n:
-            raise InvalidRefError(f"no node {x} in a {self.n}-node network")
+        x = checked_node(self, x)
         if gamma == 0:
             return x
         cum = self.leaf_cum_at(gamma)
@@ -362,13 +373,12 @@ class NetworkModel:
     concurrent readers is harmless.
     """
 
-    __slots__ = ("shape", "links", "_aggregates", "_reach", "_node_passes", "_free_scan")
+    __slots__ = ("shape", "links", "_aggregates", "_node_passes", "_free_scan")
 
     def __init__(self, shape: HierarchyShape, links: LinkTable):
         self.shape = shape
         self.links = links
         self._aggregates = None
-        self._reach = None
         self._node_passes = None
         self._free_scan = None
 
@@ -413,19 +423,41 @@ def cluster_size(model: NetworkModel, cluster: ClusterRef) -> int:
     return model.shape.cluster_size(cluster.gamma, cluster.index)
 
 
-def node_path(model: NetworkModel, x: int) -> tuple[PathEntry, ...]:
-    """Leaf-to-root chain of node x: one (cluster, child position) per level."""
-    shape = model.shape
+def checked_node(shape: HierarchyShape, x: int) -> int:
+    """Node x as an int; InvalidRefError unless it is an integer (numpy's too) in 1..N."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise InvalidRefError(f"node {x!r} is not an integer") from None
     if not 1 <= x <= shape.n:
         raise InvalidRefError(f"no node {x} in a {shape.n}-node network")
-    entries = []
-    child_idx0 = x - 1  # 0-based position of the node's chain at level 0
-    for g in range(1, shape.gamma + 1):
-        i = int(shape.leaf_cum_at(g).searchsorted(x))  # 0-based cluster at level g
-        pos = child_idx0 - int(shape.child_start_at(g)[i]) + 1
-        entries.append(PathEntry(gamma=g, cluster_index=i + 1, child_pos=pos))
-        child_idx0 = i
-    return tuple(entries)
+    return x
+
+
+def node_climb(model: NetworkModel, x: int, above: int = 0):
+    """Leaf-to-root climb of node x: one tuple of plain ints per level.
+
+    Yields (g, i, lo, a, c, off) for g = above+1 .. Gamma: the level, the
+    0-based index of the level-g cluster holding x, the level g-1 index of
+    its first child, the 0-based position a of x's chain child among its c
+    children, and the offset of its bit vector within `links.flat_at(g)`.
+    `checked_node` vets x before the first level.
+    """
+    shape = model.shape
+    x = checked_node(shape, x)
+    _, starts, cums = shape._derived()
+    counts, offsets = shape._counts, model.links._starts
+    j = int(cums[above - 1].searchsorted(x)) if above else x - 1  # x's cluster one level down
+    for g in range(above + 1, shape.gamma + 1):
+        i = int(cums[g - 1].searchsorted(x))
+        lo = int(starts[g - 1][i])
+        yield g, i, lo, j - lo, int(counts[g - 1][i]), int(offsets[g - 1][i])
+        j = i
+
+
+def node_path(model: NetworkModel, x: int) -> tuple[PathEntry, ...]:
+    """Leaf-to-root chain of node x: its `node_climb`, cluster and child numbered from 1."""
+    return tuple(PathEntry(g, i + 1, a + 1) for g, i, _, a, _, _ in node_climb(model, x))
 
 
 def pow_below(p: int, gamma: int, bound: int) -> bool:

@@ -98,7 +98,14 @@ class GenParams:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParamError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if int(self.p) != self.p or not 2 <= self.p <= MAX_NODES:
+        for name in ("p", "seed", "n", "gamma"):
+            value = getattr(self, name)
+            if value is None and name in ("n", "gamma"):
+                continue  # the mode checks below say which one must be given
+            if not _is_integer(value):
+                raise ParamError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 2 <= self.p <= MAX_NODES:
             raise ParamError(f"p must be an integer in 2..{MAX_NODES}, got {self.p!r}")
         if not self.mu >= 0.0:
             raise ParamError(f"mu must be >= 0, got {self.mu!r}")
@@ -114,6 +121,14 @@ class GenParams:
                 raise ParamError(f"{self.mode} mode requires gamma >= 0")
             if self.n is not None:
                 raise ParamError(f"{self.mode} mode takes no n")
+
+
+def _is_integer(value) -> bool:
+    """Whether `value` equals an int: 3 and 3.0 do, 3.5, "3" and None do not."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _check_p(p: int) -> None:

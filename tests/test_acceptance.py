@@ -85,9 +85,12 @@ def test_criterion_1_oracle_equivalence(corpus):
             if tri[x - 1] != g.bf_triangles_at(x):
                 bad.append(f"net {i}: c3 at node {x} differs")
                 break
+        clustering = an.clustering_values(m)
         for x in (1, n):
             if an.triangles_at_node(m, x) != tri[x - 1]:
                 bad.append(f"net {i}: scalar c3 climb at node {x} differs")
+            if an.clustering_coefficient(m, x) != clustering[x - 1]:
+                bad.append(f"net {i}: scalar clustering at node {x} differs")
         if an.four_cycle_count(m) != g.bf_four_cycles():
             bad.append(f"net {i}: c4 {an.four_cycle_count(m)} != {g.bf_four_cycles()}")
         dist = g.bf_all_distances()

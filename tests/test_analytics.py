@@ -13,6 +13,7 @@ from hiernet.core import (
     InvalidRefError,
     LinkTable,
     NetworkModel,
+    node_path,
     pair_index,
     validate,
 )
@@ -57,6 +58,52 @@ def test_node_degree_reads_sizes_not_aggregates():
     degs = [an.node_degree(m, x) for x in range(1, m.shape.n + 1)]
     assert m._aggregates is None
     assert degs == oracle.expand(m).bf_degrees().tolist()
+
+
+def test_point_queries_refuse_non_integer_nodes(demo9):
+    queries = (
+        lambda x: an.distance(demo9, x, 3),
+        lambda x: an.distance(demo9, 3, x),
+        lambda x: an.node_degree(demo9, x),
+        lambda x: an.triangles_at_node(demo9, x),
+        lambda x: an.clustering_coefficient(demo9, x),
+        lambda x: node_path(demo9, x),
+    )
+    for query in queries:
+        for bad in (1.5, 2.0, 2.5, np.float64(3.0), "2", None):
+            with pytest.raises(InvalidRefError):
+                query(bad)
+    # numpy integers are node numbers like any other
+    assert an.distance(demo9, np.int64(1), np.int32(4)) == 1
+    assert an.node_degree(demo9, np.int64(5)) == 6
+    assert an.triangles_at_node(demo9, np.uint8(5)) == 11
+    assert an.clustering_coefficient(demo9, np.int16(5)) == an.clustering_coefficient(demo9, 5)
+    assert node_path(demo9, np.int64(9)) == node_path(demo9, 9)
+
+
+def _root_bits_only(gamma: int) -> NetworkModel:
+    """Regular p=3 shape whose only set bits are the root's three."""
+    shape = generate_shape_regular(gamma, 3)
+    nbits = [shape.counts_at(g) * (shape.counts_at(g) - 1) // 2 for g in range(1, gamma + 1)]
+    bits = [np.zeros(int(b.sum()), np.uint8) for b in nbits[:-1]] + [np.ones(3, np.uint8)]
+    return NetworkModel(shape, LinkTable(bits, nbits))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_network(GenParams(mode="by-nodes", p=4, mu=0.3, seed=11, n=400)),
+    # nodes 1 and 2 meet at level 1, four levels below the only linking vertex
+    lambda: _root_bits_only(5),
+], ids=["by-nodes-400", "root-bits-only"])
+def test_distance_on_a_fresh_model_runs_no_whole_network_pass(make):
+    m = make()
+    assert validate(m) == []
+    want = oracle.expand(m).bf_all_distances()
+    n = m.shape.n
+    for x in range(1, n + 1):
+        for y in range(x + 1, n + 1):
+            d = an.distance(m, x, y)
+            assert (-1 if d is None else d) == want[x - 1, y - 1], (x, y)
+    assert [s for s in m.__slots__ if s.startswith("_") and getattr(m, s) is not None] == []
 
 
 def test_degree_distribution(demo9):
@@ -286,13 +333,10 @@ def test_isolated_nodes_past_the_int64_switch():
 
 def test_root_only_bits_past_the_int64_switch():
     # only the root's three bits set: K_{s,s,s} over its three children
-    shape = generate_shape_regular(10, 3)
-    nbits = [shape.counts_at(g) * (shape.counts_at(g) - 1) // 2 for g in range(1, 11)]
-    bits = [np.zeros(int(b.sum()), np.uint8) for b in nbits[:-1]] + [np.ones(3, np.uint8)]
-    m = NetworkModel(shape, LinkTable(bits, nbits))
+    m = _root_bits_only(10)
     assert validate(m) == []
     _assert_root_on_object_arrays(m)
-    n, s = shape.n, 3**9
+    n, s = m.shape.n, 3**9
     assert an.edge_count(m) == 3 * s * s
     assert an.wedge_count(m) == n * math.comb(2 * s, 2)
     assert an.triangle_count(m) == s**3

@@ -61,6 +61,23 @@ def test_params_validation():
         GenParams(mode="by-levels", p=3, mu=0.5, seed=1)
     with pytest.raises(ParamError):
         GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=-1)
+    for bad in (
+        dict(mode="by-nodes", p=3, mu=0.5, seed=1.5, n=10),
+        dict(mode="by-nodes", p=3, mu=0.5, seed="1", n=10),
+        dict(mode="by-nodes", p=3, mu=0.5, seed=None, n=10),
+        dict(mode="by-nodes", p=3, mu=0.5, seed=1, n=10.5),
+        dict(mode="by-nodes", p=3, mu=0.5, seed=1, n=float("inf")),
+        dict(mode="by-nodes", p=3.5, mu=0.5, seed=1, n=10),
+        dict(mode="by-levels", p=3, mu=0.5, seed=1, gamma=2.5),
+        dict(mode="regular", p=3, mu=0.5, seed=1, gamma=float("nan")),
+    ):
+        with pytest.raises(ParamError):
+            GenParams(**bad)
+    # integral values of any numeric type are kept, as Python ints
+    params = GenParams(mode="by-nodes", p=3.0, mu=0.5, seed=np.int64(7), n=10.0)
+    assert (params.p, params.seed, params.n) == (3, 7, 10)
+    assert all(type(v) is int for v in (params.p, params.seed, params.n))
+    assert GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=np.int32(2)).gamma == 2
     with pytest.raises(ParamError):
         RngStream(-1)
     with pytest.raises(ParamError):
