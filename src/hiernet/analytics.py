@@ -7,9 +7,21 @@ four-cycle) decomposes by how it straddles the children of a vertex, and
 each count obeys an exact bottom-up recurrence over per-cluster aggregates
 (nodes, edges, wedges, triangles, four-cycles).
 
+The bottom-up pass comes in two tiers, each cached on the model.  The
+edge tier (`_edge_levels`) reads the bits and the child sizes only: a
+cluster's edges are its children's plus V_i * V_j per set bit, exact int64
+on every level.  `edge_count`, the per-node climbs (`triangles_at_node`,
+`clustering_coefficient`) and the all-node passes (`node_degrees`,
+`triangles_at_all_nodes`, `degree_distribution`, `clustering_values`) read
+it alone.  The pattern tier (`cluster_aggregates`) adds wedges, triangles
+and four-cycles over the edge tier's E, through the contractions below;
+only `wedge_count`, `triangle_count` and `four_cycle_count` pay for it.
+`node_degree` and `distance` read neither tier.
+
 Every pass walks a level in row blocks of clusters sharing a child count
-c.  A block is one (c, c, rows) tensor A of 0/1 child adjacency holding at
-most 2**20 entries (a vertex has at most 2**10 children, so one cluster
+c.  The edge tier gathers a block's bits as they lie; every other pass
+builds one (c, c, rows) tensor A of 0/1 child adjacency holding at most
+2**20 entries (a vertex has at most 2**10 children, so one cluster
 always fits), so a pass keeps a bounded working set however wide the
 level.  With V the children's node counts and dV = diag(V), three
 contractions of A give every per-level term: A.X (sums over linked
@@ -37,8 +49,9 @@ on to the first ancestor that links the chain sideways (distance 2), and
 searches that one child graph only when there is none: O(gamma * p +
 p**2), with no whole-network pass.
 
-Aggregate arithmetic is exact.  Levels whose largest cluster holds at most
-40000 nodes run vectorised int64: every product is bounded by
+Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
+the edge tier is int64 throughout.  Pattern levels whose largest cluster
+holds at most 40000 nodes run vectorised int64: every product is bounded by
 (sum V)**4 <= 40000**4 < 2**63.  Bigger levels switch to object arrays of
 Python ints, which only the top few vertices of a deep tree ever reach.
 """
@@ -144,8 +157,8 @@ def _level_groups(shape, g: int):
     """
     counts = shape.counts_at(g)
     starts = shape.child_start_at(g)
-    for c in np.unique(counts):
-        c = int(c)
+    # counts are at most MAX_CHILDREN, so a bincount finds them in one pass
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
         rows = max(1, _BLOCK_ENTRIES // (c * c))
         every = np.nonzero(counts == c)[0]
         for lo in range(0, len(every), rows):
@@ -223,7 +236,41 @@ def _child_reach(A: np.ndarray) -> np.ndarray:
     return np.moveaxis(dist, 0, -1)
 
 
-# -- bottom-up aggregate engine ---------------------------------------------
+# -- bottom-up passes: the edge tier, then the pattern tier ------------------
+
+
+def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
+    """Edges inside every cluster, one read-only int64 array per internal level.
+
+    The edge tier: level 1 counts each cluster's set bits; every level above
+    sums its children's edges, then adds V_i * V_j for every set bit of a
+    (c, sel) row block, gathered straight from the flat bits with no
+    adjacency tensor.  E < C(2**27, 2) < 2**53, so int64 is exact on every
+    level.  Cached on the model.
+    """
+    if model._edges is None:
+        shape, links = model.shape, model.links
+        out = []
+        for g in range(1, shape.gamma + 1):
+            flat, starts = links.flat_at(g), links.starts_at(g)
+            if g == 1:
+                # a level-1 child is one node, so a cluster's edges are its set bits
+                nbits = links.nbits_at(1)
+                E = np.zeros(len(nbits), np.int64)
+                E[nbits > 0] = np.add.reduceat(flat, starts[nbits > 0], dtype=np.int64)
+            else:
+                E = np.add.reduceat(E, shape.child_start_at(g))
+                for c, sel, idx in _level_groups(shape, g):
+                    if c < 2:
+                        continue
+                    iu, ju = _child_pairs(c)
+                    V = shape.sizes_at(g - 1)[idx]
+                    B = flat[np.arange(len(iu))[:, None] + starts[sel]]
+                    E[sel] += (B * V[iu] * V[ju]).sum(axis=0)
+            E.flags.writeable = False
+            out.append(E)
+        model._edges = tuple(out)
+    return model._edges
 
 
 def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
@@ -234,16 +281,17 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
 
 
 def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
+    """The pattern tier: wedges, triangles and four-cycles over the edge tier's E."""
     shape, links = model.shape, model.links
     out: list[ClusterAggregates] = []
     prev: ClusterAggregates | None = None  # level below; None means leaves
-    for g in range(1, shape.gamma + 1):
+    for g, E in enumerate(_edge_levels(model), start=1):
         sizes = shape.sizes_at(g)
         n_cl = len(sizes)
         big = bool(n_cl) and int(sizes.max()) > _INT64_SAFE_NODES
         dtype = object if big else np.int64
         V = _object_array(sizes) if big else sizes.astype(np.int64)
-        E = np.zeros(n_cl, dtype)
+        E = _object_array(E) if big else E
         P2 = np.zeros(n_cl, dtype)
         C3 = np.zeros(n_cl, dtype)
         C4 = np.zeros(n_cl, dtype)
@@ -261,11 +309,7 @@ def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
                         _object_array(a) for a in (Vm, Em, P2m, C3m, C4m)
                     )
             A = _adjacency(links, g, sel, c)
-            e, p2, c3, c4 = _merge_children(A, Vm, Em, P2m, C3m, C4m)
-            E[sel] = e
-            P2[sel] = p2
-            C3[sel] = c3
-            C4[sel] = c4
+            P2[sel], C3[sel], C4[sel] = _merge_children(A, Vm, Em, P2m, C3m, C4m)
         agg = ClusterAggregates(v=V, e=E, p2=P2, c3=C3, c4=C4)
         out.append(agg)
         prev = agg
@@ -273,13 +317,13 @@ def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
 
 
 def _merge_children(A, V, E, P2, C3, C4):
-    """One level of the aggregate recurrences, vectorised over a row block.
+    """One level of the pattern recurrences, vectorised over a row block.
 
-    Columns are clusters sharing child count c, rows their children.  Each
-    term mirrors one way a pattern can straddle the children, using that a
-    set bit joins two children completely:
+    Columns are clusters sharing child count c, rows their children; E are
+    the children's edges from the edge tier.  Each term mirrors one way a
+    pattern can straddle the children, using that a set bit joins two
+    children completely:
 
-      edges      child edges, plus Vi*Vj per set pair;
       wedges     child wedges, plus centre-in-a-child arms (2*Ei*Wi: an
                  internal edge extended sideways) and V*C(W,2) (both arms
                  crossing out of the centre's child);
@@ -308,7 +352,6 @@ def _merge_children(A, V, E, P2, C3, C4):
     if c >= 4:
         # sum V**2*A.V**2 <= S**4; 2*sum V**2*W**2 <= 2*S**4
         rings = (_ring_walks(K, V) + (V2 * AV2).sum(axis=0) - 2 * (V2 * W * W).sum(axis=0)) // 8
-    e = E.sum(axis=0) + (V * W).sum(axis=0) // 2
     p2 = P2.sum(axis=0) + (2 * E * W + V * _comb2(W)).sum(axis=0)
     c3 = C3.sum(axis=0) + (E * W).sum(axis=0) + (V * tri).sum(axis=0) // 6
     c4 = (
@@ -317,7 +360,7 @@ def _merge_children(A, V, E, P2, C3, C4):
         + (C2V * (AC2V + sib_pairs)).sum(axis=0) // 2
         + rings
     )
-    return e, p2, c3, c4
+    return p2, c3, c4
 
 
 # -- whole-network and per-cluster counts ------------------------------------
@@ -337,8 +380,9 @@ def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> i
         raise InvalidRefError(f"no level {g} in a {shape.gamma}-level model")
     if not 1 <= i <= shape.n_clusters(g):
         raise InvalidRefError(f"no cluster {i} at level {g}")
-    agg = cluster_aggregates(model)[g - 1]
-    return int(getattr(agg, field)[i - 1])
+    if field == "e":
+        return int(_edge_levels(model)[g - 1][i - 1])
+    return int(getattr(cluster_aggregates(model)[g - 1], field)[i - 1])
 
 
 def edge_count(model: NetworkModel, cluster: ClusterRef | None = None) -> int:
@@ -394,8 +438,7 @@ def _chain_triangles(model: NetworkModel, x: int) -> tuple[int, int]:
     """
     total = deg = 0
     for g, lo, c, off, v, sibs in _linked_levels(model, x):
-        # tolist() reads int64 and object levels alike as exact Python ints
-        e = cluster_aggregates(model)[g - 2].e[lo:lo + c].tolist() if g > 1 else [0] * c
+        e = _edge_levels(model)[g - 2][lo:lo + c].tolist() if g > 1 else [0] * c
         flat = model.links.flat_at(g)
         w = sum(v[s] for s in sibs)
         tri = 0
@@ -431,13 +474,13 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     triangle walks), the degree, and the sum of squared per-level degree
     increments; triangles then follow from S1 + (deg**2 - sumsq) / 2,
     because the cross products of increments from two different levels are
-    exactly the degree-times-new-weight terms.  V <= N <= 2**27 and
-    E < 2**53 here, so the walks (<= N**2) and squares fit int64.
+    exactly the degree-times-new-weight terms.  V <= N <= 2**27 and the
+    edge tier's E < 2**53, so the walks (<= N**2) and squares fit int64.
     """
     if model._node_passes is not None:
         return model._node_passes
     shape = model.shape
-    agg = cluster_aggregates(model)
+    edges = _edge_levels(model)
     S1 = np.zeros(1, np.int64)
     D = np.zeros(1, np.int64)
     Q = np.zeros(1, np.int64)
@@ -448,8 +491,7 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
         Qn = np.empty(width, np.int64)
         for c, sel, idx in _level_groups(shape, g):
             Vm = _child_sizes(shape, g, idx)
-            # E always fits int64: at most C(N, 2) < 2**53
-            Em = np.zeros_like(Vm) if g == 1 else np.asarray(agg[g - 2].e[idx], np.int64)
+            Em = np.zeros_like(Vm) if g == 1 else edges[g - 2][idx]
             A = _adjacency(model.links, g, sel, c)
             W, WE = _link_sums(A, np.stack([Vm, Em]))
             tri = _triangle_walks(_walks(A, Vm), Vm, A) // 2 if c >= 3 else 0

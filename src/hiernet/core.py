@@ -373,11 +373,12 @@ class NetworkModel:
     concurrent readers is harmless.
     """
 
-    __slots__ = ("shape", "links", "_aggregates", "_node_passes", "_free_scan")
+    __slots__ = ("shape", "links", "_edges", "_aggregates", "_node_passes", "_free_scan")
 
     def __init__(self, shape: HierarchyShape, links: LinkTable):
         self.shape = shape
         self.links = links
+        self._edges = None
         self._aggregates = None
         self._node_passes = None
         self._free_scan = None

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .core import HiernetError, NetworkModel, ParamError
-from .gen import GenParams, generate_network
+from .gen import GenParams, _is_integer, generate_network
 from .analytics import (
     clustering_values,
     component_sizes,
@@ -68,7 +68,7 @@ class EnsembleSpec:
     properties: tuple[str, ...]
 
     def __post_init__(self):
-        if int(self.copies) != self.copies or not 1 <= self.copies <= MAX_COPIES:
+        if not _is_integer(self.copies) or not 1 <= self.copies <= MAX_COPIES:
             raise ParamError(f"copies must be an integer in 1..{MAX_COPIES}, got {self.copies!r}")
         object.__setattr__(self, "copies", int(self.copies))
         object.__setattr__(self, "properties", check_properties(self.properties, PROPERTIES))
@@ -154,7 +154,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> dict:
     report is byte-stable across parallelism degrees.  At most one process
     per copy and per usable CPU is started, whatever `workers` asks for.
     """
-    if int(workers) != workers or workers < 1:
+    if not _is_integer(workers) or workers < 1:
         raise ParamError(f"workers must be an integer >= 1, got {workers!r}")
     workers = min(int(workers), spec.copies, _usable_cpus())
     jobs = [(spec.params, c, spec.properties) for c in range(1, spec.copies + 1)]

@@ -60,8 +60,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ParamError("seed and stream must be non-negative integers")
+        if not (_is_integer(seed) and _is_integer(stream) and seed >= 0 and stream >= 0):
+            raise ParamError(f"seed and stream must be non-negative integers, got {seed!r}, {stream!r}")
         self.seed = int(seed)
         self.stream = int(stream)
         self._gen = np.random.Generator(

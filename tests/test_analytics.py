@@ -232,6 +232,60 @@ def test_aggregate_consistency_across_levels(seed):
             lo = hi
 
 
+# -- the edge tier -------------------------------------------------------------
+
+_EDGE_CORPUS = [
+    *(GenParams(mode="by-nodes", p=p, mu=mu, seed=20260822, n=n)
+      for p in (2, 3, 5, 8) for n in (1, 9, 64, 200) for mu in (0.1, 0.5, 1.0)),
+    *(GenParams(mode="by-levels", p=p, mu=0.5, seed=20260822, gamma=g)
+      for p, g in ((2, 6), (4, 3), (6, 2))),
+]
+
+
+@pytest.mark.parametrize("params", _EDGE_CORPUS, ids=repr)
+def test_edge_levels_match_the_oracle_per_cluster(params):
+    m = generate_network(params)
+    adj = oracle.expand(m).adj.astype(np.int64)
+    edges = an._edge_levels(m)
+    assert m._aggregates is None
+    aggs = an.cluster_aggregates(m)
+    assert len(edges) == len(aggs) == m.shape.gamma
+    for g, E in enumerate(edges, start=1):
+        assert E.dtype == np.int64 and not E.flags.writeable
+        ranges = (m.shape.leaf_range(g, i) for i in range(1, len(E) + 1))
+        assert E.tolist() == [int(adj[lo:hi, lo:hi].sum()) // 2 for lo, hi in ranges]
+        assert E.tolist() == aggs[g - 1].e.tolist()
+
+
+def test_edge_levels_under_the_forced_object_path(monkeypatch):
+    params = GenParams(mode="by-nodes", p=8, mu=0.3, seed=77, n=150)
+    want = [E.tolist() for E in an._edge_levels(generate_network(params))]
+    monkeypatch.setattr(an, "_INT64_SAFE_NODES", 0)
+    m = generate_network(params)
+    aggs = an.cluster_aggregates(m)
+    # the edge tier stays int64; the pattern tier carries E on object arrays
+    assert [E.tolist() for E in an._edge_levels(m)] == want
+    assert all(a.e.dtype == object for a in aggs)
+    assert [a.e.tolist() for a in aggs] == want
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(mode="by-nodes", p=4, mu=0.3, seed=11, n=400),
+    GenParams(mode="by-nodes", p=8, mu=0.2, seed=5, n=300),
+], ids=repr)
+def test_edge_tier_readers_run_no_pattern_pass(params):
+    m = generate_network(params)
+    g = oracle.expand(m)
+    n = m.shape.n
+    assert an.edge_count(m) == g.bf_edges()
+    assert [an.triangles_at_node(m, x) for x in range(1, n + 1)] == [
+        g.bf_triangles_at(x) for x in range(1, n + 1)]
+    assert [an.clustering_coefficient(m, x) for x in range(1, n + 1)] == pytest.approx(
+        [g.bf_clustering(x) for x in range(1, n + 1)], abs=1e-12)
+    assert an.node_degrees(m).tolist() == g.bf_degrees().tolist()
+    assert m._aggregates is None
+
+
 # -- engine dtype strategy ---------------------------------------------------
 
 
@@ -308,9 +362,11 @@ def _assert_root_on_object_arrays(m):
 def test_complete_graph_past_the_int64_switch():
     # mu=0 sets every bit: K_N
     m = generate_network(GenParams(mode="regular", p=3, mu=0.0, seed=1, gamma=10))
-    _assert_root_on_object_arrays(m)
     n = m.shape.n
+    # the edge tier alone gives the count, before any pattern pass
     assert an.edge_count(m) == math.comb(n, 2)
+    assert m._aggregates is None
+    _assert_root_on_object_arrays(m)
     assert an.wedge_count(m) == n * math.comb(n - 1, 2)
     assert an.triangle_count(m) == math.comb(n, 3)
     assert an.four_cycle_count(m) == 3 * math.comb(n, 4)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hiernet.analytics as an
 from hiernet import ensemble, gen
 from hiernet.cli import main
 from hiernet.core import deserialize, validate
@@ -34,6 +35,20 @@ def test_generate_writes_valid_file(tmp_path, capsys):
     assert line.startswith("n=30 gamma=") and "edges=" in line
     model = deserialize(out.read_text())
     assert validate(model) == [] and model.shape.n == 30
+
+
+def test_generate_and_node_queries_run_no_pattern_pass(tmp_path, monkeypatch):
+    def refuse(model):
+        raise AssertionError("the pattern pass ran")
+
+    monkeypatch.setattr(an, "_compute_aggregates", refuse)
+    out = tmp_path / "net.bhnet"
+    assert main(["generate", "--nodes", "30", "--p", "3", "--mu", "0.5",
+                 "--seed", "7", "--out", str(out)]) == 0
+    assert main(["analyze", "--input", str(out), "--node", "5",
+                 "--props", "degree,c3,clustering"]) == 0
+    assert main(["analyze", "--input", str(out),
+                 "--props", "edges,degree-dist,clustering-dist"]) == 0
 
 
 def test_generate_regular_node_count(tmp_path, capsys):

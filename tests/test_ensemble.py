@@ -30,8 +30,12 @@ def test_spec_validation():
         EnsembleSpec(params=PARAMS, copies=3, properties=())
     with pytest.raises(ParamError):
         EnsembleSpec(params=PARAMS, copies=3, properties=("edges", "girth"))
-    with pytest.raises(ParamError):
-        run_ensemble(ALL_SPEC, workers=0)
+    for copies in (None, "x", 2.5):
+        with pytest.raises(ParamError):
+            EnsembleSpec(params=PARAMS, copies=copies, properties=("edges",))
+    for workers in (0, None, "x", 1.5):
+        with pytest.raises(ParamError):
+            run_ensemble(ALL_SPEC, workers=workers)
 
 
 def test_copies_use_derived_streams():

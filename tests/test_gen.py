@@ -78,10 +78,13 @@ def test_params_validation():
     assert (params.p, params.seed, params.n) == (3, 7, 10)
     assert all(type(v) is int for v in (params.p, params.seed, params.n))
     assert GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=np.int32(2)).gamma == 2
+    for seed, stream in ((-1, 0), (0, -2), (1.5, 0), (1, 0.5), ("1", 0), (None, 0), (1, None)):
+        with pytest.raises(ParamError):
+            RngStream(seed, stream)
     with pytest.raises(ParamError):
-        RngStream(-1)
-    with pytest.raises(ParamError):
-        RngStream(0, -2)
+        generate_network(GenParams(mode="by-nodes", p=3, mu=0.5, seed=1, n=10), stream=1.5)
+    # an integral float draws the same stream as its int
+    assert list(RngStream(42.0, np.int64(1)).integers(3, 8)) == list(RngStream(42, 1).integers(3, 8))
 
 
 # -- scripted shape traces ---------------------------------------------------
