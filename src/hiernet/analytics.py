@@ -49,6 +49,13 @@ on to the first ancestor that links the chain sideways (distance 2), and
 searches that one child graph only when there is none: O(gamma * p +
 p**2), with no whole-network pass.
 
+The whole-network passes accept a root level of k >= 1 clusters: a forest
+of k copies side by side, which an ensemble builds to run each pass once
+for many small copies.  The passes start from k roots, the distance scan
+keeps a histogram row and a component list per root, and the `_root_*`
+readers give each statistic one value per root, in root order.  A model
+read from a file or generated has one root.
+
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
 holds at most 40000 nodes run vectorised int64: every product is bounded by
@@ -98,6 +105,9 @@ _INT64_SAFE_NODES = 40_000
 # a row block's (c, c, rows) tensor holds at most this many entries, so the
 # tensor of one vertex within the child-count limit always fits one block
 _BLOCK_ENTRIES = MAX_CHILDREN ** 2
+# a forest of ensemble copies takes smaller row blocks: its clusters are
+# small and many, and a worker's peak memory grows with the block
+_FOREST_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -152,14 +162,16 @@ def _level_groups(shape, g: int):
     """Yield (c, sel, child_idx) row blocks of level-g clusters with c children.
 
     `sel` are 0-based cluster indices with count c, at most
-    _BLOCK_ENTRIES // c**2 of them (at least one); `child_idx` is the
-    (c, len(sel)) matrix of their children's 0-based indices in level g-1.
+    _BLOCK_ENTRIES // c**2 of them (at least one), or _FOREST_BLOCK_ENTRIES
+    // c**2 in a forest; `child_idx` is the (c, len(sel)) matrix of their
+    children's 0-based indices in level g-1.
     """
     counts = shape.counts_at(g)
     starts = shape.child_start_at(g)
+    entries = _BLOCK_ENTRIES if shape.n_clusters(shape.gamma) == 1 else _FOREST_BLOCK_ENTRIES
     # counts are at most MAX_CHILDREN, so a bincount finds them in one pass
     for c in np.flatnonzero(np.bincount(counts)).tolist():
-        rows = max(1, _BLOCK_ENTRIES // (c * c))
+        rows = max(1, entries // (c * c))
         every = np.nonzero(counts == c)[0]
         for lo in range(0, len(every), rows):
             sel = every[lo:lo + rows]
@@ -276,14 +288,16 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
 def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     """Aggregates of every internal level, bottom-up; cached on the model."""
     if model._aggregates is None:
-        model._aggregates = _compute_aggregates(model)
+        model._aggregates = tuple(_pattern_levels(model))
     return model._aggregates
 
 
-def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
-    """The pattern tier: wedges, triangles and four-cycles over the edge tier's E."""
+def _pattern_levels(model: NetworkModel):
+    """The pattern tier, level by level: wedges, triangles and four-cycles over the edge tier's E.
+
+    Holds only the level below while it builds the next one.
+    """
     shape, links = model.shape, model.links
-    out: list[ClusterAggregates] = []
     prev: ClusterAggregates | None = None  # level below; None means leaves
     for g, E in enumerate(_edge_levels(model), start=1):
         sizes = shape.sizes_at(g)
@@ -310,10 +324,8 @@ def _compute_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
                     )
             A = _adjacency(links, g, sel, c)
             P2[sel], C3[sel], C4[sel] = _merge_children(A, Vm, Em, P2m, C3m, C4m)
-        agg = ClusterAggregates(v=V, e=E, p2=P2, c3=C3, c4=C4)
-        out.append(agg)
-        prev = agg
-    return tuple(out)
+        prev = ClusterAggregates(v=V, e=E, p2=P2, c3=C3, c4=C4)
+        yield prev
 
 
 def _merge_children(A, V, E, P2, C3, C4):
@@ -342,22 +354,26 @@ def _merge_children(A, V, E, P2, C3, C4):
     V2 = V * V
     C2V = _comb2(V)
     W, WE, AV2, AC2V = _link_sums(A, np.stack([V, E, V2, C2V]))
-    # linked sibling pairs of each child, weighted Vj*Vk and counted twice: <= S**2
-    sib_pairs = W * W - AV2
+    WW = W * W
     # a triangle needs three children and a ring four, so smaller blocks skip them
     tri = rings = 0
     if c >= 3:
         K = _walks(A, V)
         tri = _triangle_walks(K, V, A)  # E*tri <= S**4 / 2
-    if c >= 4:
-        # sum V**2*A.V**2 <= S**4; 2*sum V**2*W**2 <= 2*S**4
-        rings = (_ring_walks(K, V) + (V2 * AV2).sum(axis=0) - 2 * (V2 * W * W).sum(axis=0)) // 8
+        if c >= 4:
+            # sum V**2*A.V**2 <= S**4; 2*sum V**2*W**2 <= 2*S**4
+            rings = (_ring_walks(K, V) + (V2 * AV2).sum(axis=0) - 2 * (V2 * WW).sum(axis=0)) // 8
+        del K
+    # the bowtie weight, in place: C(V,2) of the linked siblings plus their
+    # pairs, weighted Vj*Vk and counted twice (W**2 - A.V**2 <= S**2)
+    WW -= AV2
+    WW += AC2V
     p2 = P2.sum(axis=0) + (2 * E * W + V * _comb2(W)).sum(axis=0)
     c3 = C3.sum(axis=0) + (E * W).sum(axis=0) + (V * tri).sum(axis=0) // 6
     c4 = (
         C4.sum(axis=0)
         + (P2 * W + E * WE + E * tri).sum(axis=0)
-        + (C2V * (AC2V + sib_pairs)).sum(axis=0) // 2
+        + (C2V * WW).sum(axis=0) // 2
         + rings
     )
     return p2, c3, c4
@@ -469,37 +485,39 @@ def clustering_coefficient(model: NetworkModel, x: int) -> float:
 def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """(degrees, triangles through each node) for all nodes, top-down.
 
-    Carries three per-chain accumulators down the tree: the flat terms
-    (linked siblings' edges plus the two-sibling products, half the
-    triangle walks), the degree, and the sum of squared per-level degree
-    increments; triangles then follow from S1 + (deg**2 - sumsq) / 2,
-    because the cross products of increments from two different levels are
-    exactly the degree-times-new-weight terms.  V <= N <= 2**27 and the
-    edge tier's E < 2**53, so the walks (<= N**2) and squares fit int64.
+    Carries two per-chain accumulators down the tree: the degree, and twice
+    the flat terms (linked siblings' edges plus the two-sibling products,
+    half the triangle walks) less the sum of squared per-level degree
+    increments.  Triangles then follow from (deg**2 + that) / 2, because
+    the cross products of increments from two different levels are exactly
+    the degree-times-new-weight terms.  The passes start from one cluster
+    per root.  V <= N <= 2**27 and the edge tier's E < 2**53, so the walks
+    (<= N**2), the squares and twice the edges fit int64.
     """
     if model._node_passes is not None:
         return model._node_passes
     shape = model.shape
     edges = _edge_levels(model)
-    S1 = np.zeros(1, np.int64)
-    D = np.zeros(1, np.int64)
-    Q = np.zeros(1, np.int64)
+    roots = shape.n_clusters(shape.gamma)
+    F = np.zeros(roots, np.int64)
+    D = np.zeros(roots, np.int64)
     for g in range(shape.gamma, 0, -1):
         width = shape.n_clusters(g - 1)
-        S1n = np.empty(width, np.int64)
+        Fn = np.empty(width, np.int64)
         Dn = np.empty(width, np.int64)
-        Qn = np.empty(width, np.int64)
         for c, sel, idx in _level_groups(shape, g):
             Vm = _child_sizes(shape, g, idx)
             Em = np.zeros_like(Vm) if g == 1 else edges[g - 2][idx]
             A = _adjacency(model.links, g, sel, c)
             W, WE = _link_sums(A, np.stack([Vm, Em]))
-            tri = _triangle_walks(_walks(A, Vm), Vm, A) // 2 if c >= 3 else 0
-            S1n[idx] = S1[sel] + WE + tri
+            tri = _triangle_walks(_walks(A, Vm), Vm, A) if c >= 3 else 0
+            Fn[idx] = F[sel] + 2 * WE + tri - W * W
             Dn[idx] = D[sel] + W
-            Qn[idx] = Q[sel] + W * W
-        S1, D, Q = S1n, Dn, Qn
-    T = S1 + (D * D - Q) // 2
+        F, D = Fn, Dn
+    # T = (D**2 + F) / 2 in place, the one array beside the two
+    T = np.multiply(D, D)
+    T += F
+    T //= 2
     D.flags.writeable = False
     T.flags.writeable = False
     model._node_passes = (D, T)
@@ -523,7 +541,11 @@ def degree_distribution(model: NetworkModel) -> Histogram:
 
 def clustering_values(model: NetworkModel) -> np.ndarray:
     """Clustering coefficient of every node, in node order (float64)."""
-    d, t = _per_node_passes(model)
+    return _clustering(*_per_node_passes(model))
+
+
+def _clustering(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 * t / (d * (d - 1)) per node, 0 where d < 2."""
     denom = d.astype(np.float64) * (d - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(d >= 2, 2.0 * t / np.where(denom > 0, denom, 1.0), 0.0)
@@ -600,7 +622,7 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
 
 
 def _free_scan(model: NetworkModel):
-    """(distance histogram, unreachable pairs, component sizes), one pass over clusters.
+    """(distance histograms, component sizes) of every root, one pass over clusters.
 
     Walks the levels top-down.  A cluster is exited when its parent is, or
     when its row of the bool adjacency built for the parent has a set bit.
@@ -610,17 +632,26 @@ def _free_scan(model: NetworkModel):
     run the child-graph BFS, and its reach also names the components:
     linked children of a cluster none of whose ancestors link it further
     form one component, counted at the group's first child, and a node
-    whose whole chain stays unlinked is one on its own.  The model caches
-    these sums only, never a reach tensor or the flags.
+    whose whole chain stays unlinked is one on its own.
+
+    Row r of the (roots, MAX_CHILDREN + 1) histogram counts root r's pairs
+    by distance, its last bucket the unreachable ones; a block of a forest
+    adds into its roots' rows through a flat index offset.  The component
+    sizes come as one descending array per root.  The model caches these
+    sums only, never a reach tensor or the flags.
     """
     if model._free_scan is not None:
         return model._free_scan
     shape = model.shape
+    ends = _root_ends(shape)
+    roots = len(ends)
     # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket,
     # where -1 lands, is free to collect the unreachable pairs
-    hist = np.zeros(MAX_CHILDREN + 1, np.int64)
+    width = MAX_CHILDREN + 1
+    hist = np.zeros(roots * width, np.int64)
     groups: list[np.ndarray] = []
-    ex = np.zeros(1, dtype=bool)  # the root has no ancestor
+    group_roots: list[np.ndarray] = []
+    ex = np.zeros(shape.n_clusters(shape.gamma), dtype=bool)  # a root has no ancestor
     for g in range(shape.gamma, 0, -1):
         exn = np.empty(shape.n_clusters(g - 1), dtype=bool)
         for c, sel, idx in _level_groups(shape, g):
@@ -633,6 +664,7 @@ def _free_scan(model: NetworkModel):
             iu, ju = _child_pairs(c)
             d = np.where(A[iu, ju], 1, 2)
             free = np.nonzero(~ex[sel])[0]
+            root = ends.searchsorted(shape.leaf_cum_at(g)[sel]) if roots > 1 else None
             if len(free):
                 dist = _child_reach(A[:, :, free])
                 d[:, free] = dist[iu, ju]
@@ -640,30 +672,90 @@ def _free_scan(model: NetworkModel):
                 # a group counts once, at its first child, if it has two or more
                 lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
                 groups.append((R * Vm[:, free]).sum(axis=1)[lead])
+                if root is not None:
+                    group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
+            if root is not None:
+                # unreachable pairs go to the last bucket of their own root's row
+                d = np.where(d < 0, width - 1, d) + root * width
             np.add.at(hist, d, Vm[iu] * Vm[ju])
         ex = exn
-    groups.append(np.ones(int((~ex).sum()), np.int64))
+    lone = ~ex  # the nodes whose whole chain stays unlinked
+    groups.append(np.ones(int(lone.sum()), np.int64))
     sizes = np.concatenate(groups)
-    sizes[::-1].sort()
-    model._free_scan = (hist[:-1], int(hist[-1]), sizes)
+    if roots == 1:
+        sizes[::-1].sort()
+        per_root = [sizes]
+    else:
+        group_roots.append(ends.searchsorted(np.flatnonzero(lone) + 1))
+        owner = np.concatenate(group_roots)
+        sizes = sizes[np.lexsort((-sizes, owner))]
+        per_root = np.split(sizes, np.cumsum(np.bincount(owner, minlength=roots))[:-1])
+    model._free_scan = (hist.reshape(roots, width), per_root)
     return model._free_scan
 
 
 def distance_distribution(model: NetworkModel) -> Histogram:
     """Histogram over all N(N-1)/2 node pairs, disconnected ones bucketed apart."""
-    hist, unreachable, _ = _free_scan(model)
-    return Histogram(
-        tuple((k, int(hist[k])) for k in np.nonzero(hist)[0].tolist()),
-        unreachable=unreachable,
-    )
+    return _root_distance_distributions(model)[0]
 
 
 def diameter(model: NetworkModel) -> int:
     """Largest finite pairwise distance; 0 when no pair is connected."""
-    ks = np.nonzero(_free_scan(model)[0])[0]
-    return int(ks[-1]) if len(ks) else 0
+    return _diameter(distance_distribution(model))
 
 
 def component_sizes(model: NetworkModel) -> list[int]:
     """Connected component sizes, descending."""
-    return _free_scan(model)[2].tolist()
+    return _root_component_sizes(model)[0].tolist()
+
+
+# -- per root: one value per root of a forest, in root order; a model has one
+
+
+def _root_ends(shape) -> np.ndarray:
+    """One past the last node of each root, 0-based: a forest's copy offsets."""
+    return shape.leaf_cum_at(shape.gamma) if shape.gamma else np.ones(1, np.int64)
+
+
+def _per_root(model: NetworkModel, values: np.ndarray) -> list[np.ndarray]:
+    """A per-node array cut into each root's slice, as views."""
+    return np.split(values, _root_ends(model.shape)[:-1])
+
+
+def _root_values(model: NetworkModel, field: str) -> list[int]:
+    """The top-level aggregate `field` ("e", "p2", "c3" or "c4") of each root."""
+    shape = model.shape
+    if shape.gamma == 0:
+        return [0]
+    if field == "e":
+        return _edge_levels(model)[-1].tolist()
+    if model._aggregates is None and shape.n_clusters(shape.gamma) > 1:
+        # a forest caches its top level alone: ensembles read nothing below it
+        for top in _pattern_levels(model):
+            pass
+        model._aggregates = (top,)
+    return getattr(cluster_aggregates(model)[-1], field).tolist()
+
+
+def _root_clustering_values(model: NetworkModel):
+    """Each root's clustering coefficients, one root's slice at a time."""
+    d, t = _per_node_passes(model)
+    return map(_clustering, _per_root(model, d), _per_root(model, t))
+
+
+def _root_distance_distributions(model: NetworkModel) -> list[Histogram]:
+    return [
+        Histogram(tuple((k, int(row[k])) for k in np.nonzero(row[:-1])[0].tolist()),
+                  unreachable=int(row[-1]))
+        for row in _free_scan(model)[0]
+    ]
+
+
+def _root_component_sizes(model: NetworkModel) -> list[np.ndarray]:
+    """Each root's component sizes, descending."""
+    return _free_scan(model)[1]
+
+
+def _diameter(h: Histogram) -> int:
+    """Largest finite distance of a distance histogram; 0 when it has none."""
+    return h.counts[-1][0] if h.counts else 0

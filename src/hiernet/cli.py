@@ -37,8 +37,15 @@ from .ensemble import (
 )
 from . import __version__
 
+
+def _one_root(prop):
+    # a network property gives one value per root, and a model read from a file has one
+    return lambda model: prop(model)[0]
+
+
 # what `analyze` reports: of the whole network, or with --node of one node
-_NETWORK_OPS = {**PROPERTY_TABLE, "wedges": _an.wedge_count}
+_NETWORK_OPS = {**{name: _one_root(prop) for name, prop in PROPERTY_TABLE.items()},
+                "wedges": _an.wedge_count}
 _NODE_OPS = {
     "degree": _an.node_degree,
     "c3": _an.triangles_at_node,

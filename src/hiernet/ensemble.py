@@ -6,6 +6,18 @@ properties per copy, and reduces them in copy order.  Results are
 therefore a pure function of (params, copies, properties); the worker
 count only changes wall time, never a byte of output.
 
+Most of a small copy's cost is fixed per-level work, not arithmetic, so
+copies are measured in stacks.  Each worker process takes one contiguous
+range of copies and generates them one at a time, each on its own stream.
+It gathers them into a stack until the next copy would take the stack past
+_FOREST_NODES nodes, then lays the stack's copies side by side as one
+forest: a model whose root level holds one cluster per copy, every copy
+padded up to the deepest one with one-child vertices that carry no bits.
+Every analytics pass then runs once per stack, and each property comes
+back one value per root, that is, per copy.  A stack of one copy runs on
+the copy's own model.  The values are exactly those of `run_copy`, so the
+report's bytes depend neither on the worker count nor on the stacking.
+
 Scalar properties keep every per-copy value plus mean/std/min/max;
 histogram-valued properties keep per-copy histograms plus the per-value
 mean count across copies.  Counts stay exact integers all the way to the
@@ -19,23 +31,23 @@ import io
 import json
 import math
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .core import HiernetError, NetworkModel, ParamError
+from .core import HiernetError, HierarchyShape, LinkTable, NetworkModel, ParamError
 from .gen import GenParams, _is_integer, generate_network
 from .analytics import (
-    clustering_values,
-    component_sizes,
-    degree_distribution,
-    diameter,
-    distance_distribution,
-    edge_count,
-    four_cycle_count,
-    triangle_count,
+    _diameter,
+    _per_root,
+    _root_clustering_values,
+    _root_component_sizes,
+    _root_distance_distributions,
+    _root_values,
+    node_degrees,
 )
 
 __all__ = [
@@ -55,8 +67,11 @@ __all__ = [
 
 _UNREACHABLE = "unreachable"
 
-# resource guard: the copy list is built up front, one entry per copy
+# resource guard: every copy's values are held until the report is built
 MAX_COPIES = 10**6
+# a stack takes copies until the next would take it past this many nodes;
+# a stack's working set, and so a worker's peak memory, grows with it
+_FOREST_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,41 +100,45 @@ def check_properties(names, valid, kind: str = "property") -> tuple[str, ...]:
     return names
 
 
-def _clustering_histogram(model: NetworkModel) -> dict:
+def _value_counts(values: np.ndarray) -> dict:
+    uniq, cnt = np.unique(values, return_counts=True)
+    return {int(v): int(c) for v, c in zip(uniq, cnt)}
+
+
+def _clustering_histogram(vals: np.ndarray) -> dict:
     """Counts over 0.01-wide bins of the clustering coefficient, keyed by bin start."""
-    vals = clustering_values(model)
     bins = np.floor(vals * 100 + 1e-9).astype(np.int64)
     uniq, cnt = np.unique(bins, return_counts=True)
     return {f"{b / 100:.2f}": int(c) for b, c in zip(uniq, cnt)}
 
 
-def _distance_histogram(model: NetworkModel) -> dict:
-    h = distance_distribution(model)
-    return {**h.as_dict(), _UNREACHABLE: h.unreachable}
+def _top(field: str):
+    return lambda model: _root_values(model, field)
 
 
-def _component_histogram(model: NetworkModel) -> dict:
-    uniq, cnt = np.unique(np.array(component_sizes(model), dtype=np.int64), return_counts=True)
-    return {int(s): int(c) for s, c in zip(uniq, cnt)}
-
-
-# every network property, in report order: an int or a histogram dict of a model
+# every network property, in report order: a function of a model giving one
+# int or histogram dict per root, so a model gives one value and a forest
+# of copies one per copy
 PROPERTY_TABLE = {
-    "edges": edge_count,
-    "c3": triangle_count,
-    "c4": four_cycle_count,
-    "degree-dist": lambda model: degree_distribution(model).as_dict(),
-    "distance-dist": _distance_histogram,
-    "components": _component_histogram,
-    "diameter": diameter,
-    "clustering-dist": _clustering_histogram,
+    "edges": _top("e"),
+    "c3": _top("c3"),
+    "c4": _top("c4"),
+    "degree-dist": lambda model: [_value_counts(d) for d in _per_root(model, node_degrees(model))],
+    "distance-dist": lambda model: [
+        {**h.as_dict(), _UNREACHABLE: h.unreachable} for h in _root_distance_distributions(model)
+    ],
+    "components": lambda model: [_value_counts(s) for s in _root_component_sizes(model)],
+    "diameter": lambda model: [_diameter(h) for h in _root_distance_distributions(model)],
+    "clustering-dist": lambda model: [
+        _clustering_histogram(v) for v in _root_clustering_values(model)
+    ],
 }
 PROPERTIES = tuple(PROPERTY_TABLE)
 
 
 def compute_properties(model: NetworkModel, properties) -> dict:
     """Requested property values of one network, keyed by property name."""
-    return {name: PROPERTY_TABLE[name](model)
+    return {name: PROPERTY_TABLE[name](model)[0]
             for name in check_properties(properties, PROPERTIES)}
 
 
@@ -129,15 +148,91 @@ def run_copy(params: GenParams, copy: int, properties) -> dict:
     return compute_properties(model, properties)
 
 
-def _copy_worker(args):
-    # module-level so process pools can pickle it
-    params, copy, properties = args
+# -- stacks ------------------------------------------------------------------
+
+# the (child counts, flat bits, bit counts) of a one-child vertex, which has no bits
+_PAD_LEVEL = (np.ones(1, np.int64), np.zeros(0, np.uint8), np.zeros(1, np.int64))
+
+
+def _levels(model: NetworkModel) -> list[tuple]:
+    """(child counts, flat bits, bit counts) of each level of a model."""
+    shape, links = model.shape, model.links
+    return [(shape.counts_at(g), links.flat_at(g), links.nbits_at(g))
+            for g in range(1, shape.gamma + 1)]
+
+
+def _forest(p: int, copies: list[list[tuple]]) -> NetworkModel:
+    """The copies' levels side by side, one root per copy, as one model.
+
+    Each copy is padded to the deepest copy's level count, and to at least
+    one level, with one-child vertices that carry no bits; such a vertex
+    adds nothing to any pass.  The forest is never validated or serialized.
+    """
+    gamma = max(1, *map(len, copies))
+    counts, flats, nbits = [], [], []
+    for g in range(gamma):
+        level = [levels[g] if g < len(levels) else _PAD_LEVEL for levels in copies]
+        for out, parts in zip((counts, flats, nbits), zip(*level)):
+            out.append(np.concatenate(parts))
+    return NetworkModel(HierarchyShape(p, counts), LinkTable(flats, nbits))
+
+
+def _generated(params: GenParams, copy: int) -> NetworkModel:
     try:
-        return run_copy(params, copy, properties)
+        return generate_network(params, stream=copy)
     except Exception as exc:  # noqa: BLE001 - reported with copy provenance below
         raise HiernetError(
             f"copy {copy} (seed={params.seed}, stream={copy}) failed: {exc}"
         ) from exc
+
+
+def _stacks(params: GenParams, first: int, last: int):
+    """Copies first..last in stacks: yields (first copy, copy count, model) per stack.
+
+    A stack holds copies while they fit in _FOREST_NODES nodes, or one copy
+    larger than that.  The model is the forest of the stack's copies, or a
+    lone copy's own model.  Each copy is generated on its own stream and
+    kept as its levels alone until its stack is full; the levels are let go
+    before the stack is measured.
+    """
+    stack: list = []
+    nodes = 0
+    solo = None  # the first copy's own model, while it is alone in its stack
+    for copy in range(first, last + 2):  # the step past the last copy flushes the stack
+        model = _generated(params, copy) if copy <= last else None
+        if stack and (model is None or nodes + model.shape.n > _FOREST_NODES):
+            count = len(stack)
+            forest = solo if count == 1 else _forest(params.p, stack)
+            stack, nodes, solo = [], 0, None
+            yield copy - count, count, forest
+            forest = None
+        if model is not None:
+            solo = None if stack else model
+            stack.append(_levels(model))
+            nodes += model.shape.n
+            model = None
+
+
+def _range_worker(args) -> list[bytes]:
+    """Per-copy values of copies first..last, in copy order: one pickled list per stack.
+
+    Pickled, a copy's histograms take a tenth of the memory they take as
+    dicts, and a worker holds a whole range of them until it returns.
+    """
+    # module-level so process pools can pickle it
+    params, first, last, properties = args
+    out: list[bytes] = []
+    for lo, count, model in _stacks(params, first, last):
+        try:
+            values = [PROPERTY_TABLE[name](model) for name in properties]
+        except Exception as exc:  # noqa: BLE001 - reported with copy provenance below
+            hi = lo + count - 1
+            where = (f"copy {lo} (seed={params.seed}, stream={lo})" if count == 1 else
+                     f"copies {lo}-{hi} (seed={params.seed}, streams {lo}-{hi})")
+            raise HiernetError(f"{where} failed: {exc}") from exc
+        model = None
+        out.append(pickle.dumps([dict(zip(properties, per_copy)) for per_copy in zip(*values)]))
+    return out
 
 
 def _usable_cpus() -> int:
@@ -152,17 +247,22 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> dict:
 
     Copy order is the reduction order regardless of `workers`, so the
     report is byte-stable across parallelism degrees.  At most one process
-    per copy and per usable CPU is started, whatever `workers` asks for.
+    per copy and per usable CPU is started, whatever `workers` asks for,
+    and each takes one contiguous range of the copies.
     """
     if not _is_integer(workers) or workers < 1:
         raise ParamError(f"workers must be an integer >= 1, got {workers!r}")
     workers = min(int(workers), spec.copies, _usable_cpus())
-    jobs = [(spec.params, c, spec.properties) for c in range(1, spec.copies + 1)]
+    # one contiguous range of copies per worker, the first ones a copy longer
+    size, extra = divmod(spec.copies, workers)
+    cuts = [w * size + min(w, extra) for w in range(workers + 1)]
+    jobs = [(spec.params, lo + 1, hi, spec.properties) for lo, hi in zip(cuts, cuts[1:])]
     if workers == 1:
-        per_copy = [_copy_worker(j) for j in jobs]
+        per_range = [_range_worker(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_copy = list(pool.map(_copy_worker, jobs))
+            per_range = list(pool.map(_range_worker, jobs))
+    per_copy = [values for part in per_range for stack in part for values in pickle.loads(stack)]
     results = {}
     summary = {}
     for name in spec.properties:

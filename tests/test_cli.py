@@ -41,7 +41,7 @@ def test_generate_and_node_queries_run_no_pattern_pass(tmp_path, monkeypatch):
     def refuse(model):
         raise AssertionError("the pattern pass ran")
 
-    monkeypatch.setattr(an, "_compute_aggregates", refuse)
+    monkeypatch.setattr(an, "_pattern_levels", refuse)
     out = tmp_path / "net.bhnet"
     assert main(["generate", "--nodes", "30", "--p", "3", "--mu", "0.5",
                  "--seed", "7", "--out", str(out)]) == 0
@@ -225,7 +225,7 @@ def _refuse_copies(*args):
     ["--copies", "2", "--props", "edges", "--workers", "0"],
 ])
 def test_ensemble_bad_flags_are_one_line_errors(flags, monkeypatch, capsys):
-    monkeypatch.setattr(ensemble, "run_copy", _refuse_copies)
+    monkeypatch.setattr(ensemble, "generate_network", _refuse_copies)
     assert main(["ensemble", "--nodes", "10", "--p", "3", "--mu", "0.5", "--seed", "1",
                  *flags]) == 2
     err = capsys.readouterr().err

@@ -168,6 +168,78 @@ def test_failure_names_copy_and_stream(monkeypatch):
     assert "seed=314" in str(exc.value) and "stream=2" in str(exc.value)
 
 
+# one spec per kind of forest: zero-level copies, mixed level counts, the
+# other shape modes, every bit set and almost none
+STACK_PARAMS = {
+    "one-node": GenParams(mode="by-nodes", p=3, mu=0.5, seed=3, n=1),
+    "nodes-40": PARAMS,
+    "nodes-243": GenParams(mode="by-nodes", p=3, mu=0.8, seed=7, n=243),
+    "by-levels": GenParams(mode="by-levels", p=4, mu=0.3, seed=5, gamma=4),
+    "regular": GenParams(mode="regular", p=3, mu=0.5, seed=2, gamma=3),
+    "mu-0": GenParams(mode="by-nodes", p=3, mu=0.0, seed=8, n=30),
+    "mu-2": GenParams(mode="by-nodes", p=3, mu=2.0, seed=9, n=60),
+}
+
+
+@pytest.mark.parametrize("name", STACK_PARAMS)
+def test_stacks_equal_run_copy(name, monkeypatch):
+    params = STACK_PARAMS[name]
+    spec = EnsembleSpec(params=params, copies=5, properties=PROPERTIES)
+    sizes = [generate_network(params, stream=c).shape.n for c in range(1, 6)]
+    # one copy a stack; the first stack cut after two copies; one stack a range
+    budgets = (1, sum(sizes[:3]) - 1, 1 << 30)
+    want = [run_copy(params, c, PROPERTIES) for c in range(1, 6)]
+    outputs = set()
+    for budget in budgets:
+        monkeypatch.setattr(ensemble, "_FOREST_NODES", budget)
+        for workers in (1, 2):
+            r = run_ensemble(spec, workers=workers)
+            for prop in PROPERTIES:
+                assert r["results"][prop] == [w[prop] for w in want], (budget, workers, prop)
+            outputs.add((report_json(r), report_csv(r)))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("int64_safe", [40_000, 10])
+def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
+    # past int64_safe nodes a level runs on object arrays
+    monkeypatch.setattr(an, "_INT64_SAFE_NODES", int64_safe)
+    # copies of mixed depth, a zero-level one among them, so the forest pads
+    models = [generate_network(STACK_PARAMS["nodes-243"], stream=c) for c in range(1, 4)]
+    models.insert(1, generate_network(STACK_PARAMS["one-node"], stream=1))
+    assert len({m.shape.gamma for m in models}) == 3 and models[1].shape.gamma == 0
+    forest = ensemble._forest(3, [ensemble._levels(m) for m in models])
+    assert forest.shape.n_clusters(forest.shape.gamma) == len(models)
+    degrees = an._per_root(forest, an.node_degrees(forest))
+    triangles = an._per_root(forest, an.triangles_at_all_nodes(forest))
+    for j, m in enumerate(models):
+        for field, count in (("e", an.edge_count), ("p2", an.wedge_count),
+                             ("c3", an.triangle_count), ("c4", an.four_cycle_count)):
+            assert an._root_values(forest, field)[j] == count(m)
+        assert degrees[j].tolist() == an.node_degrees(m).tolist()
+        assert triangles[j].tolist() == an.triangles_at_all_nodes(m).tolist()
+        assert an._root_distance_distributions(forest)[j] == an.distance_distribution(m)
+        assert an._root_component_sizes(forest)[j].tolist() == an.component_sizes(m)
+
+
+@pytest.mark.parametrize("budget,where", [
+    (1 << 30, "copies 1-4 (seed=314, streams 1-4)"),
+    (1, "copy 1 (seed=314, stream=1)"),
+])
+def test_analysis_failure_names_copy_range(monkeypatch, budget, where):
+    from hiernet.core import HiernetError
+
+    def explode(model):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(ensemble, "_FOREST_NODES", budget)
+    monkeypatch.setattr(an, "_per_node_passes", explode)
+    spec = EnsembleSpec(params=PARAMS, copies=4, properties=("edges", "degree-dist"))
+    with pytest.raises(HiernetError) as exc:
+        run_ensemble(spec)
+    assert str(exc.value) == f"{where} failed: boom"
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs jobs in-process."""
 
