@@ -19,11 +19,16 @@ only `wedge_count`, `triangle_count` and `four_cycle_count` pay for it.
 `node_degree` and `distance` read neither tier.
 
 Every pass walks a level in row blocks of clusters sharing a child count
-c.  The edge tier gathers a block's bits as they lie; every other pass
-builds one (c, c, rows) tensor A of 0/1 child adjacency holding at most
-2**20 entries (a vertex has at most 2**10 children, so one cluster
-always fits), so a pass keeps a bounded working set however wide the
-level.  With V the children's node counts and dV = diag(V), three
+c, the same blocks for a model and for a forest.  The edge tier gathers a
+block's bits as they lie; every other pass builds one (c, c, rows) int64
+tensor A of 0/1 child adjacency holding 2**16 entries at most, or one
+cluster's c**2 past 2**8 children, so a pass keeps a bounded working set
+however wide the level.  The size trades memory against Python overhead:
+larger blocks raise the peak of deep, narrow levels (2**20 entries held
+116508 three-child clusters a block), smaller ones pay more per-block
+calls on wide child graphs.
+
+With V the children's node counts and dV = diag(V), three
 contractions of A give every per-level term: A.X (sums over linked
 siblings: W = A.V, WE = A.E, A.V**2, A.C(V,2)); diag(A.dV.A.dV.A) (each
 child's weighted triangles with two linked siblings, both orders); and
@@ -102,12 +107,8 @@ __all__ = [
 ]
 
 _INT64_SAFE_NODES = 40_000
-# a row block's (c, c, rows) tensor holds at most this many entries, so the
-# tensor of one vertex within the child-count limit always fits one block
-_BLOCK_ENTRIES = MAX_CHILDREN ** 2
-# a forest of ensemble copies takes smaller row blocks: its clusters are
-# small and many, and a worker's peak memory grows with the block
-_FOREST_BLOCK_ENTRIES = 1 << 15
+# entries of a row block's (c, c, rows) tensor, past one cluster's c**2
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,25 +163,23 @@ def _level_groups(shape, g: int):
     """Yield (c, sel, child_idx) row blocks of level-g clusters with c children.
 
     `sel` are 0-based cluster indices with count c, at most
-    _BLOCK_ENTRIES // c**2 of them (at least one), or _FOREST_BLOCK_ENTRIES
-    // c**2 in a forest; `child_idx` is the (c, len(sel)) matrix of their
-    children's 0-based indices in level g-1.
+    _BLOCK_ENTRIES // c**2 of them and at least one; `child_idx` is the
+    (c, len(sel)) matrix of their children's 0-based indices in level g-1.
     """
     counts = shape.counts_at(g)
     starts = shape.child_start_at(g)
-    entries = _BLOCK_ENTRIES if shape.n_clusters(shape.gamma) == 1 else _FOREST_BLOCK_ENTRIES
     # counts are at most MAX_CHILDREN, so a bincount finds them in one pass
     for c in np.flatnonzero(np.bincount(counts)).tolist():
-        rows = max(1, entries // (c * c))
+        rows = max(1, _BLOCK_ENTRIES // (c * c))
         every = np.nonzero(counts == c)[0]
         for lo in range(0, len(every), rows):
             sel = every[lo:lo + rows]
             yield c, sel, np.arange(c, dtype=np.int64)[:, None] + starts[sel]
 
 
-def _adjacency(links, g: int, sel: np.ndarray, c: int, dtype=np.int64) -> np.ndarray:
-    """(c, c, len(sel)) symmetric 0/1 child adjacency of level-g clusters `sel`."""
-    A = np.zeros((c, c, len(sel)), dtype)
+def _adjacency(links, g: int, sel: np.ndarray, c: int) -> np.ndarray:
+    """(c, c, len(sel)) symmetric 0/1 int64 child adjacency of level-g clusters `sel`."""
+    A = np.zeros((c, c, len(sel)), np.int64)
     if c > 1:
         iu, ju = _child_pairs(c)
         B = links.flat_at(g)[np.arange(len(iu))[:, None] + links.starts_at(g)[sel]]
@@ -227,7 +226,7 @@ def _child_reach(A: np.ndarray) -> np.ndarray:
     """Hop distances among the children of each cluster of a block; -1 unreachable.
 
     The oracle's frontier expansion (`ExpandedGraph.bf_all_distances`) run
-    on a (c, c, rows) boolean adjacency at once; the result is laid out
+    on a (c, c, rows) 0/1 adjacency at once; the result is laid out
     like A.  Each hop is one batched product, O(rows * c**3).
     """
     # numpy's boolean matmul skips BLAS; float32 products count at most
@@ -286,18 +285,14 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
 
 
 def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
-    """Aggregates of every internal level, bottom-up; cached on the model."""
-    if model._aggregates is None:
-        model._aggregates = tuple(_pattern_levels(model))
-    return model._aggregates
+    """The pattern tier: wedges, triangles and four-cycles of every level over the edge tier's E.
 
-
-def _pattern_levels(model: NetworkModel):
-    """The pattern tier, level by level: wedges, triangles and four-cycles over the edge tier's E.
-
-    Holds only the level below while it builds the next one.
+    Bottom-up, one entry per internal level; cached on the model.
     """
+    if model._aggregates is not None:
+        return model._aggregates
     shape, links = model.shape, model.links
+    out: list[ClusterAggregates] = []
     prev: ClusterAggregates | None = None  # level below; None means leaves
     for g, E in enumerate(_edge_levels(model), start=1):
         sizes = shape.sizes_at(g)
@@ -325,7 +320,9 @@ def _pattern_levels(model: NetworkModel):
             A = _adjacency(links, g, sel, c)
             P2[sel], C3[sel], C4[sel] = _merge_children(A, Vm, Em, P2m, C3m, C4m)
         prev = ClusterAggregates(v=V, e=E, p2=P2, c3=C3, c4=C4)
-        yield prev
+        out.append(prev)
+    model._aggregates = tuple(out)
+    return model._aggregates
 
 
 def _merge_children(A, V, E, P2, C3, C4):
@@ -625,7 +622,7 @@ def _free_scan(model: NetworkModel):
     """(distance histograms, component sizes) of every root, one pass over clusters.
 
     Walks the levels top-down.  A cluster is exited when its parent is, or
-    when its row of the bool adjacency built for the parent has a set bit.
+    when its row of the adjacency built for the parent has a set bit.
     The histogram weights each child pair by the product of its two subtree
     sizes; the weights sum to at most C(N, 2) < 2**53, exact in int64.
     Exited clusters take distances 1 and 2 from their bits.  Free clusters
@@ -635,10 +632,10 @@ def _free_scan(model: NetworkModel):
     whose whole chain stays unlinked is one on its own.
 
     Row r of the (roots, MAX_CHILDREN + 1) histogram counts root r's pairs
-    by distance, its last bucket the unreachable ones; a block of a forest
-    adds into its roots' rows through a flat index offset.  The component
-    sizes come as one descending array per root.  The model caches these
-    sums only, never a reach tensor or the flags.
+    by distance, its last bucket the unreachable ones; the component sizes
+    come as one descending array per root.  Only the root count forks the
+    scan: a forest's blocks add into their roots' rows by a flat offset and
+    sort sizes per root.  The model caches these sums only.
     """
     if model._free_scan is not None:
         return model._free_scan
@@ -658,11 +655,11 @@ def _free_scan(model: NetworkModel):
             if c < 2:
                 exn[idx] = ex[sel]
                 continue
-            A = _adjacency(model.links, g, sel, c, bool)
+            A = _adjacency(model.links, g, sel, c)
             exn[idx] = ex[sel] | A.any(axis=1)
             Vm = _child_sizes(shape, g, idx)
             iu, ju = _child_pairs(c)
-            d = np.where(A[iu, ju], 1, 2)
+            d = 2 - A[iu, ju]  # exited: 1 where linked, 2 through the outside
             free = np.nonzero(~ex[sel])[0]
             root = ends.searchsorted(shape.leaf_cum_at(g)[sel]) if roots > 1 else None
             if len(free):
@@ -723,17 +720,12 @@ def _per_root(model: NetworkModel, values: np.ndarray) -> list[np.ndarray]:
 
 
 def _root_values(model: NetworkModel, field: str) -> list[int]:
-    """The top-level aggregate `field` ("e", "p2", "c3" or "c4") of each root."""
+    """The top-level aggregate `field` ("e", "p2", "c3" or "c4") of each root, as cached."""
     shape = model.shape
     if shape.gamma == 0:
         return [0]
     if field == "e":
         return _edge_levels(model)[-1].tolist()
-    if model._aggregates is None and shape.n_clusters(shape.gamma) > 1:
-        # a forest caches its top level alone: ensembles read nothing below it
-        for top in _pattern_levels(model):
-            pass
-        model._aggregates = (top,)
     return getattr(cluster_aggregates(model)[-1], field).tolist()
 
 

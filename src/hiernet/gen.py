@@ -84,8 +84,8 @@ class GenParams:
     `mode` selects the shape algorithm: "by-nodes" fixes the node count n
     and lets the level count emerge, "by-levels" fixes gamma and lets n
     emerge, "regular" builds the deterministic p-ary shape with n = p**gamma.
-    `mu` >= 0 controls link density; mu = 0 joins every sub-cluster pair and
-    is kept as a diagnostic mode.
+    A finite `mu` >= 0 controls link density; mu = 0 joins every
+    sub-cluster pair and is kept as a diagnostic mode.
     """
 
     mode: str
@@ -107,8 +107,8 @@ class GenParams:
             object.__setattr__(self, name, int(value))
         if not 2 <= self.p <= MAX_NODES:
             raise ParamError(f"p must be an integer in 2..{MAX_NODES}, got {self.p!r}")
-        if not self.mu >= 0.0:
-            raise ParamError(f"mu must be >= 0, got {self.mu!r}")
+        if not 0.0 <= self.mu < np.inf:
+            raise ParamError(f"mu must be finite and >= 0, got {self.mu!r}")
         if self.seed < 0:
             raise ParamError("seed must be a non-negative integer")
         if self.mode == "by-nodes":
@@ -202,8 +202,8 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
     more than MAX_LINK_BITS bits, or with a vertex of more than
     MAX_CHILDREN children, is refused before anything is drawn.
     """
-    if not mu >= 0.0:
-        raise ParamError(f"mu must be >= 0, got {mu!r}")
+    if not 0.0 <= mu < np.inf:
+        raise ParamError(f"mu must be finite and >= 0, got {mu!r}")
     nbits_per_level = _link_bit_counts(shape)
     flats = []
     for g, nbits in enumerate(nbits_per_level, start=1):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiernet.analytics as an
-from hiernet import oracle
+from hiernet import ensemble, oracle
 from hiernet.core import (
     ClusterRef,
     HierarchyShape,
@@ -401,6 +402,51 @@ def test_root_only_bits_past_the_int64_switch():
     assert h.as_dict() == {1: 3 * s * s, 2: 3 * math.comb(s, 2)} and h.unreachable == 0
     assert an.diameter(m) == 2
     assert an.component_sizes(m) == [n]
+
+
+# -- row blocks ----------------------------------------------------------------
+
+# p=40 and p=400 draw vertices past 2**5 and 2**8 children, which take a
+# block of their own at 2**10 and at the default 2**16 entries
+_BLOCK_CORPUS = [
+    *(GenParams(mode="by-nodes", p=p, mu=0.5, seed=20260822, n=n)
+      for p in (2, 3, 5, 8) for n in (9, 64, 200)),
+    *(GenParams(mode="by-levels", p=p, mu=0.5, seed=20260822, gamma=g)
+      for p, g in ((2, 6), (4, 3), (6, 2))),
+    GenParams(mode="by-nodes", p=40, mu=0.2, seed=20260822, n=200),
+    GenParams(mode="by-nodes", p=400, mu=0.2, seed=20260822, n=600),
+]
+
+
+def _block_inputs(corpus):
+    """Fresh models, so no pass reads a cache: the corpus, then a forest of mixed depths."""
+    copies = [generate_network(GenParams(mode="by-nodes", p=3, mu=0.8, seed=7, n=n), stream=s)
+              for n, s in ((243, 1), (1, 1), (243, 2), (30, 3))]
+    assert len({m.shape.gamma for m in copies}) >= 3
+    forest = ensemble._forest(3, [ensemble._levels(m) for m in copies])
+    return [*map(generate_network, corpus), forest]
+
+
+def _every_pass(m):
+    hist, components = an._free_scan(m)
+    return (
+        [[getattr(a, f.name).tolist() for f in fields(a)] for a in an.cluster_aggregates(m)],
+        an.node_degrees(m).tolist(),
+        an.triangles_at_all_nodes(m).tolist(),
+        hist.tolist(),
+        [sizes.tolist() for sizes in components],
+    )
+
+
+@pytest.mark.parametrize("int64_safe", [40_000, 0])
+def test_results_do_not_depend_on_the_block_size(int64_safe, monkeypatch):
+    monkeypatch.setattr(an, "_INT64_SAFE_NODES", int64_safe)
+    # object einsums over the p=400 child graphs take seconds, so they run on int64 only
+    corpus = _BLOCK_CORPUS if int64_safe else _BLOCK_CORPUS[:-1]
+    want = [_every_pass(m) for m in _block_inputs(corpus)]
+    for entries in (1, 2**10, 2**20):
+        monkeypatch.setattr(an, "_BLOCK_ENTRIES", entries)
+        assert [_every_pass(m) for m in _block_inputs(corpus)] == want, entries
 
 
 # -- the widest child graphs --------------------------------------------------

@@ -41,7 +41,7 @@ def test_generate_and_node_queries_run_no_pattern_pass(tmp_path, monkeypatch):
     def refuse(model):
         raise AssertionError("the pattern pass ran")
 
-    monkeypatch.setattr(an, "_pattern_levels", refuse)
+    monkeypatch.setattr(an, "cluster_aggregates", refuse)
     out = tmp_path / "net.bhnet"
     assert main(["generate", "--nodes", "30", "--p", "3", "--mu", "0.5",
                  "--seed", "7", "--out", str(out)]) == 0
@@ -290,6 +290,8 @@ _ERROR_CASES = {
     "unknown-flag": (["--bogus"], 2),
     "generate-bad-value": (["generate", *_GEN[:4], "--mu", "x", "--seed", "1",
                             "--out", "{dir}/x.bhnet"], 2),
+    "generate-infinite-mu": (["generate", *_GEN[:4], "--mu", "inf", "--seed", "1",
+                              "--out", "{dir}/x.bhnet"], 2),
     "generate-missing-flag": (["generate", *_GEN[:6], "--out", "{dir}/x.bhnet"], 2),
     "generate-bad-param": (["generate", "--nodes", "5", "--p", "1", "--mu", "0.5",
                             "--seed", "1", "--out", "{dir}/x.bhnet"], 2),
@@ -309,6 +311,8 @@ _ERROR_CASES = {
     "analyze-missing-input": (["analyze", "--input", "{absent}", "--props", "edges"], 1),
     "analyze-not-bhnet": (["analyze", "--input", "{text}", "--props", "edges"], 1),
     "ensemble-bad-value": (["ensemble", *_GEN, "--copies", "x", "--props", "edges"], 2),
+    "ensemble-infinite-mu": (["ensemble", *_GEN[:4], "--mu", "inf", "--seed", "1",
+                              "--copies", "2", "--props", "edges"], 2),
     "ensemble-missing-flag": (["ensemble", *_GEN, "--props", "edges"], 2),
     "ensemble-unknown-prop": (["ensemble", *_GEN, "--copies", "2", "--props", "girth"], 2),
     "ensemble-node-prop": (["ensemble", *_GEN, "--copies", "2", "--props", "degree"], 2),

@@ -216,6 +216,8 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
         for field, count in (("e", an.edge_count), ("p2", an.wedge_count),
                              ("c3", an.triangle_count), ("c4", an.four_cycle_count)):
             assert an._root_values(forest, field)[j] == count(m)
+        # a forest caches every level, as any model does
+        assert len(an.cluster_aggregates(forest)) == forest.shape.gamma
         assert degrees[j].tolist() == an.node_degrees(m).tolist()
         assert triangles[j].tolist() == an.triangles_at_all_nodes(m).tolist()
         assert an._root_distance_distributions(forest)[j] == an.distance_distribution(m)

@@ -49,8 +49,11 @@ def test_params_validation():
         GenParams(mode="by-nodes", p=1, mu=0.5, seed=1, n=10)
     with pytest.raises(ParamError):
         GenParams(mode="by-nodes", p=3, mu=-0.1, seed=1, n=10)
-    with pytest.raises(ParamError):
-        GenParams(mode="by-nodes", p=3, mu=float("nan"), seed=1, n=10)
+    for mu in (float("nan"), float("inf")):
+        with pytest.raises(ParamError):
+            GenParams(mode="by-nodes", p=3, mu=mu, seed=1, n=10)
+        with pytest.raises(ParamError, match="mu"):
+            generate_links(HierarchyShape(2, [[2]]), mu, FakeStream())
     with pytest.raises(ParamError):
         GenParams(mode="by-nodes", p=3, mu=0.5, seed=-1, n=10)
     with pytest.raises(ParamError):
