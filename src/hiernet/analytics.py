@@ -19,14 +19,18 @@ only `wedge_count`, `triangle_count` and `four_cycle_count` pay for it.
 `node_degree` and `distance` read neither tier.
 
 Every pass walks a level in row blocks of clusters sharing a child count
-c, the same blocks for a model and for a forest.  The edge tier gathers a
-block's bits as they lie; every other pass builds one (c, c, rows) int64
-tensor A of 0/1 child adjacency holding 2**16 entries at most, or one
-cluster's c**2 past 2**8 children, so a pass keeps a bounded working set
-however wide the level.  The size trades memory against Python overhead:
-larger blocks raise the peak of deep, narrow levels (2**20 entries held
-116508 three-child clusters a block), smaller ones pay more per-block
-calls on wide child graphs.
+c, the same blocks for a model and for a forest.  `_level_groups` is the
+one reader of a block's layout: it gathers the children's indices, their
+node counts V (level 0 is the nodes, one each) and the block's bits B,
+one column per cluster, once for every pass.  The edge tier reads B as it
+lies and the distance scan reads its exited distances off it; every other
+pass builds one (c, c, rows) int64 tensor A of 0/1 child adjacency from
+B, holding 2**16 entries at most, or one cluster's c**2 past 2**8
+children, so a pass keeps a bounded working set however wide the level.
+The size trades memory against Python overhead: larger blocks raise the
+peak of deep, narrow levels (2**20 entries held 116508 three-child
+clusters a block), smaller ones pay more per-block calls on wide child
+graphs.
 
 With V the children's node counts and dV = diag(V), three
 contractions of A give every per-level term: A.X (sums over linked
@@ -77,8 +81,8 @@ import numpy as np
 from .core import (
     MAX_CHILDREN,
     ClusterRef,
-    InvalidRefError,
     NetworkModel,
+    checked_cluster,
     checked_node,
     child_pair_offsets,
     node_climb,
@@ -159,30 +163,34 @@ def _object_array(arr: np.ndarray) -> np.ndarray:
 # contiguous in every contraction below.
 
 
-def _level_groups(shape, g: int):
-    """Yield (c, sel, child_idx) row blocks of level-g clusters with c children.
+def _level_groups(model: NetworkModel, g: int):
+    """Yield (c, sel, idx, V, B) row blocks of level-g clusters with c children.
 
     `sel` are 0-based cluster indices with count c, at most
-    _BLOCK_ENTRIES // c**2 of them and at least one; `child_idx` is the
-    (c, len(sel)) matrix of their children's 0-based indices in level g-1.
+    _BLOCK_ENTRIES // c**2 of them and at least one; `idx` is the
+    (c, len(sel)) matrix of their children's 0-based indices in level g-1,
+    V the children's node counts (int64, laid out like idx) and B the
+    clusters' bits, (c(c-1)/2, len(sel)) uint8 in pair order.
     """
-    counts = shape.counts_at(g)
-    starts = shape.child_start_at(g)
+    shape, links = model.shape, model.links
+    counts, starts, sizes = shape.counts_at(g), shape.child_start_at(g), shape.sizes_at(g - 1)
+    flat, offsets = links.flat_at(g), links.starts_at(g)
     # counts are at most MAX_CHILDREN, so a bincount finds them in one pass
     for c in np.flatnonzero(np.bincount(counts)).tolist():
         rows = max(1, _BLOCK_ENTRIES // (c * c))
         every = np.nonzero(counts == c)[0]
+        pairs = np.arange(c * (c - 1) // 2)[:, None]
         for lo in range(0, len(every), rows):
             sel = every[lo:lo + rows]
-            yield c, sel, np.arange(c, dtype=np.int64)[:, None] + starts[sel]
+            idx = np.arange(c, dtype=np.int64)[:, None] + starts[sel]
+            yield c, sel, idx, sizes[idx], flat[pairs + offsets[sel]]
 
 
-def _adjacency(links, g: int, sel: np.ndarray, c: int) -> np.ndarray:
-    """(c, c, len(sel)) symmetric 0/1 int64 child adjacency of level-g clusters `sel`."""
-    A = np.zeros((c, c, len(sel)), np.int64)
+def _adjacency(B: np.ndarray, c: int) -> np.ndarray:
+    """(c, c, rows) symmetric 0/1 int64 child adjacency of a block's bits B."""
+    A = np.zeros((c, c, B.shape[1]), np.int64)
     if c > 1:
         iu, ju = _child_pairs(c)
-        B = links.flat_at(g)[np.arange(len(iu))[:, None] + links.starts_at(g)[sel]]
         A[iu, ju] = B
         A[ju, iu] = B
     return A
@@ -191,11 +199,6 @@ def _adjacency(links, g: int, sel: np.ndarray, c: int) -> np.ndarray:
 def _child_pairs(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each child pair i < j, in the bit order of pair_index."""
     return np.nonzero(np.arange(c)[:, None] < np.arange(c))
-
-
-def _child_sizes(shape, g: int, idx: np.ndarray) -> np.ndarray:
-    """Node counts of the level g-1 clusters at `idx`, int64; ones for leaves."""
-    return np.ones(idx.shape, np.int64) if g == 1 else shape.sizes_at(g - 1)[idx]
 
 
 # The contractions, exact on int64 and on object values.  A is (c, c, rows)
@@ -255,28 +258,25 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
 
     The edge tier: level 1 counts each cluster's set bits; every level above
     sums its children's edges, then adds V_i * V_j for every set bit of a
-    (c, sel) row block, gathered straight from the flat bits with no
-    adjacency tensor.  E < C(2**27, 2) < 2**53, so int64 is exact on every
-    level.  Cached on the model.
+    row block, read off its bits B with no adjacency tensor.  E < C(2**27,
+    2) < 2**53, so int64 is exact on every level.  Cached on the model.
     """
     if model._edges is None:
-        shape, links = model.shape, model.links
+        shape = model.shape
         out = []
         for g in range(1, shape.gamma + 1):
-            flat, starts = links.flat_at(g), links.starts_at(g)
             if g == 1:
                 # a level-1 child is one node, so a cluster's edges are its set bits
-                nbits = links.nbits_at(1)
-                E = np.zeros(len(nbits), np.int64)
-                E[nbits > 0] = np.add.reduceat(flat, starts[nbits > 0], dtype=np.int64)
+                has = shape.counts_at(1) > 1
+                E = np.zeros(len(has), np.int64)
+                flat, starts = model.links.flat_at(1), model.links.starts_at(1)
+                E[has] = np.add.reduceat(flat, starts[has], dtype=np.int64)
             else:
                 E = np.add.reduceat(E, shape.child_start_at(g))
-                for c, sel, idx in _level_groups(shape, g):
+                for c, sel, _, V, B in _level_groups(model, g):
                     if c < 2:
                         continue
                     iu, ju = _child_pairs(c)
-                    V = shape.sizes_at(g - 1)[idx]
-                    B = flat[np.arange(len(iu))[:, None] + starts[sel]]
                     E[sel] += (B * V[iu] * V[ju]).sum(axis=0)
             E.flags.writeable = False
             out.append(E)
@@ -291,7 +291,7 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     """
     if model._aggregates is not None:
         return model._aggregates
-    shape, links = model.shape, model.links
+    shape = model.shape
     out: list[ClusterAggregates] = []
     prev: ClusterAggregates | None = None  # level below; None means leaves
     for g, E in enumerate(_edge_levels(model), start=1):
@@ -299,26 +299,19 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
         n_cl = len(sizes)
         big = bool(n_cl) and int(sizes.max()) > _INT64_SAFE_NODES
         dtype = object if big else np.int64
-        V = _object_array(sizes) if big else sizes.astype(np.int64)
+        V = _object_array(sizes) if big else sizes
         E = _object_array(E) if big else E
         P2 = np.zeros(n_cl, dtype)
         C3 = np.zeros(n_cl, dtype)
         C4 = np.zeros(n_cl, dtype)
-        for c, sel, idx in _level_groups(shape, g):
-            m = len(sel)
+        for c, sel, idx, Vm, B in _level_groups(model, g):
             if prev is None:
-                Vm = np.ones((c, m), dtype)
-                Em = P2m = C3m = C4m = np.zeros((c, m), dtype)
+                Em = P2m = C3m = C4m = np.zeros(Vm.shape, np.int64)
             else:
-                Vm, Em, P2m, C3m, C4m = (
-                    a[idx] for a in (prev.v, prev.e, prev.p2, prev.c3, prev.c4)
-                )
-                if big and Vm.dtype != object:
-                    Vm, Em, P2m, C3m, C4m = (
-                        _object_array(a) for a in (Vm, Em, P2m, C3m, C4m)
-                    )
-            A = _adjacency(links, g, sel, c)
-            P2[sel], C3[sel], C4[sel] = _merge_children(A, Vm, Em, P2m, C3m, C4m)
+                Em, P2m, C3m, C4m = (a[idx] for a in (prev.e, prev.p2, prev.c3, prev.c4))
+            if big:
+                Vm, Em, P2m, C3m, C4m = map(_object_array, (Vm, Em, P2m, C3m, C4m))
+            P2[sel], C3[sel], C4[sel] = _merge_children(_adjacency(B, c), Vm, Em, P2m, C3m, C4m)
         prev = ClusterAggregates(v=V, e=E, p2=P2, c3=C3, c4=C4)
         out.append(prev)
     model._aggregates = tuple(out)
@@ -380,19 +373,11 @@ def _merge_children(A, V, E, P2, C3, C4):
 
 
 def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> int:
-    shape = model.shape
     if cluster is None:
-        if shape.gamma == 0:
-            return 1 if field == "v" else 0
-        cluster = ClusterRef(shape.gamma, 1)
-    g, i = cluster.gamma, cluster.index
+        cluster = ClusterRef(model.shape.gamma, 1)  # the root; node 1 when gamma is 0
+    g, i = checked_cluster(model.shape, cluster.gamma, cluster.index)
     if g == 0:
-        checked_node(shape, i)
-        return 1 if field == "v" else 0
-    if not 1 <= g <= shape.gamma:
-        raise InvalidRefError(f"no level {g} in a {shape.gamma}-level model")
-    if not 1 <= i <= shape.n_clusters(g):
-        raise InvalidRefError(f"no cluster {i} at level {g}")
+        return 0  # a node holds no edge, wedge or cycle
     if field == "e":
         return int(_edge_levels(model)[g - 1][i - 1])
     return int(getattr(cluster_aggregates(model)[g - 1], field)[i - 1])
@@ -432,7 +417,7 @@ def _linked_levels(model: NetworkModel, x: int, above: int = 0):
         # offset s belongs to sibling s before a and to sibling s + 1 past it
         sibs = [s + (s >= a) for s, o in enumerate(child_pair_offsets(a, c)) if flat[off + o]]
         if sibs:
-            v = model.shape.sizes_at(g - 1)[lo:lo + c].tolist() if g > 1 else [1] * c
+            v = model.shape.sizes_at(g - 1)[lo:lo + c].tolist()
             yield g, lo, c, off, v, sibs
 
 
@@ -502,10 +487,9 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
         width = shape.n_clusters(g - 1)
         Fn = np.empty(width, np.int64)
         Dn = np.empty(width, np.int64)
-        for c, sel, idx in _level_groups(shape, g):
-            Vm = _child_sizes(shape, g, idx)
+        for c, sel, idx, Vm, B in _level_groups(model, g):
             Em = np.zeros_like(Vm) if g == 1 else edges[g - 2][idx]
-            A = _adjacency(model.links, g, sel, c)
+            A = _adjacency(B, c)
             W, WE = _link_sums(A, np.stack([Vm, Em]))
             tri = _triangle_walks(_walks(A, Vm), Vm, A) if c >= 3 else 0
             Fn[idx] = F[sel] + 2 * WE + tri - W * W
@@ -651,15 +635,14 @@ def _free_scan(model: NetworkModel):
     ex = np.zeros(shape.n_clusters(shape.gamma), dtype=bool)  # a root has no ancestor
     for g in range(shape.gamma, 0, -1):
         exn = np.empty(shape.n_clusters(g - 1), dtype=bool)
-        for c, sel, idx in _level_groups(shape, g):
+        for c, sel, idx, Vm, B in _level_groups(model, g):
             if c < 2:
                 exn[idx] = ex[sel]
                 continue
-            A = _adjacency(model.links, g, sel, c)
+            A = _adjacency(B, c)
             exn[idx] = ex[sel] | A.any(axis=1)
-            Vm = _child_sizes(shape, g, idx)
             iu, ju = _child_pairs(c)
-            d = 2 - A[iu, ju]  # exited: 1 where linked, 2 through the outside
+            d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
             free = np.nonzero(~ex[sel])[0]
             root = ends.searchsorted(shape.leaf_cum_at(g)[sel]) if roots > 1 else None
             if len(free):

@@ -39,6 +39,7 @@ __all__ = [
     "psi",
     "cluster_size",
     "checked_node",
+    "checked_cluster",
     "node_climb",
     "node_path",
     "validate",
@@ -82,12 +83,37 @@ class ParseError(HiernetError, ValueError):
         self.line = line
 
 
+def _index(value, what: str, error: type[HiernetError] = InvalidRefError) -> int:
+    """An integer argument, numpy's too, as an int; `error` unless it is one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
+def _integers(values, dtype, what: str) -> np.ndarray:
+    """`values` as an array of `dtype`; ParamError unless each is an integer it holds."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "biu" or not arr.size:  # integer dtypes, or nothing at all
+            out = arr.astype(dtype, copy=False)
+            if out is arr or (out == arr).all():
+                return out
+    except ValueError:  # a ragged sequence
+        pass
+    raise ParamError(f"{what} must be integers that {np.dtype(dtype).name} holds")
+
+
 def pair_index(n: int, s: int, k: int) -> int:
     """Offset of the pair (n, s), n < s, within the bit vector of a k-child vertex.
 
     Pairs are enumerated lexicographically, (1,2),(1,3),...,(1,k),(2,3),...,
     (k-1,k); offsets run 0..k(k-1)/2 - 1 and the map is a bijection.
     """
+    try:
+        n, s, k = operator.index(n), operator.index(s), operator.index(k)
+    except TypeError:
+        raise InvalidPairError(f"pair ({n!r},{s!r}) for k={k!r} is not integers") from None
     if not 1 <= n < s <= k:
         raise InvalidPairError(f"pair ({n},{s}) invalid for k={k}")
     # pairs whose first element is below n occupy (n-1)(2k-n)/2 leading slots
@@ -129,9 +155,11 @@ class HierarchyShape:
 
     `levels` is ordered bottom-up: entry 0 holds the child counts of the
     level-1 clusters (whose children are network nodes) and the last entry
-    is the root level.  Construction only coerces and freezes the arrays;
-    the structural rules live in `validate`, which reports violations
-    instead of raising, so deliberately broken shapes can be inspected.
+    is the root level.  Level 0 is the nodes themselves: it has sizes (all
+    ones) but no counts.  Construction only refuses non-integer counts and
+    freezes the arrays; the structural rules live in `validate`, which
+    reports violations instead of raising, so deliberately broken shapes
+    can be inspected.
     """
 
     __slots__ = ("p", "n", "_counts", "_derived_cache")
@@ -142,7 +170,7 @@ class HierarchyShape:
         self.p = int(p)
         frozen = []
         for level in levels:
-            arr = np.array(level, dtype=np.int64)
+            arr = np.array(_integers(level, np.int64, "child counts"))
             if arr.ndim != 1:
                 raise ParamError("each level must be a flat sequence of counts")
             arr.flags.writeable = False
@@ -162,102 +190,91 @@ class HierarchyShape:
     def levels(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(c) for c in arr) for arr in self._counts)
 
-    def _check_level(self, gamma: int) -> None:
-        if not 1 <= gamma <= len(self._counts):
-            raise InvalidRefError(f"no level {gamma} in a {len(self._counts)}-level shape")
+    def _check_level(self, gamma: int, lowest: int = 1) -> int:
+        """gamma as an int; InvalidRefError unless it is an integer level lowest..Gamma."""
+        try:  # inline, not `_index`: every accessor call passes here
+            level = operator.index(gamma)
+        except TypeError:
+            raise InvalidRefError(f"level {gamma!r} is not an integer") from None
+        if not lowest <= level <= len(self._counts):
+            raise InvalidRefError(f"no level {level} in a {len(self._counts)}-level shape")
+        return level
 
     def n_clusters(self, gamma: int) -> int:
-        if gamma == 0:
-            return self.n
-        self._check_level(gamma)
-        return len(self._counts[gamma - 1])
+        return self.n if self._check_level(gamma, 0) == 0 else len(self._counts[gamma - 1])
 
     def counts_at(self, gamma: int) -> np.ndarray:
-        """Child counts of all clusters at a level, read-only int64."""
-        self._check_level(gamma)
-        return self._counts[gamma - 1]
+        """Child counts of all clusters at a level (gamma >= 1), read-only int64."""
+        return self._counts[self._check_level(gamma) - 1]
 
     def count(self, gamma: int, i: int) -> int:
-        arr = self.counts_at(gamma)
-        if not 1 <= i <= len(arr):
-            raise InvalidRefError(f"no cluster {i} at level {gamma}")
-        return int(arr[i - 1])
+        gamma, i = checked_cluster(self, gamma, i)
+        return int(self.counts_at(gamma)[i - 1])
 
     # -- derived navigation arrays ------------------------------------------
 
     def _derived(self):
+        """(sizes, child starts, leaf cums): sizes indexed by level from 0, the rest from 1."""
         d = self._derived_cache
         if d is not None:
             return d
-        sizes, child_start, leaf_cum = [], [], []
-        prev_width = None
-        prev_sizes = None
+        # a node covers itself: one broadcast of ones, built once and never copied
+        sizes = [np.broadcast_to(np.int64(1), (self.n,))]
+        child_start, leaf_cum = [], []
         for g, counts in enumerate(self._counts, start=1):
             if (counts < 1).any():
                 raise ParamError("shape has counts below 1; run validate() for details")
-            if g > 1 and int(counts.sum()) != prev_width:
+            if g > 1 and int(counts.sum()) != len(sizes[-1]):
                 raise ParamError("inconsistent level widths; run validate() for details")
             starts = np.zeros(len(counts), dtype=np.int64)
             np.cumsum(counts[:-1], out=starts[1:])
-            if g == 1:
-                sz = counts.copy()
-            else:
-                sz = np.add.reduceat(prev_sizes, starts)
+            # a level-1 cluster covers one node per child: its sizes are its counts
+            sz = counts if g == 1 else np.add.reduceat(sizes[-1], starts)
             cum = np.cumsum(sz)
             for a in (starts, sz, cum):
                 a.flags.writeable = False
             sizes.append(sz)
             child_start.append(starts)
             leaf_cum.append(cum)
-            prev_width = len(counts)
-            prev_sizes = sz
         d = (tuple(sizes), tuple(child_start), tuple(leaf_cum))
         self._derived_cache = d
         return d
 
     def sizes_at(self, gamma: int) -> np.ndarray:
-        """Node counts of all clusters at a level (gamma >= 1)."""
-        self._check_level(gamma)
-        return self._derived()[0][gamma - 1]
+        """Node counts of all clusters at a level, read-only; level 0 is N ones."""
+        return self._derived()[0][self._check_level(gamma, 0)]
 
     def child_start_at(self, gamma: int) -> np.ndarray:
         """0-based index of each cluster's first child within level gamma-1."""
-        self._check_level(gamma)
-        return self._derived()[1][gamma - 1]
+        return self._derived()[1][self._check_level(gamma) - 1]
 
     def leaf_cum_at(self, gamma: int) -> np.ndarray:
-        self._check_level(gamma)
-        return self._derived()[2][gamma - 1]
+        return self._derived()[2][self._check_level(gamma) - 1]
 
     def cluster_size(self, gamma: int, i: int) -> int:
-        if gamma == 0:
-            checked_node(self, i)
-            return 1
-        arr = self.sizes_at(gamma)
-        if not 1 <= i <= len(arr):
-            raise InvalidRefError(f"no cluster {i} at level {gamma}")
-        return int(arr[i - 1])
+        gamma, i = checked_cluster(self, gamma, i)
+        return int(self.sizes_at(gamma)[i - 1])
 
     def child_range(self, gamma: int, i: int) -> tuple[int, int]:
         """Half-open 0-based range of cluster (gamma, i)'s children in level gamma-1."""
+        gamma, i = checked_cluster(self, gamma, i)
         lo = int(self.child_start_at(gamma)[i - 1])
-        return lo, lo + self.count(gamma, i)
+        return lo, lo + int(self._counts[gamma - 1][i - 1])
 
     def leaf_range(self, gamma: int, i: int) -> tuple[int, int]:
         """Half-open 0-based range of the nodes covered by cluster (gamma, i)."""
+        gamma, i = checked_cluster(self, gamma, i)
         if gamma == 0:
-            i = checked_node(self, i)
             return i - 1, i
         hi = int(self.leaf_cum_at(gamma)[i - 1])
-        return hi - self.cluster_size(gamma, i), hi
+        return hi - int(self.sizes_at(gamma)[i - 1]), hi
 
     def node_cluster(self, gamma: int, x: int) -> int:
         """1-based index of the level-gamma cluster containing node x."""
         x = checked_node(self, x)
-        if gamma == 0:
+        if self._check_level(gamma, 0) == 0:
             return x
-        cum = self.leaf_cum_at(gamma)
-        return int(np.searchsorted(cum, x, side="left")) + 1
+        return int(self.leaf_cum_at(gamma).searchsorted(x)) + 1
 
     def __eq__(self, other):
         if not isinstance(other, HierarchyShape):
@@ -279,26 +296,27 @@ class LinkTable:
 
     Level gamma keeps one contiguous uint8 array holding the bit vectors of
     all its clusters back to back, in cluster index order, each vector in
-    lexicographic pair order.  `nbits_at` gives the per-cluster vector
-    lengths and `starts_at` their offsets into the flat array.
+    lexicographic pair order, and the offset of each vector into it.  That
+    is the whole layout: a vector runs from its offset to the next one, the
+    last to the end of the flat array, so `nbits_at` reads the lengths off
+    the gaps and `validate` checks them, total included, against the counts.
     """
 
-    __slots__ = ("_flat", "_nbits", "_starts")
+    __slots__ = ("_flat", "_starts")
 
     def __init__(self, flat_per_level, nbits_per_level):
-        flats, nbits, starts = [], [], []
+        """Bits and per-cluster bit counts per level; the counts give the offsets."""
+        flats, starts = [], []
         for f, nb in zip(flat_per_level, nbits_per_level, strict=True):
-            f = np.asarray(f, dtype=np.uint8)
-            nb = np.asarray(nb, dtype=np.int64)
+            f = _integers(f, np.uint8, "link bits")
+            nb = _integers(nb, np.int64, "bit counts")
             st = np.zeros(len(nb), dtype=np.int64)
             np.cumsum(nb[:-1], out=st[1:])
-            for a in (f, nb, st):
+            for a in (f, st):
                 a.flags.writeable = False
             flats.append(f)
-            nbits.append(nb)
             starts.append(st)
         self._flat = tuple(flats)
-        self._nbits = tuple(nbits)
         self._starts = tuple(starts)
 
     @classmethod
@@ -311,12 +329,8 @@ class LinkTable:
         """
         flats, nbits = [], []
         for level in vectors_per_level:
-            vecs = []
-            for v in level:
-                if isinstance(v, str):
-                    vecs.append(np.frombuffer(v.encode("ascii"), np.uint8) - ord("0"))
-                else:
-                    vecs.append(np.array(list(v), dtype=np.uint8))
+            vecs = [np.frombuffer(v.encode("ascii"), np.uint8) - ord("0") if isinstance(v, str)
+                    else _integers(list(v), np.uint8, "link bits") for v in level]
             nbits.append(np.array([len(v) for v in vecs], dtype=np.int64))
             flats.append(np.concatenate(vecs) if vecs else np.zeros(0, dtype=np.uint8))
         return cls(flats, nbits)
@@ -325,28 +339,34 @@ class LinkTable:
     def gamma(self) -> int:
         return len(self._flat)
 
-    def _check_level(self, gamma: int) -> None:
-        if not 1 <= gamma <= len(self._flat):
-            raise InvalidRefError(f"no level {gamma} in a {len(self._flat)}-level link table")
+    def _check_level(self, gamma: int) -> int:
+        try:  # inline, as in `HierarchyShape._check_level`
+            level = operator.index(gamma)
+        except TypeError:
+            raise InvalidRefError(f"level {gamma!r} is not an integer") from None
+        if not 1 <= level <= len(self._flat):
+            raise InvalidRefError(f"no level {level} in a {len(self._flat)}-level link table")
+        return level
 
     def flat_at(self, gamma: int) -> np.ndarray:
-        self._check_level(gamma)
-        return self._flat[gamma - 1]
+        return self._flat[self._check_level(gamma) - 1]
 
     def nbits_at(self, gamma: int) -> np.ndarray:
-        self._check_level(gamma)
-        return self._nbits[gamma - 1]
+        """Per-cluster vector lengths: the gaps between offsets, closed by the flat length."""
+        gamma = self._check_level(gamma)
+        starts = self._starts[gamma - 1]  # np.diff(append=) costs three times as much
+        return np.concatenate((starts[1:], [len(self._flat[gamma - 1])])) - starts
 
     def starts_at(self, gamma: int) -> np.ndarray:
-        self._check_level(gamma)
-        return self._starts[gamma - 1]
+        return self._starts[self._check_level(gamma) - 1]
 
     def vector(self, gamma: int, i: int) -> np.ndarray:
-        nb = self.nbits_at(gamma)
-        if not 1 <= i <= len(nb):
+        starts = self.starts_at(gamma)
+        i = _index(i, "cluster")
+        if not 1 <= i <= len(starts):
             raise InvalidRefError(f"no cluster {i} at level {gamma}")
-        start = int(self.starts_at(gamma)[i - 1])
-        return self.flat_at(gamma)[start:start + int(nb[i - 1])]
+        end = starts[i] if i < len(starts) else None
+        return self.flat_at(gamma)[starts[i - 1]:end]
 
     def bitstring(self, gamma: int, i: int) -> str:
         vec = self.vector(gamma, i)
@@ -358,7 +378,7 @@ class LinkTable:
         return (
             len(self._flat) == len(other._flat)
             and all(np.array_equal(a, b) for a, b in zip(self._flat, other._flat))
-            and all(np.array_equal(a, b) for a, b in zip(self._nbits, other._nbits))
+            and all(np.array_equal(a, b) for a, b in zip(self._starts, other._starts))
         )
 
     __hash__ = None
@@ -367,10 +387,13 @@ class LinkTable:
 class NetworkModel:
     """A complete network: hierarchy shape plus link table.
 
-    Immutable after construction.  Analysis code attaches derived caches to
-    the private slots below under a fill-once discipline; the cached values
-    are deterministic functions of the model, so a racing recomputation by
-    concurrent readers is harmless.
+    The shape's counts are the one record of the layout: they fix the
+    sizes, the child ranges and each vector's length, and `validate` holds
+    the link table's offsets to them.  Immutable after construction.
+    Analysis code attaches derived caches to the private slots below under
+    a fill-once discipline; the cached values are deterministic functions
+    of the model, so a racing recomputation by concurrent readers is
+    harmless.
     """
 
     __slots__ = ("shape", "links", "_edges", "_aggregates", "_node_passes", "_free_scan")
@@ -394,28 +417,19 @@ class NetworkModel:
         return f"NetworkModel(p={self.shape.p}, gamma={self.shape.gamma}, n={self.shape.n})"
 
 
-def _checked_internal(model: NetworkModel, cluster: ClusterRef) -> tuple[int, int]:
-    g, i = cluster.gamma, cluster.index
-    if not 1 <= g <= model.shape.gamma:
-        raise InvalidRefError(f"no internal level {g} in a {model.shape.gamma}-level model")
-    if not 1 <= i <= model.shape.n_clusters(g):
-        raise InvalidRefError(f"no cluster {i} at level {g}")
-    return g, i
-
-
 def psi(model: NetworkModel, cluster: ClusterRef, n: int, s: int) -> int:
     """Link indicator between sub-clusters n and s of an internal cluster.
 
     Symmetric in (n, s); psi(n, n) is 0 by convention (no self-link).
     """
-    g, i = _checked_internal(model, cluster)
-    k = model.shape.count(g, i)
+    k = model.shape.count(cluster.gamma, cluster.index)  # a node, at level 0, has none
+    n, s = (_index(v, "position", InvalidPairError) for v in (n, s))
     if not (1 <= n <= k and 1 <= s <= k):
         raise InvalidPairError(f"positions ({n},{s}) outside 1..{k}")
     if n == s:
         return 0
     lo, hi = (n, s) if n < s else (s, n)
-    vec = model.links.vector(g, i)
+    vec = model.links.vector(cluster.gamma, cluster.index)
     return int(vec[pair_index(lo, hi, k)])
 
 
@@ -426,13 +440,24 @@ def cluster_size(model: NetworkModel, cluster: ClusterRef) -> int:
 
 def checked_node(shape: HierarchyShape, x: int) -> int:
     """Node x as an int; InvalidRefError unless it is an integer (numpy's too) in 1..N."""
-    try:
-        x = operator.index(x)
-    except TypeError:
-        raise InvalidRefError(f"node {x!r} is not an integer") from None
+    x = _index(x, "node")
     if not 1 <= x <= shape.n:
         raise InvalidRefError(f"no node {x} in a {shape.n}-node network")
     return x
+
+
+def checked_cluster(shape: HierarchyShape, g: int, i: int) -> tuple[int, int]:
+    """(g, i) as ints; InvalidRefError unless cluster i of level g, 0..Gamma, exists.
+
+    Both must be integers, numpy's too; level 0 holds the nodes, vetted by `checked_node`.
+    """
+    g = shape._check_level(g, 0)
+    if g == 0:
+        return 0, checked_node(shape, i)
+    i = _index(i, "cluster")
+    if not 1 <= i <= len(shape._counts[g - 1]):
+        raise InvalidRefError(f"no cluster {i} at level {g}")
+    return g, i
 
 
 def node_climb(model: NetworkModel, x: int, above: int = 0):

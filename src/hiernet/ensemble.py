@@ -9,8 +9,8 @@ count only changes wall time, never a byte of output.
 Most of a small copy's cost is fixed per-level work, not arithmetic, so
 copies are measured in stacks.  Each worker process takes one contiguous
 range of copies and generates them one at a time, each on its own stream.
-It gathers them into a stack until the next copy would take the stack past
-_FOREST_NODES nodes, then lays the stack's copies side by side as one
+It keeps their models in a stack until the next copy would take the stack
+past _FOREST_NODES nodes, then lays the stack's copies side by side as one
 forest: a model whose root level holds one cluster per copy, every copy
 padded up to the deepest one with one-child vertices that carry no bits.
 Every analytics pass then runs once per stack, and each property comes
@@ -150,31 +150,27 @@ def run_copy(params: GenParams, copy: int, properties) -> dict:
 
 # -- stacks ------------------------------------------------------------------
 
-# the (child counts, flat bits, bit counts) of a one-child vertex, which has no bits
-_PAD_LEVEL = (np.ones(1, np.int64), np.zeros(0, np.uint8), np.zeros(1, np.int64))
+# the (child counts, flat bits) of a level of one one-child vertex, which has no bits
+_PAD_LEVEL = (np.ones(1, np.int64), np.zeros(0, np.uint8))
 
 
-def _levels(model: NetworkModel) -> list[tuple]:
-    """(child counts, flat bits, bit counts) of each level of a model."""
-    shape, links = model.shape, model.links
-    return [(shape.counts_at(g), links.flat_at(g), links.nbits_at(g))
-            for g in range(1, shape.gamma + 1)]
-
-
-def _forest(p: int, copies: list[list[tuple]]) -> NetworkModel:
-    """The copies' levels side by side, one root per copy, as one model.
+def _forest(p: int, models: list[NetworkModel]) -> NetworkModel:
+    """The models side by side, one root per model, as one model; a lone model as it is.
 
     Each copy is padded to the deepest copy's level count, and to at least
     one level, with one-child vertices that carry no bits; such a vertex
     adds nothing to any pass.  The forest is never validated or serialized.
     """
-    gamma = max(1, *map(len, copies))
-    counts, flats, nbits = [], [], []
-    for g in range(gamma):
-        level = [levels[g] if g < len(levels) else _PAD_LEVEL for levels in copies]
-        for out, parts in zip((counts, flats, nbits), zip(*level)):
+    if len(models) == 1:
+        return models[0]
+    counts, flats = [], []
+    for g in range(1, max(1, *(m.shape.gamma for m in models)) + 1):
+        level = [(m.shape.counts_at(g), m.links.flat_at(g)) if g <= m.shape.gamma else _PAD_LEVEL
+                 for m in models]
+        for out, parts in zip((counts, flats), zip(*level)):
             out.append(np.concatenate(parts))
-    return NetworkModel(HierarchyShape(p, counts), LinkTable(flats, nbits))
+    return NetworkModel(HierarchyShape(p, counts),
+                        LinkTable(flats, [c * (c - 1) // 2 for c in counts]))
 
 
 def _generated(params: GenParams, copy: int) -> NetworkModel:
@@ -190,27 +186,20 @@ def _stacks(params: GenParams, first: int, last: int):
     """Copies first..last in stacks: yields (first copy, copy count, model) per stack.
 
     A stack holds copies while they fit in _FOREST_NODES nodes, or one copy
-    larger than that.  The model is the forest of the stack's copies, or a
-    lone copy's own model.  Each copy is generated on its own stream and
-    kept as its levels alone until its stack is full; the levels are let go
-    before the stack is measured.
+    larger than that.  The model is the `_forest` of the stack's copies.
+    Each copy is generated on its own stream and kept as its model until
+    its stack is full.
     """
-    stack: list = []
+    stack: list[NetworkModel] = []
     nodes = 0
-    solo = None  # the first copy's own model, while it is alone in its stack
-    for copy in range(first, last + 2):  # the step past the last copy flushes the stack
-        model = _generated(params, copy) if copy <= last else None
-        if stack and (model is None or nodes + model.shape.n > _FOREST_NODES):
-            count = len(stack)
-            forest = solo if count == 1 else _forest(params.p, stack)
-            stack, nodes, solo = [], 0, None
-            yield copy - count, count, forest
-            forest = None
-        if model is not None:
-            solo = None if stack else model
-            stack.append(_levels(model))
-            nodes += model.shape.n
-            model = None
+    for copy in range(first, last + 1):
+        model = _generated(params, copy)
+        if stack and nodes + model.shape.n > _FOREST_NODES:
+            yield copy - len(stack), len(stack), _forest(params.p, stack)
+            stack, nodes = [], 0
+        stack.append(model)
+        nodes += model.shape.n
+    yield last + 1 - len(stack), len(stack), _forest(params.p, stack)
 
 
 def _range_worker(args) -> list[bytes]:

@@ -53,8 +53,7 @@ def expand(model: NetworkModel, cap: int | None = DEFAULT_EXPANSION_CAP) -> "Exp
             for a in range(1, c + 1):
                 for b in range(a + 1, c + 1):
                     if vec[t]:
-                        ra = shape.leaf_range(g - 1, lo + a) if g > 1 else (lo + a - 1, lo + a)
-                        rb = shape.leaf_range(g - 1, lo + b) if g > 1 else (lo + b - 1, lo + b)
+                        ra, rb = shape.leaf_range(g - 1, lo + a), shape.leaf_range(g - 1, lo + b)
                         adj[ra[0]:ra[1], rb[0]:rb[1]] = 1
                         adj[rb[0]:rb[1], ra[0]:ra[1]] = 1
                     t += 1

@@ -307,6 +307,21 @@ def test_object_dtype_matches_int64(monkeypatch):
         assert an.distance_distribution(m2) == an.distance_distribution(m1)
 
 
+def test_pattern_tier_reads_sizes_from_the_shape(monkeypatch):
+    # int64 levels hold the shape's own read-only sizes; object levels a copy
+    monkeypatch.setattr(an, "_INT64_SAFE_NODES", 100)
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=3, gamma=6))
+    for g, agg in enumerate(an.cluster_aggregates(m), start=1):
+        sizes = m.shape.sizes_at(g)
+        if agg.v.dtype == object:
+            assert agg.v.tolist() == sizes.tolist() and int(sizes.max()) > 100
+        else:
+            assert np.shares_memory(agg.v, sizes) and not agg.v.flags.writeable
+            with pytest.raises(ValueError):
+                agg.v[0] = 0
+    assert [a.v.dtype for a in an.cluster_aggregates(m)].count(object) == 2
+
+
 def _random_block(rng, c, rows, hi, dtype):
     """(A, V, X) children-first, with A a random symmetric 0/1 adjacency."""
     upper = np.triu(rng.integers(0, 2, (rows, c, c)), 1)
@@ -423,7 +438,7 @@ def _block_inputs(corpus):
     copies = [generate_network(GenParams(mode="by-nodes", p=3, mu=0.8, seed=7, n=n), stream=s)
               for n, s in ((243, 1), (1, 1), (243, 2), (30, 3))]
     assert len({m.shape.gamma for m in copies}) >= 3
-    forest = ensemble._forest(3, [ensemble._levels(m) for m in copies])
+    forest = ensemble._forest(3, copies)
     return [*map(generate_network, corpus), forest]
 
 

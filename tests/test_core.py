@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hiernet.core import (
     ParamError,
     ParseError,
     PathEntry,
+    checked_cluster,
     cluster_size,
     deserialize,
     node_path,
@@ -25,6 +27,7 @@ from hiernet.core import (
     serialize,
     validate,
 )
+from hiernet.analytics import edge_count
 from hiernet.gen import GenParams, generate_network
 from conftest import build_model
 
@@ -156,6 +159,24 @@ def test_validate_telescoping():
 def test_validate_bitmap_length():
     m = build_model(4, [[3], [1]], [["01"], [""]])
     assert any("bitmap length != k(k-1)/2 (got 2, want 3)" in s for s in validate(m))
+    # bit counts that match the shape but a flat array too short or too long:
+    # the flat length closes the last vector, so both are caught
+    shape = HierarchyShape(3, [[3]])
+    for flat, got in ((np.zeros(2, np.uint8), 2), (np.ones(5, np.uint8), 5)):
+        m = NetworkModel(shape, LinkTable([flat], [[3]]))
+        assert validate(m) == [f"level 1 cluster 1: bitmap length != k(k-1)/2 (got {got}, want 3)"]
+        assert m.links.nbits_at(1).tolist() == [got]
+        assert len(m.links.vector(1, 1)) == got
+        with pytest.raises(ParamError):
+            serialize(m)
+
+
+def test_link_table_reads_lengths_off_the_offsets(demo9):
+    links = demo9.links
+    assert links.nbits_at(1).tolist() == [3, 6, 1]
+    assert links.starts_at(1).tolist() == [0, 3, 9]
+    assert [links.bitstring(1, i) for i in (1, 2, 3)] == ["011", "100110", "1"]
+    assert LinkTable.from_vectors([["01", "1"]]) != LinkTable.from_vectors([["0", "11"]])
 
 
 def test_validate_bit_values():
@@ -177,6 +198,89 @@ def test_validate_vertex_past_max_children():
     links = LinkTable([np.zeros(c * (c - 1) // 2, np.uint8)], [np.array([c * (c - 1) // 2])])
     msgs = validate(NetworkModel(shape, links))
     assert msgs == [f"level 1 cluster 1: {c} children exceed the supported maximum {c - 1}"]
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, np.float64(1.0)])
+def test_cluster_references_must_be_integers(demo9, bad):
+    shape = demo9.shape
+    refused = [
+        lambda: checked_cluster(shape, bad, 1),
+        lambda: checked_cluster(shape, 1, bad),
+        lambda: shape.count(1, bad),
+        lambda: shape.count(bad, 1),
+        lambda: shape.cluster_size(1, bad),
+        lambda: shape.cluster_size(bad, 1),
+        lambda: shape.child_range(1, bad),
+        lambda: shape.leaf_range(1, bad),
+        lambda: shape.leaf_range(0, bad),
+        lambda: shape.node_cluster(bad, 3),
+        lambda: shape.counts_at(bad),
+        lambda: shape.sizes_at(bad),
+        lambda: demo9.links.vector(1, bad),
+        lambda: demo9.links.vector(bad, 1),
+        lambda: psi(demo9, ClusterRef(1, bad), 1, 2),
+        lambda: psi(demo9, ClusterRef(bad, 1), 1, 2),
+        lambda: edge_count(demo9, ClusterRef(1, bad)),
+        lambda: edge_count(demo9, ClusterRef(bad, 1)),
+        lambda: cluster_size(demo9, ClusterRef(0, bad)),
+    ]
+    for call in refused:
+        with pytest.raises(InvalidRefError):
+            call()
+    for call in (lambda: pair_index(1, bad, 3), lambda: psi(demo9, ClusterRef(1, 1), bad, 2),
+                 lambda: psi(demo9, ClusterRef(1, 1), 2, bad)):
+        with pytest.raises(InvalidPairError):
+            call()
+
+
+def test_cluster_references_accept_numpy_integers(demo9):
+    shape = demo9.shape
+    assert checked_cluster(shape, np.int64(1), np.int32(2)) == (1, 2)
+    assert checked_cluster(shape, 0, np.uint8(9)) == (0, 9)
+    assert shape.count(np.int64(1), np.int64(2)) == 4
+    assert shape.cluster_size(np.int32(0), np.int64(4)) == 1
+    assert shape.child_range(np.int64(2), np.int64(1)) == (0, 3)
+    assert shape.leaf_range(np.int64(1), np.int64(2)) == (3, 7)
+    assert shape.node_cluster(np.int64(1), 9) == 3
+    assert demo9.links.bitstring(np.int64(1), np.int64(2)) == "100110"
+    assert psi(demo9, ClusterRef(np.int64(1), np.int64(2)), np.int64(1), np.int64(2)) == 1
+    assert pair_index(np.int64(1), np.int64(2), np.int64(4)) == 0
+    assert edge_count(demo9, ClusterRef(np.int64(1), np.int64(2))) == 3
+    for g, i in ((3, 1), (-1, 1), (1, 0), (1, 4), (0, 0), (0, 10)):
+        with pytest.raises(InvalidRefError):
+            checked_cluster(shape, g, i)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HierarchyShape(4, [[3.5]]),
+    lambda: HierarchyShape(4, [[3.0]]),
+    lambda: HierarchyShape(4, [["3"]]),
+    lambda: HierarchyShape(4, [[2**70]]),
+    lambda: HierarchyShape(4, [[1, [2]]]),
+    lambda: LinkTable([[0.5, 1, 1]], [[3]]),
+    lambda: LinkTable([np.array([0.5, 1, 1])], [[3]]),
+    lambda: LinkTable([np.array([0.0, 1.0, 1.0])], [[3]]),
+    lambda: LinkTable([[1, 1, 256]], [[3]]),
+    lambda: LinkTable([[1, 1, -1]], [[3]]),
+    lambda: LinkTable([[1, [1], 1]], [[3]]),
+    lambda: LinkTable([[1, 1, 1]], [[3.5]]),
+    lambda: LinkTable.from_vectors([[[0.5, 1, 1]]]),
+    lambda: LinkTable.from_vectors([[[1, float("nan"), 1]]]),
+])
+def test_constructors_refuse_non_integers(make):
+    with pytest.raises(ParamError):
+        make()
+
+
+def test_constructors_take_integers_of_any_dtype():
+    assert HierarchyShape(4, [np.array([3], np.uint16)]) == HierarchyShape(4, [[3]])
+    links = LinkTable([np.array([0, 1, 1], np.int32)], [np.array([3], np.int32)])
+    assert links == LinkTable.from_vectors([["011"]])
+    assert LinkTable([[]], [[]]).nbits_at(1).tolist() == []
+    assert LinkTable.from_vectors([[[False, True, True]]]) == links
+    # a bit above 1 is kept for `validate` to report
+    m = NetworkModel(HierarchyShape(3, [[3]]), LinkTable([[0, 2, 1]], [[3]]))
+    assert validate(m) == ["level 1: bit values outside 0/1"]
 
 
 def test_n_exceeds_p_pow_gamma():
@@ -409,6 +513,29 @@ def test_point_queries_use_the_node_count_taken_at_construction(demo9):
     assert node_path(demo9, 9)[-1] == PathEntry(gamma=2, cluster_index=1, child_pos=3)
     assert distance(demo9, 1, 5) == 1 and distance(demo9, 1, 8) is None
     assert node_degree(demo9, 5) == 6
+
+
+def test_level_zero_sizes_are_one_shared_broadcast(demo9):
+    ones = demo9.shape.sizes_at(0)
+    assert ones.tolist() == [1] * 9 and not ones.flags.writeable
+    assert ones.strides == (0,) and demo9.shape.sizes_at(0) is ones
+    assert NetworkModel(HierarchyShape(3, []), LinkTable([], [])).shape.sizes_at(0).tolist() == [1]
+
+
+def test_generated_model_memory_per_node():
+    # a regular p=3 network has about half a cluster per node; the model
+    # holds the bits, the counts (which are the level-1 sizes) and per
+    # cluster its child start and leaf cum, its size above level 1 and its
+    # bit offset, and nothing more: 18.9 B per node
+    params = GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=12)
+    generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=2))  # one-time setup
+    tracemalloc.start()
+    try:
+        model = generate_network(params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / model.shape.n <= 20
 
 
 def test_equality_by_value(demo9):

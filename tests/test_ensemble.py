@@ -208,7 +208,7 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
     models = [generate_network(STACK_PARAMS["nodes-243"], stream=c) for c in range(1, 4)]
     models.insert(1, generate_network(STACK_PARAMS["one-node"], stream=1))
     assert len({m.shape.gamma for m in models}) == 3 and models[1].shape.gamma == 0
-    forest = ensemble._forest(3, [ensemble._levels(m) for m in models])
+    forest = ensemble._forest(3, models)
     assert forest.shape.n_clusters(forest.shape.gamma) == len(models)
     degrees = an._per_root(forest, an.node_degrees(forest))
     triangles = an._per_root(forest, an.triangles_at_all_nodes(forest))
