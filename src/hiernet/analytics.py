@@ -8,9 +8,10 @@ each count obeys an exact bottom-up recurrence over per-cluster aggregates
 (nodes, edges, wedges, triangles, four-cycles).
 
 The bottom-up pass comes in two tiers, each cached on the model.  The
-edge tier (`_edge_levels`) reads the bits and the child sizes only: a
-cluster's edges are its children's plus V_i * V_j per set bit, exact int64
-on every level.  `edge_count`, the per-node climbs (`triangles_at_node`,
+edge tier (`_edge_levels`) reads the bits and the child sizes only: it
+starts from level 0, the nodes, which hold no edge, and a cluster's
+edges are its children's plus V_i * V_j per set bit, exact int64 on
+every level.  `edge_count`, the per-node climbs (`triangles_at_node`,
 `clustering_coefficient`) and the all-node passes (`node_degrees`,
 `triangles_at_all_nodes`, `degree_distribution`, `clustering_values`) read
 it alone.  The pattern tier (`cluster_aggregates`) adds wedges, triangles
@@ -254,16 +255,17 @@ def _child_reach(A: np.ndarray) -> np.ndarray:
 
 
 def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
-    """Edges inside every cluster, one read-only int64 array per internal level.
+    """Edges inside every cluster, one read-only int64 array per level from 0.
 
-    The edge tier: level 1 counts each cluster's set bits; every level above
-    sums its children's edges, then adds V_i * V_j for every set bit of a
-    row block, read off its bits B with no adjacency tensor.  E < C(2**27,
-    2) < 2**53, so int64 is exact on every level.  Cached on the model.
+    The edge tier: a node holds none, one shared broadcast of N zeros;
+    level 1 counts each cluster's set bits; every level above sums its
+    children's edges, then adds V_i * V_j for every set bit of a row block,
+    read off its bits B with no adjacency tensor.  E < C(2**27, 2) < 2**53,
+    so int64 is exact on every level.  Cached on the model.
     """
     if model._edges is None:
         shape = model.shape
-        out = []
+        out = [np.broadcast_to(np.int64(0), (shape.n,))]
         for g in range(1, shape.gamma + 1):
             if g == 1:
                 # a level-1 child is one node, so a cluster's edges are its set bits
@@ -294,7 +296,7 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     shape = model.shape
     out: list[ClusterAggregates] = []
     prev: ClusterAggregates | None = None  # level below; None means leaves
-    for g, E in enumerate(_edge_levels(model), start=1):
+    for g, E in enumerate(_edge_levels(model)[1:], start=1):
         sizes = shape.sizes_at(g)
         n_cl = len(sizes)
         big = bool(n_cl) and int(sizes.max()) > _INT64_SAFE_NODES
@@ -372,15 +374,19 @@ def _merge_children(A, V, E, P2, C3, C4):
 # -- whole-network and per-cluster counts ------------------------------------
 
 
+def _level_values(model: NetworkModel, field: str) -> tuple[np.ndarray, ...]:
+    """Aggregate `field` ("e", "p2", "c3" or "c4") of every level from 0; a node holds none."""
+    edges = _edge_levels(model)
+    if field == "e":
+        return edges
+    return (edges[0], *(getattr(a, field) for a in cluster_aggregates(model)))
+
+
 def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> int:
     if cluster is None:
         cluster = ClusterRef(model.shape.gamma, 1)  # the root; node 1 when gamma is 0
     g, i = checked_cluster(model.shape, cluster.gamma, cluster.index)
-    if g == 0:
-        return 0  # a node holds no edge, wedge or cycle
-    if field == "e":
-        return int(_edge_levels(model)[g - 1][i - 1])
-    return int(getattr(cluster_aggregates(model)[g - 1], field)[i - 1])
+    return int(_level_values(model, field)[g][i - 1])
 
 
 def edge_count(model: NetworkModel, cluster: ClusterRef | None = None) -> int:
@@ -436,7 +442,7 @@ def _chain_triangles(model: NetworkModel, x: int) -> tuple[int, int]:
     """
     total = deg = 0
     for g, lo, c, off, v, sibs in _linked_levels(model, x):
-        e = _edge_levels(model)[g - 2][lo:lo + c].tolist() if g > 1 else [0] * c
+        e = _edge_levels(model)[g - 1][lo:lo + c].tolist()
         flat = model.links.flat_at(g)
         w = sum(v[s] for s in sibs)
         tri = 0
@@ -488,7 +494,7 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
         Fn = np.empty(width, np.int64)
         Dn = np.empty(width, np.int64)
         for c, sel, idx, Vm, B in _level_groups(model, g):
-            Em = np.zeros_like(Vm) if g == 1 else edges[g - 2][idx]
+            Em = edges[g - 1][idx]
             A = _adjacency(B, c)
             W, WE = _link_sums(A, np.stack([Vm, Em]))
             tri = _triangle_walks(_walks(A, Vm), Vm, A) if c >= 3 else 0
@@ -704,12 +710,7 @@ def _per_root(model: NetworkModel, values: np.ndarray) -> list[np.ndarray]:
 
 def _root_values(model: NetworkModel, field: str) -> list[int]:
     """The top-level aggregate `field` ("e", "p2", "c3" or "c4") of each root, as cached."""
-    shape = model.shape
-    if shape.gamma == 0:
-        return [0]
-    if field == "e":
-        return _edge_levels(model)[-1].tolist()
-    return getattr(cluster_aggregates(model)[-1], field).tolist()
+    return _level_values(model, field)[-1].tolist()
 
 
 def _root_clustering_values(model: NetworkModel):

@@ -91,6 +91,23 @@ def _index(value, what: str, error: type[HiernetError] = InvalidRefError) -> int
         raise error(f"{what} {value!r} is not an integer") from None
 
 
+def _whole(value, what: str, lo: int, hi: int | None = None) -> int:
+    """A parameter equal to an integer in lo..hi (3, 3.0, numpy's) as an int; else ParamError.
+
+    Lenient where `_index` is strict: parameters may be integral floats,
+    node and cluster references may not.
+    """
+    try:
+        out = int(value)
+        ok = out == value and lo <= out and (hi is None or out <= hi)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ParamError(f"{what} must be an integer {bound}, got {value!r}")
+    return out
+
+
 def _integers(values, dtype, what: str) -> np.ndarray:
     """`values` as an array of `dtype`; ParamError unless each is an integer it holds."""
     try:
@@ -156,18 +173,17 @@ class HierarchyShape:
     `levels` is ordered bottom-up: entry 0 holds the child counts of the
     level-1 clusters (whose children are network nodes) and the last entry
     is the root level.  Level 0 is the nodes themselves: it has sizes (all
-    ones) but no counts.  Construction only refuses non-integer counts and
-    freezes the arrays; the structural rules live in `validate`, which
-    reports violations instead of raising, so deliberately broken shapes
-    can be inspected.
+    ones) but no counts.  Construction only refuses a p that is not an
+    integer >= 2 (3.0 is taken as 3) and non-integer counts, and freezes
+    the arrays; the structural rules live in `validate`, which reports
+    violations instead of raising, so deliberately broken shapes can be
+    inspected.
     """
 
     __slots__ = ("p", "n", "_counts", "_derived_cache")
 
     def __init__(self, p: int, levels: Iterable[Sequence[int]]):
-        if int(p) != p or p < 2:
-            raise ParamError(f"p must be an integer >= 2, got {p!r}")
-        self.p = int(p)
+        self.p = _whole(p, "p", 2)
         frozen = []
         for level in levels:
             arr = np.array(_integers(level, np.int64, "child counts"))
@@ -224,7 +240,7 @@ class HierarchyShape:
         for g, counts in enumerate(self._counts, start=1):
             if (counts < 1).any():
                 raise ParamError("shape has counts below 1; run validate() for details")
-            if g > 1 and int(counts.sum()) != len(sizes[-1]):
+            if int(counts.sum()) != len(sizes[-1]):
                 raise ParamError("inconsistent level widths; run validate() for details")
             starts = np.zeros(len(counts), dtype=np.int64)
             np.cumsum(counts[:-1], out=starts[1:])
@@ -306,8 +322,12 @@ class LinkTable:
 
     def __init__(self, flat_per_level, nbits_per_level):
         """Bits and per-cluster bit counts per level; the counts give the offsets."""
+        flat_per_level, nbits_per_level = list(flat_per_level), list(nbits_per_level)
+        if len(flat_per_level) != len(nbits_per_level):
+            raise ParamError(f"{len(flat_per_level)} levels of link bits "
+                             f"but {len(nbits_per_level)} levels of bit counts")
         flats, starts = [], []
-        for f, nb in zip(flat_per_level, nbits_per_level, strict=True):
+        for f, nb in zip(flat_per_level, nbits_per_level):
             f = _integers(f, np.uint8, "link bits")
             nb = _integers(nb, np.int64, "bit counts")
             st = np.zeros(len(nb), dtype=np.int64)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core import HiernetError, HierarchyShape, LinkTable, NetworkModel, ParamError
-from .gen import GenParams, _is_integer, generate_network
+from .core import HiernetError, HierarchyShape, LinkTable, NetworkModel, ParamError, _whole
+from .gen import GenParams, generate_network
 from .analytics import (
     _diameter,
     _per_root,
@@ -83,9 +83,7 @@ class EnsembleSpec:
     properties: tuple[str, ...]
 
     def __post_init__(self):
-        if not _is_integer(self.copies) or not 1 <= self.copies <= MAX_COPIES:
-            raise ParamError(f"copies must be an integer in 1..{MAX_COPIES}, got {self.copies!r}")
-        object.__setattr__(self, "copies", int(self.copies))
+        object.__setattr__(self, "copies", _whole(self.copies, "copies", 1, MAX_COPIES))
         object.__setattr__(self, "properties", check_properties(self.properties, PROPERTIES))
 
 
@@ -239,9 +237,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> dict:
     per copy and per usable CPU is started, whatever `workers` asks for,
     and each takes one contiguous range of the copies.
     """
-    if not _is_integer(workers) or workers < 1:
-        raise ParamError(f"workers must be an integer >= 1, got {workers!r}")
-    workers = min(int(workers), spec.copies, _usable_cpus())
+    workers = min(_whole(workers, "workers", 1), spec.copies, _usable_cpus())
     # one contiguous range of copies per worker, the first ones a copy longer
     size, extra = divmod(spec.copies, workers)
     cuts = [w * size + min(w, extra) for w in range(workers + 1)]

@@ -17,10 +17,17 @@ which makes a (seed, stream) pair pin the network bit for bit:
   * by-levels: one batch of w integers per level, w the cluster count;
   * links: one batch of uniforms per level, one value per bit, clusters in
     index order and bits in pair order, bottom level first.
+
+Every entry point checks its parameters the same way: an integer one (p,
+n, gamma, seed, stream) may be any value equal to an integer in range,
+3.0 and numpy integers included, and mu any finite real >= 0; anything
+else raises ParamError before a draw is made.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +40,7 @@ from .core import (
     LinkTable,
     NetworkModel,
     ParamError,
+    _whole,
     pow_below,
 )
 
@@ -60,10 +68,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if not (_is_integer(seed) and _is_integer(stream) and seed >= 0 and stream >= 0):
-            raise ParamError(f"seed and stream must be non-negative integers, got {seed!r}, {stream!r}")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed = _whole(seed, "seed", 0)
+        self.stream = _whole(stream, "stream", 0)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream]))
         )
@@ -84,8 +90,10 @@ class GenParams:
     `mode` selects the shape algorithm: "by-nodes" fixes the node count n
     and lets the level count emerge, "by-levels" fixes gamma and lets n
     emerge, "regular" builds the deterministic p-ary shape with n = p**gamma.
-    A finite `mu` >= 0 controls link density; mu = 0 joins every
-    sub-cluster pair and is kept as a diagnostic mode.
+    The mode's own size is given (n >= 1, or gamma >= 0) and the other left
+    None; p, seed and that size are stored as ints.  A finite real `mu` >= 0,
+    stored as given, controls link density; mu = 0 joins every sub-cluster
+    pair and is kept as a diagnostic mode.
     """
 
     mode: str
@@ -98,42 +106,18 @@ class GenParams:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParamError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for name in ("p", "seed", "n", "gamma"):
-            value = getattr(self, name)
-            if value is None and name in ("n", "gamma"):
-                continue  # the mode checks below say which one must be given
-            if not _is_integer(value):
-                raise ParamError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 2 <= self.p <= MAX_NODES:
-            raise ParamError(f"p must be an integer in 2..{MAX_NODES}, got {self.p!r}")
-        if not 0.0 <= self.mu < np.inf:
-            raise ParamError(f"mu must be finite and >= 0, got {self.mu!r}")
-        if self.seed < 0:
-            raise ParamError("seed must be a non-negative integer")
-        if self.mode == "by-nodes":
-            if self.n is None or self.n < 1:
-                raise ParamError("by-nodes mode requires n >= 1")
-            if self.gamma is not None:
-                raise ParamError("by-nodes mode takes no gamma")
-        else:
-            if self.gamma is None or self.gamma < 0:
-                raise ParamError(f"{self.mode} mode requires gamma >= 0")
-            if self.n is not None:
-                raise ParamError(f"{self.mode} mode takes no n")
+        size, least, other = ("n", 1, "gamma") if self.mode == "by-nodes" else ("gamma", 0, "n")
+        if getattr(self, other) is not None:
+            raise ParamError(f"{self.mode} mode takes no {other}")
+        for name, lo, hi in (("p", 2, MAX_NODES), ("seed", 0, None), (size, least, None)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, lo, hi))
+        _check_mu(self.mu)
 
 
-def _is_integer(value) -> bool:
-    """Whether `value` equals an int: 3 and 3.0 do, 3.5, "3" and None do not."""
-    try:
-        return int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _check_p(p: int) -> None:
-    if not 2 <= p <= MAX_NODES:
-        raise ParamError(f"p must be in 2..{MAX_NODES}, got {p}")
+def _check_mu(mu) -> None:
+    """ParamError unless mu is a finite real >= 0; the caller keeps mu as given."""
+    if not (isinstance(mu, numbers.Real) and 0 <= mu < math.inf):
+        raise ParamError(f"mu must be finite and >= 0, got {mu!r}")
 
 
 def generate_shape_by_nodes(n: int, p: int, rng: RngStream) -> HierarchyShape:
@@ -144,13 +128,9 @@ def generate_shape_by_nodes(n: int, p: int, rng: RngStream) -> HierarchyShape:
     level that ends up with a single group is the root.  n = 1 yields the
     degenerate zero-level shape.
     """
-    _check_p(p)
-    if n < 1:
-        raise ParamError(f"n must be >= 1, got {n}")
-    if n > MAX_NODES:
-        raise ParamError(f"n={n} exceeds the supported maximum {MAX_NODES}")
+    p = _whole(p, "p", 2, MAX_NODES)
     levels = []
-    width = n
+    width = _whole(n, "n", 1, MAX_NODES)
     while width > 1:
         draws = np.asarray(rng.integers(p, size=width), dtype=np.int64)
         cum = np.cumsum(draws)
@@ -165,12 +145,10 @@ def generate_shape_by_nodes(n: int, p: int, rng: RngStream) -> HierarchyShape:
 
 def generate_shape_by_levels(gamma: int, p: int, rng: RngStream) -> HierarchyShape:
     """Grow a shape top-down for exactly gamma levels; the node count emerges."""
-    _check_p(p)
-    if gamma < 0:
-        raise ParamError(f"gamma must be >= 0, got {gamma}")
+    p = _whole(p, "p", 2, MAX_NODES)
     top_down = []
     width = 1
-    for _ in range(gamma):
+    for _ in range(_whole(gamma, "gamma", 0)):
         draws = np.asarray(rng.integers(p, size=width), dtype=np.int64)
         top_down.append(draws)
         width = int(draws.sum())
@@ -181,9 +159,7 @@ def generate_shape_by_levels(gamma: int, p: int, rng: RngStream) -> HierarchySha
 
 def generate_shape_regular(gamma: int, p: int) -> HierarchyShape:
     """The deterministic shape with p children everywhere; n = p**gamma."""
-    _check_p(p)
-    if gamma < 0:
-        raise ParamError(f"gamma must be >= 0, got {gamma}")
+    p, gamma = _whole(p, "p", 2, MAX_NODES), _whole(gamma, "gamma", 0)
     if not pow_below(p, gamma, MAX_NODES + 1):
         raise ParamError(
             f"p**gamma for p={p}, gamma={gamma} exceeds the supported maximum {MAX_NODES}"
@@ -202,8 +178,7 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
     more than MAX_LINK_BITS bits, or with a vertex of more than
     MAX_CHILDREN children, is refused before anything is drawn.
     """
-    if not 0.0 <= mu < np.inf:
-        raise ParamError(f"mu must be finite and >= 0, got {mu!r}")
+    _check_mu(mu)
     nbits_per_level = _link_bit_counts(shape)
     flats = []
     for g, nbits in enumerate(nbits_per_level, start=1):

@@ -40,7 +40,8 @@ def test_per_cluster_counts(demo9):
     assert an.wedge_count(demo9, ClusterRef(1, 2)) == 3
     assert an.triangle_count(demo9, ClusterRef(1, 1)) == 0
     assert an.four_cycle_count(demo9, ClusterRef(1, 2)) == 0
-    assert an.edge_count(demo9, ClusterRef(0, 4)) == 0
+    for count in (an.edge_count, an.wedge_count, an.triangle_count, an.four_cycle_count):
+        assert count(demo9, ClusterRef(0, 4)) == 0
     with pytest.raises(InvalidRefError):
         an.edge_count(demo9, ClusterRef(3, 1))
     with pytest.raises(InvalidRefError):
@@ -170,6 +171,16 @@ def test_single_node_network():
     assert an.diameter(m) == 0
     assert an.component_sizes(m) == [1]
     assert an.triangles_at_node(m, 1) == 0
+    assert ensemble.compute_properties(m, ensemble.PROPERTIES) == {
+        "edges": 0, "c3": 0, "c4": 0, "degree-dist": {0: 1}, "distance-dist": {"unreachable": 0},
+        "components": {1: 1}, "diameter": 0, "clustering-dist": {"0.00": 1},
+    }
+
+
+def test_edge_tier_level_zero_is_one_broadcast_of_zeros(demo9):
+    nodes = an._edge_levels(demo9)[0]
+    assert nodes.strides == (0,) and not nodes.flags.writeable
+    assert nodes.tolist() == [0] * 9
 
 
 def test_all_zero_bitmaps():
@@ -250,8 +261,8 @@ def test_edge_levels_match_the_oracle_per_cluster(params):
     edges = an._edge_levels(m)
     assert m._aggregates is None
     aggs = an.cluster_aggregates(m)
-    assert len(edges) == len(aggs) == m.shape.gamma
-    for g, E in enumerate(edges, start=1):
+    assert len(edges) == len(aggs) + 1 == m.shape.gamma + 1
+    for g, E in enumerate(edges[1:], start=1):
         assert E.dtype == np.int64 and not E.flags.writeable
         ranges = (m.shape.leaf_range(g, i) for i in range(1, len(E) + 1))
         assert E.tolist() == [int(adj[lo:hi, lo:hi].sum()) // 2 for lo, hi in ranges]
@@ -267,7 +278,7 @@ def test_edge_levels_under_the_forced_object_path(monkeypatch):
     # the edge tier stays int64; the pattern tier carries E on object arrays
     assert [E.tolist() for E in an._edge_levels(m)] == want
     assert all(a.e.dtype == object for a in aggs)
-    assert [a.e.tolist() for a in aggs] == want
+    assert [a.e.tolist() for a in aggs] == want[1:]
 
 
 @pytest.mark.parametrize("params", [

@@ -274,6 +274,8 @@ def test_constructors_refuse_non_integers(make):
 
 def test_constructors_take_integers_of_any_dtype():
     assert HierarchyShape(4, [np.array([3], np.uint16)]) == HierarchyShape(4, [[3]])
+    p = HierarchyShape(3.0, [[3]]).p  # an integral float p is kept as a Python int
+    assert p == 3 and type(p) is int
     links = LinkTable([np.array([0, 1, 1], np.int32)], [np.array([3], np.int32)])
     assert links == LinkTable.from_vectors([["011"]])
     assert LinkTable([[]], [[]]).nbits_at(1).tolist() == []

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiernet.core import MAX_CHILDREN, MAX_LINK_BITS, HierarchyShape, ParamError, validate
+from hiernet.core import (
+    MAX_CHILDREN,
+    MAX_LINK_BITS,
+    HierarchyShape,
+    LinkTable,
+    ParamError,
+    validate,
+)
 from hiernet.gen import (
     MAX_NODES,
     GenParams,
@@ -88,6 +95,25 @@ def test_params_validation():
         generate_network(GenParams(mode="by-nodes", p=3, mu=0.5, seed=1, n=10), stream=1.5)
     # an integral float draws the same stream as its int
     assert list(RngStream(42.0, np.int64(1)).integers(3, 8)) == list(RngStream(42, 1).integers(3, 8))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda p=p: HierarchyShape(p, [[3]]) for p in (None, "x", math.nan, math.inf)),
+    lambda: generate_shape_regular(2, "3"),
+    lambda: generate_shape_regular(2.5, 3),
+    lambda: generate_shape_by_nodes(5.5, 3, FakeStream()),
+    lambda: generate_shape_by_nodes("5", 3, FakeStream()),
+    lambda: generate_shape_by_levels(2, None, FakeStream()),
+    lambda: GenParams(mode="by-nodes", p=3, mu="0.5", seed=1, n=10),
+    lambda: GenParams(mode="by-nodes", p=3, mu=None, seed=1, n=10),
+    lambda: generate_links(HierarchyShape(2, [[2]]), "0.5", FakeStream()),
+    lambda: LinkTable([[0, 1]], [[1, 1], [2]]),
+], ids=["shape-p-None", "shape-p-str", "shape-p-nan", "shape-p-inf", "regular-p-str",
+        "regular-gamma-2.5", "by-nodes-n-5.5", "by-nodes-n-str", "by-levels-p-None",
+        "params-mu-str", "params-mu-None", "links-mu-str", "link-table-level-counts"])
+def test_bad_parameters_raise_param_error(make):
+    with pytest.raises(ParamError):
+        make()
 
 
 # -- scripted shape traces ---------------------------------------------------
