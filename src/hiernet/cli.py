@@ -17,8 +17,9 @@ import sys
 from .core import (
     HiernetError,
     ParamError,
+    _whole,
     deserialize,
-    serialize,
+    serialize_chunks,
 )
 from .gen import GenParams, generate_network
 from . import analytics as _an
@@ -138,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     model = generate_network(_gen_params(args))
-    _write_out(serialize(model), args.out)
+    chunks = serialize_chunks(model)  # checks the model before the file is opened
+    with open(args.out, "wb") as fh:
+        fh.writelines(chunks)
     edges = _an.edge_count(model)
     print(f"n={model.shape.n} gamma={model.shape.gamma} edges={edges}")
     return 0
@@ -180,9 +183,10 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_export(args) -> int:
+    cap = _whole(args.cap, "cap", 0)  # a usage error, refused before the file is read
     with open(args.input, "rb") as fh:
         model = deserialize(fh.read())
-    text = edge_list_text(model, cap=args.cap)
+    text = edge_list_text(model, cap=cap)
     _write_out(text, args.out)
     edges = text.count("\n")
     print(f"edges={edges}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "node_path",
     "validate",
     "serialize",
+    "serialize_chunks",
     "deserialize",
 ]
 
@@ -589,19 +590,25 @@ def validate(model: NetworkModel) -> list[str]:
 
 # -- text format ------------------------------------------------------------
 #
-# `serialize` renders each level's `B` lines into one numpy byte buffer.
-# `deserialize` first reads its input as the exact bytes `serialize` writes
-# (`_parse_canonical`): it parses the few header and `L` lines, gathers the
-# bits at the offsets the counts imply, re-emits the model with the same
-# emitters and compares byte for byte.  Any other input goes to the line
-# walker `_parse_lines`, which also accepts the format's other spellings
-# (extra whitespace, no final newline) and names the offending line of a
-# bad file.
+# `serialize_chunks` yields the head (magic, header and `L` lines), then
+# each level's `B` lines as one numpy byte buffer: `_bitmap_lines` lays a
+# level out with the bits blank and gives each bit's position, int32 while
+# the level has fewer than 2**31 bytes.  Digits go in one place per pass
+# over uint32 values.  `serialize` joins the chunks; the CLI writes them to
+# its file one by one.  `deserialize` first reads its input as the exact
+# bytes `serialize` writes (`_parse_canonical`): it parses the header and
+# `L` lines in place, by offset, gathers each level's bits at the positions
+# the counts imply, re-renders the level and compares byte for byte.  Any
+# other input goes to the line walker `_parse_lines`, which also accepts
+# the format's other spellings (extra whitespace, no final newline) and
+# names the offending line of a bad file.
 
 _ZERO = np.uint8(ord("0"))
 _SPACE = ord(" ")
 _NEWLINE = ord("\n")
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
+# bit positions are int32 in levels of fewer bytes: half the memory traffic of int64
+_INT32_SAFE_BYTES = 1 << 31
 
 
 def _n_digits(values: np.ndarray) -> np.ndarray:
@@ -609,13 +616,23 @@ def _n_digits(values: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POW10[1:], values, side="right") + 1
 
 
-def _put_decimal(buf: np.ndarray, last: np.ndarray, values: np.ndarray, nd: np.ndarray) -> None:
-    """Write values[j] as nd[j] decimal digits ending at buf[last[j]]."""
-    rest = values.copy()
-    for d in range(int(nd.max(initial=0))):
-        live = nd > d
-        buf[last[live] - d] = rest[live] % 10 + _ZERO
-        rest //= 10
+def _put_decimal(buf: np.ndarray, stop: np.ndarray, values: np.ndarray, nd: np.ndarray) -> None:
+    """Write values[j] as nd[j] decimal digits ending just before buf[stop[j]].
+
+    uint32 divides about three times as fast as int64.  Where nd ascends, as
+    for cluster indices, the values with a digit at a place are a suffix.
+    """
+    places = int(nd.max(initial=0))
+    ascending = bool((nd[1:] >= nd[:-1]).all())
+    rest = values.astype(np.uint32 if places <= 9 else np.uint64)
+    digit = np.empty(len(rest), dtype=np.uint8)
+    for d in range(places):
+        live = slice(int(nd.searchsorted(d, side="right")), None) if ascending else nd > d
+        tens = rest // 10
+        rest -= tens * 10
+        np.add(rest, _ZERO, out=digit, casting="unsafe")
+        buf[stop[live] - (d + 1)] = digit[live]
+        rest = tens
 
 
 def _decimal_line(values: np.ndarray) -> np.ndarray:
@@ -623,25 +640,28 @@ def _decimal_line(values: np.ndarray) -> np.ndarray:
     nd = _n_digits(values)
     end = np.cumsum(nd + 1)  # each value with the space or newline after it
     buf = np.full(int(end[-1]), _SPACE, dtype=np.uint8)
-    _put_decimal(buf, end - 2, values, nd)
+    _put_decimal(buf, end - 1, values, nd)
     buf[-1] = _NEWLINE
     return buf
 
 
-def _read_counts(body: bytes) -> np.ndarray | None:
-    """The counts of a space-separated `L` line body, else None.
+def _read_counts(body: np.ndarray) -> np.ndarray | None:
+    """The counts of an `L` line body given as uint8 bytes, else None.
 
-    Tolerant of signs, underscores and leading zeros: the caller's byte
-    comparison with `_decimal_line` refuses them.  Counts and widths past
-    MAX_NODES already make n too large; refusing them here keeps every sum
-    of counts, and every layout size, within int64.
+    Takes up to MAX_NODES runs of one to nine digits split by single spaces,
+    leading zeros too: the caller's byte comparison with `_head` refuses
+    those.  The limits keep every sum of counts within int64.
     """
-    try:
-        counts = np.array(body.split(b" "), dtype=np.int64)
-    except (ValueError, OverflowError):
+    digit = body - _ZERO  # a space, like any other non-digit, wraps past 9
+    ends = np.append(np.flatnonzero(body == _SPACE), len(body))  # the byte after each count
+    nd = np.diff(ends, prepend=-1) - 1
+    if len(ends) > MAX_NODES or np.count_nonzero(digit > 9) >= len(ends) \
+            or not 1 <= nd.min() <= nd.max() <= 9:
         return None
-    if len(counts) > MAX_NODES or not 1 <= counts.min() <= counts.max() <= MAX_NODES:
-        return None
+    counts = np.zeros(len(ends), dtype=np.int64)
+    for d in range(int(nd.max())):
+        live = nd > d
+        counts[live] += digit[ends[live] - (d + 1)] * _POW10[d]
     return counts
 
 
@@ -657,34 +677,62 @@ def _head(shape: HierarchyShape) -> bytes:
 def _bitmap_lines(g: int, counts: np.ndarray, room: int | None = None):
     """The `B<g>.<i>: <bits>` lines of one level with the bits left blank.
 
-    Returns the level's bytes and a mask of its bit positions, or None when
-    they would take more than `room` bytes.  Bits fill the mask in cluster
-    order, each vector in pair order, exactly as `LinkTable` stores them.
+    Returns the level's bytes and the position of each bit in them, or None
+    when they would take more than `room` bytes.  Bits run in cluster order,
+    each vector in pair order, as `LinkTable` stores them.  Counts must be
+    valid, at most MAX_CHILDREN.
     """
-    idx = np.flatnonzero(counts >= 2) + 1
-    c = counts[idx - 1]
+    idx = np.flatnonzero(counts >= 2)
+    nbits = counts[idx].astype(np.int32)
+    nbits = nbits * (nbits - 1) // 2
+    idx += 1
     label = b"B%d." % g
-    nd = _n_digits(idx)
-    bit0 = len(label) + nd + 2  # offset of the first bit within its line
-    length = bit0 + c * (c - 1) // 2 + 1
-    end = np.cumsum(length)
+    nd = _n_digits(idx).astype(np.int32)
+    length = nbits + nd + (len(label) + 3)  # with ": " and the newline
+    end = np.cumsum(length, dtype=np.intp)  # numpy indexes fastest with intp
     total = int(end[-1]) if len(end) else 0
     if room is not None and total > room:
         return None
-    start = end - length
+    at = end - length  # each line's start, then the places within it
+    del length
     buf = np.empty(total, dtype=np.uint8)
-    for j, ch in enumerate(label):
-        buf[start + j] = ch
-    _put_decimal(buf, start + len(label) + nd - 1, idx, nd)
-    buf[start + bit0 - 2] = ord(":")
-    buf[start + bit0 - 1] = _SPACE
+    for ch in label:
+        buf[at] = ch
+        at += 1
+    at += nd
+    _put_decimal(buf, at, idx, nd)
+    del idx, nd
+    buf[at] = ord(":")
+    buf[at + 1] = _SPACE
     buf[end - 1] = _NEWLINE
-    # +1 where a line's bits begin, -1 at its newline; the running sum marks the bits
-    step = np.zeros(total, dtype=np.int8)
-    step[start + bit0] = 1
-    step[end - 1] = -1
-    is_bit = np.cumsum(step, dtype=np.int8).view(bool)
-    return buf, is_bit
+    # a bit's position: its rank in the level, plus its line's newline
+    # position less the bits up to and including that line
+    end -= np.cumsum(nbits) + 1
+    dt = np.int32 if total < _INT32_SAFE_BYTES else np.int64
+    at = np.repeat(end.astype(dt), nbits)
+    at += np.arange(len(at), dtype=dt)
+    return buf, at
+
+
+def serialize_chunks(model: NetworkModel) -> Iterator[bytes | np.ndarray]:
+    """The bytes of `serialize`: the head, then one uint8 array per level from the root down.
+
+    Checks the model at once, and renders each level when it is reached.
+    """
+    problems = validate(model)
+    if problems:
+        raise ParamError("refusing to serialize an invalid model: " + "; ".join(problems))
+    return _render(model)
+
+
+def _render(model: NetworkModel):
+    shape = model.shape
+    yield _head(shape)
+    for g in range(shape.gamma, 0, -1):
+        buf, at = _bitmap_lines(g, shape.counts_at(g))
+        buf[at] = model.links.flat_at(g) + _ZERO
+        del at
+        yield buf
 
 
 def serialize(model: NetworkModel) -> str:
@@ -694,16 +742,7 @@ def serialize(model: NetworkModel) -> str:
     line per level from the root down, then one `B<g>.<i>: bits` line per
     internal vertex with at least two children, in the same level order.
     """
-    problems = validate(model)
-    if problems:
-        raise ParamError("refusing to serialize an invalid model: " + "; ".join(problems))
-    shape = model.shape
-    parts = [_head(shape)]
-    for g in range(shape.gamma, 0, -1):
-        buf, is_bit = _bitmap_lines(g, shape.counts_at(g))
-        buf[is_bit] = model.links.flat_at(g) + _ZERO
-        parts.append(buf)
-    return b"".join(parts).decode("ascii")
+    return b"".join(serialize_chunks(model)).decode("ascii")
 
 
 _HEADER_RE = re.compile(r"p=(\d+) gamma=(\d+) n=(\d+)")
@@ -728,54 +767,46 @@ def deserialize(data: str | bytes) -> NetworkModel:
 
 def _parse_canonical(raw: bytes) -> NetworkModel | None:
     """The valid model whose `serialize` output is exactly `raw`, else None."""
-    lines = raw.split(b"\n", 2)
-    if len(lines) < 3 or lines[0] != FORMAT_MAGIC.encode("ascii"):
-        return None
-    m = _CANONICAL_HEADER_RE.fullmatch(lines[1])
-    if m is None:
+    magic = FORMAT_MAGIC.encode("ascii") + b"\n"
+    eol = raw.find(b"\n", len(magic))
+    m = _CANONICAL_HEADER_RE.fullmatch(raw, len(magic), eol) if raw.startswith(magic) else None
+    if eol < 0 or m is None:
         return None
     # the declared n is checked by the comparison with `_head` below
     p, gamma = int(m.group(1)), int(m.group(2))
     if p < 2 or gamma > MAX_NODES:
         return None
-    lines = raw.split(b"\n", gamma + 2)
-    if len(lines) < gamma + 3:
-        return None
-    top_down = []
-    for g, line in zip(range(gamma, 0, -1), lines[2:]):
-        label = b"L%d: " % g
-        counts = _read_counts(line[len(label):]) if line.startswith(label) else None
-        if counts is None:
-            return None
-        top_down.append(counts)
-    shape = HierarchyShape(p, top_down[::-1])
-    if _shape_problems(shape) or shape.n > MAX_NODES:
-        return None
-    head = _head(shape)
-    if not raw.startswith(head):
-        return None
     data = np.frombuffer(raw, dtype=np.uint8)
-    pos = len(head)
-    flats, nbits = [], []
+    top_down = []
     for g in range(gamma, 0, -1):
-        counts = shape.counts_at(g)
-        level = _bitmap_lines(g, counts, room=len(data) - pos)
+        pos, eol, label = eol + 1, raw.find(b"\n", eol + 1), b"L%d: " % g
+        ok = eol >= 0 and raw.startswith(label, pos)
+        top_down.append(_read_counts(data[pos + len(label):eol]) if ok else None)
+        if top_down[-1] is None:
+            return None
+    shape = HierarchyShape(p, top_down[::-1])
+    del top_down
+    if _shape_problems(shape) or shape.n > MAX_NODES or not raw.startswith(_head(shape)):
+        return None
+    pos = eol + 1  # the head's end, as it ends with the lines parsed above
+    flats = []
+    for g in range(gamma, 0, -1):
+        level = _bitmap_lines(g, shape.counts_at(g), room=len(raw) - pos)
         if level is None:
             return None
-        buf, is_bit = level
-        got = data[pos:pos + len(buf)]
-        bits = got[is_bit] - _ZERO
-        if (bits > 1).any():
-            return None
-        buf[is_bit] = bits + _ZERO
-        if not np.array_equal(buf, got):
+        buf, at = level
+        buf[at] = bits = data[pos:pos + len(buf)][at]
+        del level, at
+        bits -= _ZERO
+        if not raw.startswith(buf, pos) or (bits > 1).any():
             return None
         flats.append(bits)
-        nbits.append(counts * (counts - 1) // 2)
         pos += len(buf)
-    if pos != len(data):
+        del buf  # before the next level's
+    if pos != len(raw):
         return None
-    model = NetworkModel(shape, LinkTable(flats[::-1], nbits[::-1]))
+    nbits = (c * (c - 1) // 2 for c in shape._counts)
+    model = NetworkModel(shape, LinkTable(flats[::-1], nbits))
     return None if validate(model) else model
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import HiernetError, NetworkModel
+from .core import HiernetError, NetworkModel, _whole
 
 __all__ = [
     "ExpansionCapError",
@@ -35,8 +35,12 @@ class ExpansionCapError(HiernetError):
 
 
 def expand(model: NetworkModel, cap: int | None = DEFAULT_EXPANSION_CAP) -> "ExpandedGraph":
-    """Materialise the adjacency matrix; refuses networks larger than `cap`."""
+    """Materialise the adjacency matrix; refuses networks larger than `cap`.
+
+    `cap` is None, for no cap, or an integer >= 0; anything else is a ParamError.
+    """
     n = model.shape.n
+    cap = None if cap is None else _whole(cap, "cap", 0)
     if cap is not None and n > cap:
         raise ExpansionCapError(f"n={n} exceeds the expansion cap of {cap}")
     adj = np.zeros((n, n), dtype=np.uint8)

@@ -5,7 +5,7 @@ import pytest
 import hiernet.analytics as an
 from hiernet import ensemble, gen
 from hiernet.cli import main
-from hiernet.core import deserialize, validate
+from hiernet.core import deserialize, serialize, validate
 
 DEMO_TEXT = (
     "BHNET 1\n"
@@ -65,6 +65,15 @@ def test_generate_is_byte_deterministic(tmp_path):
     assert main(["generate", *flags, "--out", str(a)]) == 0
     assert main(["generate", *flags, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_writes_the_serialize_bytes(tmp_path):
+    # 3-digit cluster labels, each level written to the file as it is rendered
+    out = tmp_path / "reg.bhnet"
+    assert main(["generate", "--regular", "7", "--p", "3", "--mu", "0.5",
+                 "--seed", "7", "--out", str(out)]) == 0
+    model = gen.generate_network(gen.GenParams(mode="regular", p=3, mu=0.5, seed=7, gamma=7))
+    assert out.read_bytes() == serialize(model).encode("ascii")
 
 
 def test_generate_usage_errors(tmp_path):
@@ -165,6 +174,15 @@ def test_export_cap(demo_file, tmp_path, capsys):
                str(tmp_path / "e.txt"), "--cap", "5"])
     assert rc == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_export_negative_cap_is_a_usage_error(tmp_path, capsys):
+    # refused before the input is read: the file need not exist
+    rc = main(["export", "--input", str(tmp_path / "missing.bhnet"), "--out",
+               str(tmp_path / "e.txt"), "--cap", "-5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "hiernet: parameter error: cap must be an integer >= 0, got -5\n"
 
 
 def test_ensemble_json_report(tmp_path):

@@ -488,6 +488,66 @@ def test_codec_agrees_with_line_walker(data):
         assert fast == want and serialize(fast).encode("ascii") == data
 
 
+def _digit_width_model():
+    # level 1: 100001 clusters, so `B1.` labels cross 9/10, 99/100, ...,
+    # 99999/100000; counts of 1 to 4 digits, one vertex with 1000 children
+    level1 = np.full(100_001, 2)
+    level1[[2, 50_000]] = 1  # no `B` line for these two
+    level1[[10, 11, 12]] = [10, 100, 1000]
+    levels = [level1, [10] * 10_000 + [1], [100] * 100 + [1], [101]]
+    rng = np.random.default_rng(0)
+    nbits = [np.asarray(c) * (np.asarray(c) - 1) // 2 for c in levels]
+    bits = [rng.integers(0, 2, int(nb.sum()), dtype=np.uint8) for nb in nbits]
+    return NetworkModel(HierarchyShape(1000, levels), LinkTable(bits, nbits))
+
+
+def test_codec_across_digit_widths():
+    model = _digit_width_model()
+    text = serialize(model)
+    for i in (9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000):
+        assert f"\nB1.{i}: " in text
+    assert "\nB1.3: " not in text and "L1: 2 2 1 2" in text and " 10 100 1000 2 " in text
+    raw = text.encode("ascii")
+    assert core._parse_canonical(raw) == model == core._parse_lines(text)
+    assert serialize(deserialize(raw)) == text
+    # a leading zero is another spelling: the walker reads it in a count and
+    # refuses it in a label, naming the line
+    zero_count = text.replace("L1: 2 2 1", "L1: 02 2 1", 1)
+    assert core._parse_canonical(zero_count.encode("ascii")) is None
+    assert deserialize(zero_count) == model
+    zero_label = text.replace("\nB1.10: ", "\nB1.010: ", 1)
+    assert core._parse_canonical(zero_label.encode("ascii")) is None
+    with pytest.raises(ParseError) as exc:
+        deserialize(zero_label)
+    assert exc.value.line == zero_label[:zero_label.index("B1.010")].count("\n") + 1
+    assert "'B1.10:'" in str(exc.value)
+
+
+def test_read_counts_takes_only_what_sums_safely(monkeypatch):
+    def read(body):
+        return core._read_counts(np.frombuffer(body, dtype=np.uint8))
+
+    assert read(b"3 10 999999999 0").tolist() == [3, 10, 999999999, 0]
+    for bad in (b"", b"3  4", b"3 4 ", b" 3", b"1000000000", b"3 +4", b"3\r", b"3\t4"):
+        assert read(bad) is None
+    monkeypatch.setattr(core, "MAX_NODES", 2)
+    assert read(b"1 1 1") is None and read(b"1 1").tolist() == [1, 1]
+
+
+def test_bit_positions_int64_branch(monkeypatch):
+    # levels of 2**31 bytes or more index their bits with int64 positions;
+    # a threshold of 0 sends every level there
+    model = _digit_width_model()
+    wide = generate_network(GenParams(mode="by-nodes", p=16, mu=0.5, seed=3, n=2000))
+    texts = [serialize(m) for m in (model, wide)]
+    assert core._bitmap_lines(1, model.shape.counts_at(1))[1].dtype == np.int32
+    monkeypatch.setattr(core, "_INT32_SAFE_BYTES", 0)
+    assert core._bitmap_lines(1, model.shape.counts_at(1))[1].dtype == np.int64
+    for m, text in zip((model, wide), texts):
+        assert serialize(m) == text
+        assert core._parse_canonical(text.encode("ascii")) == m
+
+
 # -- immutability ------------------------------------------------------------
 
 
@@ -538,6 +598,24 @@ def test_generated_model_memory_per_node():
     finally:
         tracemalloc.stop()
     assert held / model.shape.n <= 20
+
+
+def test_deserialize_memory_against_file_size():
+    # the canonical path keeps the model, one level's template and its bit
+    # positions at a time, never a copy of the file: about 2x the file past
+    # the model with numpy 2.4
+    small = serialize(generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=2)))
+    deserialize(small.encode("ascii"))  # one-time setup
+    raw = serialize(generate_network(
+        GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=11))).encode("ascii")
+    tracemalloc.start()
+    try:
+        model = deserialize(raw)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.shape.n == 3 ** 11
+    assert peak <= 4 * len(raw) + held
 
 
 def test_equality_by_value(demo9):

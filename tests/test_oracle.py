@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiernet.analytics as an
+from hiernet.core import ParamError
 from hiernet.gen import GenParams, generate_network
 from hiernet.oracle import (
     DEFAULT_EXPANSION_CAP,
@@ -70,6 +71,21 @@ def test_expansion_cap():
     with pytest.raises(ExpansionCapError):
         edge_list_text(m, cap=100)
     expand(m, cap=None)  # explicit opt-out works
+
+
+@pytest.mark.parametrize("cap", ["x", 2.5, -5, [9]])
+def test_expansion_cap_must_be_a_whole_number(demo9, cap):
+    for call in (expand, edge_list_text):
+        with pytest.raises(ParamError) as exc:
+            call(demo9, cap=cap)
+        assert "cap must be an integer >= 0" in str(exc.value)
+
+
+def test_expansion_cap_takes_integral_values(demo9):
+    assert expand(demo9, cap=9.0).n == 9
+    with pytest.raises(ExpansionCapError) as exc:
+        edge_list_text(demo9, cap=np.int64(8))
+    assert str(exc.value) == "n=9 exceeds the expansion cap of 8"
 
 
 def test_edge_list_text(demo9):
