@@ -7,6 +7,11 @@ four-cycle) decomposes by how it straddles the children of a vertex, and
 each count obeys an exact bottom-up recurrence over per-cluster aggregates
 (nodes, edges, wedges, triangles, four-cycles).
 
+The model is checked once, by `core.checked_model` where the first climb
+or pass reaches it (a generated, stacked or loaded one is trusted as
+built); past that gate every climb and pass reads the shape's and the
+link table's private arrays, with no level or offset check.
+
 The bottom-up pass comes in two tiers, each cached on the model.  The
 edge tier (`_edge_levels`) reads the bits and the child sizes only: it
 starts from level 0, the nodes, which hold no edge, and a cluster's
@@ -46,9 +51,9 @@ ring term.
 
 Per-node quantities follow from one leaf-to-root climb, `core.node_climb`;
 whole-network distributions reuse the per-level terms in vectorised
-top-down passes.  Pairs with the same (lowest common cluster, child, child)
-share one distance, so the distance histogram weights each child pair by
-its two subtree sizes.  A cluster that some ancestor links sideways
+top-down passes.  Pairs with the same (lowest common cluster, child,
+child) share one distance, weighted in the histogram by the two subtree
+sizes.  A cluster that some ancestor links sideways
 ("exited") gives its children distance 1 where their bit is set and 2
 elsewhere, read off the bits with no search.  One top-down scan carries the
 exited flags from level to level and runs a batched BFS on the child
@@ -61,10 +66,9 @@ p**2), with no whole-network pass.
 
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
-for many small copies.  The passes start from k roots, the distance scan
-keeps a histogram row and a component list per root, and the `_root_*`
-readers give each statistic one value per root, in root order.  A model
-read from a file or generated has one root.
+for many small copies.  The distance scan keeps a histogram row and a
+component list per root, and the `_root_*` readers give each statistic
+one value per root, in root order.  Other models have one root.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
@@ -84,10 +88,10 @@ from .core import (
     ClusterRef,
     NetworkModel,
     checked_cluster,
+    checked_model,
     checked_node,
     child_pair_offsets,
     node_climb,
-    pair_index,
 )
 
 __all__ = [
@@ -173,9 +177,9 @@ def _level_groups(model: NetworkModel, g: int):
     V the children's node counts (int64, laid out like idx) and B the
     clusters' bits, (c(c-1)/2, len(sel)) uint8 in pair order.
     """
-    shape, links = model.shape, model.links
-    counts, starts, sizes = shape.counts_at(g), shape.child_start_at(g), shape.sizes_at(g - 1)
-    flat, offsets = links.flat_at(g), links.starts_at(g)
+    sizes, starts, _ = model.shape._derived()
+    counts, starts, sizes = model.shape._counts[g - 1], starts[g - 1], sizes[g - 1]
+    flat, offsets = model.links._flat[g - 1], model.links._starts[g - 1]
     # counts are at most MAX_CHILDREN, so a bincount finds them in one pass
     for c in np.flatnonzero(np.bincount(counts)).tolist():
         rows = max(1, _BLOCK_ENTRIES // (c * c))
@@ -264,17 +268,16 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
     so int64 is exact on every level.  Cached on the model.
     """
     if model._edges is None:
-        shape = model.shape
+        shape, links = checked_model(model).shape, model.links
         out = [np.broadcast_to(np.int64(0), (shape.n,))]
-        for g in range(1, shape.gamma + 1):
+        for g, starts in enumerate(shape._derived()[1], start=1):
             if g == 1:
                 # a level-1 child is one node, so a cluster's edges are its set bits
-                has = shape.counts_at(1) > 1
+                has = shape._counts[0] > 1
                 E = np.zeros(len(has), np.int64)
-                flat, starts = model.links.flat_at(1), model.links.starts_at(1)
-                E[has] = np.add.reduceat(flat, starts[has], dtype=np.int64)
+                E[has] = np.add.reduceat(links._flat[0], links._starts[0][has], dtype=np.int64)
             else:
-                E = np.add.reduceat(E, shape.child_start_at(g))
+                E = np.add.reduceat(E, starts)
                 for c, sel, _, V, B in _level_groups(model, g):
                     if c < 2:
                         continue
@@ -293,11 +296,10 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     """
     if model._aggregates is not None:
         return model._aggregates
-    shape = model.shape
     out: list[ClusterAggregates] = []
     prev: ClusterAggregates | None = None  # level below; None means leaves
-    for g, E in enumerate(_edge_levels(model)[1:], start=1):
-        sizes = shape.sizes_at(g)
+    for g, E in enumerate(_edge_levels(model)[1:], start=1):  # which checks the model
+        sizes = model.shape._derived()[0][g]
         n_cl = len(sizes)
         big = bool(n_cl) and int(sizes.max()) > _INT64_SAFE_NODES
         dtype = object if big else np.int64
@@ -385,7 +387,7 @@ def _level_values(model: NetworkModel, field: str) -> tuple[np.ndarray, ...]:
 def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> int:
     if cluster is None:
         cluster = ClusterRef(model.shape.gamma, 1)  # the root; node 1 when gamma is 0
-    g, i = checked_cluster(model.shape, cluster.gamma, cluster.index)
+    g, i = checked_cluster(checked_model(model).shape, cluster.gamma, cluster.index)
     return int(_level_values(model, field)[g][i - 1])
 
 
@@ -419,11 +421,11 @@ def _linked_levels(model: NetworkModel, x: int, above: int = 0):
     node counts of the c children and sibs the linked ones, 0-based, in order.
     """
     for g, _, lo, a, c, off in node_climb(model, x, above):
-        flat = model.links.flat_at(g)
+        flat = model.links._flat[g - 1]
         # offset s belongs to sibling s before a and to sibling s + 1 past it
         sibs = [s + (s >= a) for s, o in enumerate(child_pair_offsets(a, c)) if flat[off + o]]
         if sibs:
-            v = model.shape.sizes_at(g - 1)[lo:lo + c].tolist()
+            v = model.shape._derived()[0][g - 1][lo:lo + c].tolist()
             yield g, lo, c, off, v, sibs
 
 
@@ -443,7 +445,7 @@ def _chain_triangles(model: NetworkModel, x: int) -> tuple[int, int]:
     total = deg = 0
     for g, lo, c, off, v, sibs in _linked_levels(model, x):
         e = _edge_levels(model)[g - 1][lo:lo + c].tolist()
-        flat = model.links.flat_at(g)
+        flat = model.links._flat[g - 1]
         w = sum(v[s] for s in sibs)
         tri = 0
         for n, j in enumerate(sibs[:-1]):
@@ -484,15 +486,12 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """
     if model._node_passes is not None:
         return model._node_passes
-    shape = model.shape
-    edges = _edge_levels(model)
-    roots = shape.n_clusters(shape.gamma)
-    F = np.zeros(roots, np.int64)
-    D = np.zeros(roots, np.int64)
-    for g in range(shape.gamma, 0, -1):
-        width = shape.n_clusters(g - 1)
-        Fn = np.empty(width, np.int64)
-        Dn = np.empty(width, np.int64)
+    edges = _edge_levels(model)  # checks the model first
+    sizes = model.shape._derived()[0]
+    F, D = np.zeros((2, len(sizes[-1])), np.int64)  # one entry per root each
+    for g in range(len(sizes) - 1, 0, -1):
+        Fn = np.empty(len(sizes[g - 1]), np.int64)
+        Dn = np.empty(len(sizes[g - 1]), np.int64)
         for c, sel, idx, Vm, B in _level_groups(model, g):
             Em = edges[g - 1][idx]
             A = _adjacency(B, c)
@@ -587,21 +586,22 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     climb of x goes on above that cluster to look for such an ancestor
     before the child graph is searched.
     """
-    shape = model.shape
+    shape = checked_model(model).shape
     x, y = checked_node(shape, x), checked_node(shape, y)
     if x == y:
         return 0
+    _, starts, cums = shape._derived()
     ix, iy = x - 1, y - 1  # 0-based chain positions at the level below g
-    for g in range(1, shape.gamma + 1):
-        cx, cy = shape.leaf_cum_at(g).searchsorted((x, y)).tolist()
+    for g, cum in enumerate(cums, start=1):
+        cx, cy = cum.searchsorted((x, y)).tolist()
         if cx == cy:
             break
         ix, iy = cx, cy
-    start = int(shape.child_start_at(g)[cx])
+    start = int(starts[g - 1][cx])
     a, b = sorted((ix - start, iy - start))
-    c = int(shape.counts_at(g)[cx])
-    vec = model.links.vector(g, cx + 1)
-    if vec[pair_index(a + 1, b + 1, c)]:
+    c, off = int(shape._counts[g - 1][cx]), int(model.links._starts[g - 1][cx])
+    vec = model.links._flat[g - 1][off:off + c * (c - 1) // 2]
+    if vec[a * (2 * c - a - 3) // 2 + b - 1]:  # the pair (a, b), as `pair_index` places it
         return 1
     if next(_linked_levels(model, x, above=g), None):
         return 2
@@ -629,7 +629,8 @@ def _free_scan(model: NetworkModel):
     """
     if model._free_scan is not None:
         return model._free_scan
-    shape = model.shape
+    shape = checked_model(model).shape
+    sizes, _, cums = shape._derived()
     ends = _root_ends(shape)
     roots = len(ends)
     # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket,
@@ -638,9 +639,9 @@ def _free_scan(model: NetworkModel):
     hist = np.zeros(roots * width, np.int64)
     groups: list[np.ndarray] = []
     group_roots: list[np.ndarray] = []
-    ex = np.zeros(shape.n_clusters(shape.gamma), dtype=bool)  # a root has no ancestor
+    ex = np.zeros(roots, dtype=bool)  # a root has no ancestor
     for g in range(shape.gamma, 0, -1):
-        exn = np.empty(shape.n_clusters(g - 1), dtype=bool)
+        exn = np.empty(len(sizes[g - 1]), dtype=bool)
         for c, sel, idx, Vm, B in _level_groups(model, g):
             if c < 2:
                 exn[idx] = ex[sel]
@@ -650,7 +651,7 @@ def _free_scan(model: NetworkModel):
             iu, ju = _child_pairs(c)
             d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
             free = np.nonzero(~ex[sel])[0]
-            root = ends.searchsorted(shape.leaf_cum_at(g)[sel]) if roots > 1 else None
+            root = ends.searchsorted(cums[g - 1][sel]) if roots > 1 else None
             if len(free):
                 dist = _child_reach(A[:, :, free])
                 d[:, free] = dist[iu, ju]
@@ -700,7 +701,7 @@ def component_sizes(model: NetworkModel) -> list[int]:
 
 def _root_ends(shape) -> np.ndarray:
     """One past the last node of each root, 0-based: a forest's copy offsets."""
-    return shape.leaf_cum_at(shape.gamma) if shape.gamma else np.ones(1, np.int64)
+    return shape._derived()[2][-1] if shape.gamma else np.ones(1, np.int64)
 
 
 def _per_root(model: NetworkModel, values: np.ndarray) -> list[np.ndarray]:

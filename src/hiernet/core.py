@@ -40,6 +40,7 @@ __all__ = [
     "cluster_size",
     "checked_node",
     "checked_cluster",
+    "checked_model",
     "node_climb",
     "node_path",
     "validate",
@@ -90,6 +91,14 @@ def _index(value, what: str, error: type[HiernetError] = InvalidRefError) -> int
         return operator.index(value)
     except TypeError:
         raise error(f"{what} {value!r} is not an integer") from None
+
+
+def _checked_level(gamma, top: int, lowest: int = 1, where: str = "shape") -> int:
+    """gamma as an int; InvalidRefError unless it is an integer level lowest..top of `where`."""
+    level = _index(gamma, "level")
+    if not lowest <= level <= top:
+        raise InvalidRefError(f"no level {level} in a {top}-level {where}")
+    return level
 
 
 def _whole(value, what: str, lo: int, hi: int | None = None) -> int:
@@ -178,7 +187,8 @@ class HierarchyShape:
     integer >= 2 (3.0 is taken as 3) and non-integer counts, and freezes
     the arrays; the structural rules live in `validate`, which reports
     violations instead of raising, so deliberately broken shapes can be
-    inspected.
+    inspected.  The public accessors check their arguments and refuse
+    counts that do not telescope; analysis reads the private arrays.
     """
 
     __slots__ = ("p", "n", "_counts", "_derived_cache")
@@ -193,7 +203,7 @@ class HierarchyShape:
             arr.flags.writeable = False
             frozen.append(arr)
         self._counts = tuple(frozen)
-        # node count, summed once: point queries check against it at every level
+        # node count, summed once: every node reference is checked against it
         self.n = int(frozen[0].sum()) if frozen else 1
         self._derived_cache = None
 
@@ -207,22 +217,13 @@ class HierarchyShape:
     def levels(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(c) for c in arr) for arr in self._counts)
 
-    def _check_level(self, gamma: int, lowest: int = 1) -> int:
-        """gamma as an int; InvalidRefError unless it is an integer level lowest..Gamma."""
-        try:  # inline, not `_index`: every accessor call passes here
-            level = operator.index(gamma)
-        except TypeError:
-            raise InvalidRefError(f"level {gamma!r} is not an integer") from None
-        if not lowest <= level <= len(self._counts):
-            raise InvalidRefError(f"no level {level} in a {len(self._counts)}-level shape")
-        return level
-
     def n_clusters(self, gamma: int) -> int:
-        return self.n if self._check_level(gamma, 0) == 0 else len(self._counts[gamma - 1])
+        gamma = _checked_level(gamma, len(self._counts), 0)
+        return len(self._counts[gamma - 1]) if gamma else self.n
 
     def counts_at(self, gamma: int) -> np.ndarray:
         """Child counts of all clusters at a level (gamma >= 1), read-only int64."""
-        return self._counts[self._check_level(gamma) - 1]
+        return self._counts[_checked_level(gamma, len(self._counts)) - 1]
 
     def count(self, gamma: int, i: int) -> int:
         gamma, i = checked_cluster(self, gamma, i)
@@ -259,14 +260,14 @@ class HierarchyShape:
 
     def sizes_at(self, gamma: int) -> np.ndarray:
         """Node counts of all clusters at a level, read-only; level 0 is N ones."""
-        return self._derived()[0][self._check_level(gamma, 0)]
+        return self._derived()[0][_checked_level(gamma, len(self._counts), 0)]
 
     def child_start_at(self, gamma: int) -> np.ndarray:
         """0-based index of each cluster's first child within level gamma-1."""
-        return self._derived()[1][self._check_level(gamma) - 1]
+        return self._derived()[1][_checked_level(gamma, len(self._counts)) - 1]
 
     def leaf_cum_at(self, gamma: int) -> np.ndarray:
-        return self._derived()[2][self._check_level(gamma) - 1]
+        return self._derived()[2][_checked_level(gamma, len(self._counts)) - 1]
 
     def cluster_size(self, gamma: int, i: int) -> int:
         gamma, i = checked_cluster(self, gamma, i)
@@ -289,7 +290,7 @@ class HierarchyShape:
     def node_cluster(self, gamma: int, x: int) -> int:
         """1-based index of the level-gamma cluster containing node x."""
         x = checked_node(self, x)
-        if self._check_level(gamma, 0) == 0:
+        if _checked_level(gamma, len(self._counts), 0) == 0:
             return x
         return int(self.leaf_cum_at(gamma).searchsorted(x)) + 1
 
@@ -360,26 +361,17 @@ class LinkTable:
     def gamma(self) -> int:
         return len(self._flat)
 
-    def _check_level(self, gamma: int) -> int:
-        try:  # inline, as in `HierarchyShape._check_level`
-            level = operator.index(gamma)
-        except TypeError:
-            raise InvalidRefError(f"level {gamma!r} is not an integer") from None
-        if not 1 <= level <= len(self._flat):
-            raise InvalidRefError(f"no level {level} in a {len(self._flat)}-level link table")
-        return level
-
     def flat_at(self, gamma: int) -> np.ndarray:
-        return self._flat[self._check_level(gamma) - 1]
+        return self._flat[_checked_level(gamma, len(self._flat), 1, "link table") - 1]
 
     def nbits_at(self, gamma: int) -> np.ndarray:
         """Per-cluster vector lengths: the gaps between offsets, closed by the flat length."""
-        gamma = self._check_level(gamma)
+        gamma = _checked_level(gamma, len(self._flat), 1, "link table")
         starts = self._starts[gamma - 1]  # np.diff(append=) costs three times as much
         return np.concatenate((starts[1:], [len(self._flat[gamma - 1])])) - starts
 
     def starts_at(self, gamma: int) -> np.ndarray:
-        return self._starts[self._check_level(gamma) - 1]
+        return self._starts[_checked_level(gamma, len(self._flat), 1, "link table") - 1]
 
     def vector(self, gamma: int, i: int) -> np.ndarray:
         starts = self.starts_at(gamma)
@@ -410,22 +402,22 @@ class NetworkModel:
 
     The shape's counts are the one record of the layout: they fix the
     sizes, the child ranges and each vector's length, and `validate` holds
-    the link table's offsets to them.  Immutable after construction.
-    Analysis code attaches derived caches to the private slots below under
-    a fill-once discipline; the cached values are deterministic functions
-    of the model, so a racing recomputation by concurrent readers is
-    harmless.
+    the link table's offsets to them.  Immutable after construction, which
+    refuses nothing structural.  `_problems` keeps what `validate` found,
+    None until `checked_model` runs it; generated, stacked and loaded models
+    are valid by construction and come with it empty.  Analysis code fills
+    the other private slots with derived caches, once each; the values are
+    deterministic, so a racing recomputation by concurrent readers is harmless.
     """
 
-    __slots__ = ("shape", "links", "_edges", "_aggregates", "_node_passes", "_free_scan")
+    __slots__ = ("shape", "links", "_problems", "_edges", "_aggregates", "_node_passes",
+                 "_free_scan")
 
     def __init__(self, shape: HierarchyShape, links: LinkTable):
         self.shape = shape
         self.links = links
-        self._edges = None
-        self._aggregates = None
-        self._node_passes = None
-        self._free_scan = None
+        self._problems = None
+        self._edges = self._aggregates = self._node_passes = self._free_scan = None
 
     def __eq__(self, other):
         if not isinstance(other, NetworkModel):
@@ -443,7 +435,7 @@ def psi(model: NetworkModel, cluster: ClusterRef, n: int, s: int) -> int:
 
     Symmetric in (n, s); psi(n, n) is 0 by convention (no self-link).
     """
-    k = model.shape.count(cluster.gamma, cluster.index)  # a node, at level 0, has none
+    k = checked_model(model).shape.count(cluster.gamma, cluster.index)  # a node has none
     n, s = (_index(v, "position", InvalidPairError) for v in (n, s))
     if not (1 <= n <= k and 1 <= s <= k):
         raise InvalidPairError(f"positions ({n},{s}) outside 1..{k}")
@@ -472,13 +464,25 @@ def checked_cluster(shape: HierarchyShape, g: int, i: int) -> tuple[int, int]:
 
     Both must be integers, numpy's too; level 0 holds the nodes, vetted by `checked_node`.
     """
-    g = shape._check_level(g, 0)
+    g = _checked_level(g, len(shape._counts), 0)
     if g == 0:
         return 0, checked_node(shape, i)
     i = _index(i, "cluster")
     if not 1 <= i <= len(shape._counts[g - 1]):
         raise InvalidRefError(f"no cluster {i} at level {g}")
     return g, i
+
+
+def checked_model(model: NetworkModel) -> NetworkModel:
+    """The model once `validate` finds it well formed; else ParamError naming its problems.
+
+    The one gate before the layout is read raw; `validate` runs at most once per model.
+    """
+    if model._problems is None:
+        model._problems = validate(model)
+    if model._problems:
+        raise ParamError("invalid model: " + "; ".join(model._problems))
+    return model
 
 
 def node_climb(model: NetworkModel, x: int, above: int = 0):
@@ -488,9 +492,9 @@ def node_climb(model: NetworkModel, x: int, above: int = 0):
     0-based index of the level-g cluster holding x, the level g-1 index of
     its first child, the 0-based position a of x's chain child among its c
     children, and the offset of its bit vector within `links.flat_at(g)`.
-    `checked_node` vets x before the first level.
+    `checked_model` vets the model and `checked_node` x before the first level.
     """
-    shape = model.shape
+    shape = checked_model(model).shape
     x = checked_node(shape, x)
     _, starts, cums = shape._derived()
     counts, offsets = shape._counts, model.links._starts
@@ -717,12 +721,10 @@ def _bitmap_lines(g: int, counts: np.ndarray, room: int | None = None):
 def serialize_chunks(model: NetworkModel) -> Iterator[bytes | np.ndarray]:
     """The bytes of `serialize`: the head, then one uint8 array per level from the root down.
 
-    Checks the model at once, and renders each level when it is reached.
+    Validates the model at once, whatever its origin, then renders each level when reached.
     """
-    problems = validate(model)
-    if problems:
-        raise ParamError("refusing to serialize an invalid model: " + "; ".join(problems))
-    return _render(model)
+    model._problems = validate(model)
+    return _render(checked_model(model))
 
 
 def _render(model: NetworkModel):
@@ -807,7 +809,8 @@ def _parse_canonical(raw: bytes) -> NetworkModel | None:
         return None
     nbits = (c * (c - 1) // 2 for c in shape._counts)
     model = NetworkModel(shape, LinkTable(flats[::-1], nbits))
-    return None if validate(model) else model
+    model._problems = validate(model)
+    return None if model._problems else model
 
 
 def _parse_lines(text: str) -> NetworkModel:
@@ -914,7 +917,7 @@ def _parse_lines(text: str) -> NetworkModel:
     shape = HierarchyShape(p, list(reversed(top_down)))
     links = LinkTable.from_vectors(list(reversed(vectors_top_down)))
     model = NetworkModel(shape, links)
-    problems = validate(model)
+    problems = model._problems = validate(model)
     if problems:  # belt and braces; the line checks above should have caught it
         raise ParseError("; ".join(problems), len(lines))
     return model

@@ -157,7 +157,7 @@ def _forest(p: int, models: list[NetworkModel]) -> NetworkModel:
 
     Each copy is padded to the deepest copy's level count, and to at least
     one level, with one-child vertices that carry no bits; such a vertex
-    adds nothing to any pass.  The forest is never validated or serialized.
+    adds nothing to any pass.  A forest is trusted as built and never serialized.
     """
     if len(models) == 1:
         return models[0]
@@ -167,8 +167,10 @@ def _forest(p: int, models: list[NetworkModel]) -> NetworkModel:
                  for m in models]
         for out, parts in zip((counts, flats), zip(*level)):
             out.append(np.concatenate(parts))
-    return NetworkModel(HierarchyShape(p, counts),
-                        LinkTable(flats, [c * (c - 1) // 2 for c in counts]))
+    forest = NetworkModel(HierarchyShape(p, counts),
+                          LinkTable(flats, [c * (c - 1) // 2 for c in counts]))
+    forest._problems = []
+    return forest
 
 
 def _generated(params: GenParams, copy: int) -> NetworkModel:

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import HiernetError, NetworkModel, _whole
+from .core import HiernetError, NetworkModel, _whole, checked_model
 
 __all__ = [
     "ExpansionCapError",
@@ -37,30 +37,23 @@ class ExpansionCapError(HiernetError):
 def expand(model: NetworkModel, cap: int | None = DEFAULT_EXPANSION_CAP) -> "ExpandedGraph":
     """Materialise the adjacency matrix; refuses networks larger than `cap`.
 
-    `cap` is None, for no cap, or an integer >= 0; anything else is a ParamError.
+    `cap` is None, for no cap, or an integer >= 0; a bad cap or an invalid model is a ParamError.
     """
     n = model.shape.n
     cap = None if cap is None else _whole(cap, "cap", 0)
     if cap is not None and n > cap:
         raise ExpansionCapError(f"n={n} exceeds the expansion cap of {cap}")
+    shape, links = checked_model(model).shape, model.links
     adj = np.zeros((n, n), dtype=np.uint8)
-    shape, links = model.shape, model.links
     for g in range(1, shape.gamma + 1):
-        counts = shape.counts_at(g)
-        for i in range(1, len(counts) + 1):
-            c = int(counts[i - 1])
-            if c < 2:
-                continue
-            lo, _ = shape.child_range(g, i)
-            vec = links.vector(g, i)
-            t = 0
-            for a in range(1, c + 1):
-                for b in range(a + 1, c + 1):
-                    if vec[t]:
-                        ra, rb = shape.leaf_range(g - 1, lo + a), shape.leaf_range(g - 1, lo + b)
-                        adj[ra[0]:ra[1], rb[0]:rb[1]] = 1
-                        adj[rb[0]:rb[1], ra[0]:ra[1]] = 1
-                    t += 1
+        for i in range(1, shape.n_clusters(g) + 1):
+            lo, hi = shape.child_range(g, i)
+            # the children's pairs in bit order, numbered from 1 within level g-1
+            for (a, b), bit in zip(combinations(range(lo + 1, hi + 1), 2), links.vector(g, i)):
+                if bit:
+                    ra, rb = shape.leaf_range(g - 1, a), shape.leaf_range(g - 1, b)
+                    adj[ra[0]:ra[1], rb[0]:rb[1]] = 1
+                    adj[rb[0]:rb[1], ra[0]:ra[1]] = 1
     return ExpandedGraph(adj)
 
 

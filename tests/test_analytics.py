@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiernet.analytics as an
+import hiernet.core as core
 from hiernet import ensemble, oracle
 from hiernet.core import (
     ClusterRef,
@@ -105,7 +106,30 @@ def test_distance_on_a_fresh_model_runs_no_whole_network_pass(make):
         for y in range(x + 1, n + 1):
             d = an.distance(m, x, y)
             assert (-1 if d is None else d) == want[x - 1, y - 1], (x, y)
-    assert [s for s in m.__slots__ if s.startswith("_") and getattr(m, s) is not None] == []
+    # the trust slot `_problems` holds no whole-network pass; the caches must stay empty
+    assert [getattr(m, s) for s in ("_edges", "_aggregates", "_node_passes", "_free_scan")] \
+        == [None] * 4
+
+
+def test_point_queries_read_the_layout_raw(monkeypatch):
+    # a generated model is trusted as built, so no query passes a level check
+    m = generate_network(GenParams(mode="by-nodes", p=4, mu=0.3, seed=11, n=400))
+    g = oracle.expand(m)
+    dist = g.bf_all_distances()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked level accessor ran")
+
+    monkeypatch.setattr(core, "_checked_level", refuse)
+    n = m.shape.n
+    assert [an.node_degree(m, x) for x in range(1, n + 1)] == g.bf_degrees().tolist()
+    assert [an.triangles_at_node(m, x) for x in range(1, n + 1)] == \
+        [g.bf_triangles_at(x) for x in range(1, n + 1)]
+    for x in range(1, n + 1):
+        assert an.clustering_coefficient(m, x) == pytest.approx(g.bf_clustering(x))
+        for y in range(x + 1, n + 1):
+            d = an.distance(m, x, y)
+            assert (-1 if d is None else d) == dist[x - 1, y - 1], (x, y)
 
 
 def test_degree_distribution(demo9):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import hiernet.analytics as an
+import hiernet.core as core
 from hiernet import ensemble, gen
 from hiernet.cli import main
 from hiernet.core import deserialize, serialize, validate
@@ -49,6 +50,40 @@ def test_generate_and_node_queries_run_no_pattern_pass(tmp_path, monkeypatch):
                  "--props", "degree,c3,clustering"]) == 0
     assert main(["analyze", "--input", str(out),
                  "--props", "edges,degree-dist,clustering-dist"]) == 0
+
+
+def test_validate_runs_once_per_file_and_never_on_generated_models(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(core, "validate", counted)
+    params = gen.GenParams(mode="by-nodes", p=3, mu=0.5, seed=7, n=243)
+    copies = [gen.generate_network(params, stream=s) for s in (1, 2, 3)]
+    forest = ensemble._forest(3, copies)
+    assert an.distance_distribution(forest) and an.node_degree(copies[0], 1) >= 0
+    spec = ensemble.EnsembleSpec(params=params, copies=5, properties=ensemble.PROPERTIES)
+    ensemble.run_ensemble(spec, workers=1)
+    assert calls == []  # generated, stacked and ensemble models are trusted as built
+    # a file is never written unchecked: once per write, and not again after it
+    text = serialize(copies[0])
+    an.edge_count(copies[0])
+    assert len(calls) == 1 and calls[0] is copies[0]
+    out = tmp_path / "net.bhnet"
+    calls.clear()
+    assert main(["generate", "--nodes", "243", "--p", "3", "--mu", "0.5",
+                 "--seed", "7", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    for extra in ([], ["--node", "5", "--props", "degree,c3,clustering"]):
+        calls.clear()
+        assert main(["analyze", "--input", str(out),
+                     *(extra or ["--props", ",".join(ensemble.PROPERTIES) + ",wedges"])]) == 0
+        assert len(calls) == 1  # in `deserialize`, and never again
+    calls.clear()
+    model = deserialize(text)
+    assert len(calls) == 1 and calls[0] is model
 
 
 def test_generate_regular_node_count(tmp_path, capsys):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hiernet.analytics as an
 import hiernet.core as core
+from hiernet import ensemble, oracle
 from hiernet.analytics import distance, node_degree
 from hiernet.core import (
     ClusterRef,
@@ -198,6 +200,68 @@ def test_validate_vertex_past_max_children():
     links = LinkTable([np.zeros(c * (c - 1) // 2, np.uint8)], [np.array([c * (c - 1) // 2])])
     msgs = validate(NetworkModel(shape, links))
     assert msgs == [f"level 1 cluster 1: {c} children exceed the supported maximum {c - 1}"]
+
+
+# the broken models of the test_validate_* cases above, each built afresh
+BROKEN_MODELS = {
+    "count-range": lambda: build_model(2, [[3, 1], [2]], [["110", ""], ["1"]]),
+    "root-width": lambda: build_model(4, [[2, 2]], [["1", "1"]]),
+    "telescoping": lambda: build_model(4, [[2, 2], [3]], [["1", "1"], ["111"]]),
+    "bitmap-length": lambda: build_model(4, [[3], [1]], [["01"], [""]]),
+    "flat-2-bits": lambda: NetworkModel(HierarchyShape(3, [[3]]),
+                                        LinkTable([np.zeros(2, np.uint8)], [[3]])),
+    "flat-5-bits": lambda: NetworkModel(HierarchyShape(3, [[3]]),
+                                        LinkTable([np.ones(5, np.uint8)], [[3]])),
+    "bit-values": lambda: NetworkModel(
+        HierarchyShape(4, [[2], [1]]),
+        LinkTable([np.array([2], np.uint8), np.zeros(0, np.uint8)], [[1], [0]])),
+    "level-count": lambda: NetworkModel(HierarchyShape(4, [[2, 2], [2]]),
+                                        LinkTable.from_vectors([["1", "1"]])),
+    "n-past-p-pow-gamma": lambda: build_model(2, [[2, 2, 2], [3]],
+                                              [["1", "1", "1"], ["111"]]),
+}
+
+_NODE_ARGS = {"node_degree": (1,), "triangles_at_node": (1,), "clustering_coefficient": (1,),
+              "distance": (1, 2)}
+
+
+def _analytics_reader(name):
+    """A public analytics function as a function of the model alone."""
+    fn, args = getattr(an, name), _NODE_ARGS.get(name, ())
+    return lambda m: fn(m, *args)
+
+
+_READERS = {
+    **{name: _analytics_reader(name) for name in an.__all__
+       if name not in ("ClusterAggregates", "Histogram")},
+    "node_path": lambda m: node_path(m, 1),
+    "psi": lambda m: psi(m, ClusterRef(1, 1), 1, 2),
+    "oracle.expand": oracle.expand,
+    "compute_properties": lambda m: ensemble.compute_properties(m, ensemble.PROPERTIES),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_MODELS)
+def test_every_reader_refuses_an_invalid_model(broken, monkeypatch):
+    problems = validate(BROKEN_MODELS[broken]())
+    assert problems
+    models = {name: BROKEN_MODELS[broken]() for name in _READERS}  # each read first
+    for name, read in _READERS.items():
+        with pytest.raises(ParamError) as err:
+            read(models[name])
+        assert str(err.value) == "invalid model: " + "; ".join(problems), name
+    # the findings are kept: a second read raises again with no new `validate`
+    monkeypatch.setattr(core, "validate", None)
+    for name, read in _READERS.items():
+        with pytest.raises(ParamError):
+            read(models[name])
+
+
+def test_shape_accessors_refuse_counts_that_do_not_telescope():
+    with pytest.raises(ParamError, match="shape has counts below 1"):
+        HierarchyShape(3, [[0]]).sizes_at(1)
+    with pytest.raises(ParamError, match="inconsistent level widths"):
+        HierarchyShape(4, [[2, 2], [3]]).sizes_at(2)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, np.float64(1.0)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiernet import ensemble
 from hiernet.core import (
     MAX_CHILDREN,
     MAX_LINK_BITS,
@@ -320,6 +321,20 @@ def test_generated_networks_validate(seed):
     m2 = generate_network(mode2)
     assert validate(m2) == []
     assert m2.shape.n <= p ** (seed % 5)
+    m3 = generate_network(GenParams(mode="regular", p=p, mu=0.5, seed=seed, gamma=seed % 4))
+    assert validate(m3) == []
+    assert m3.shape.n == p ** (seed % 4)
+
+
+@pytest.mark.parametrize("p,seed", [(3, 7), (2, 11), (5, 20260822)])
+def test_stacked_copies_break_only_the_one_root_rule(p, seed):
+    # the analytics trust a forest as built; this pins what `validate` would say
+    copies = [generate_network(GenParams(mode="by-nodes", p=p, mu=0.8, seed=seed, n=n), stream=s)
+              for n, s in ((243, 1), (1, 1), (243, 2), (30, 3))]
+    depth = max(m.shape.gamma for m in copies)
+    assert len({m.shape.gamma for m in copies}) >= 3
+    forest = ensemble._forest(p, copies)
+    assert validate(forest) == [f"level {depth}: root level has 4 clusters, want 1"]
 
 
 def test_mean_levels_tracks_log_estimate():
