@@ -50,19 +50,21 @@ K = A.dV.A is built once per block and feeds both the triangle and the
 ring term.
 
 Per-node quantities follow from one leaf-to-root climb, `core.node_climb`;
-whole-network distributions reuse the per-level terms in vectorised
-top-down passes.  Pairs with the same (lowest common cluster, child,
-child) share one distance, weighted in the histogram by the two subtree
-sizes.  A cluster that some ancestor links sideways
+each climbed cluster's bits are read once, as bytes, and `_linked` lists
+the children linked to the chain child, each bit placed by
+`core.pair_offset`.  Whole-network distributions reuse the per-level terms
+in vectorised top-down passes.  Pairs with the same (lowest common
+cluster, child, child) share one distance, weighted in the histogram by
+the two subtree sizes.  A cluster that some ancestor links sideways
 ("exited") gives its children distance 1 where their bit is set and 2
-elsewhere, read off the bits with no search.  One top-down scan carries the
-exited flags from level to level and runs a batched BFS on the child
+elsewhere, read off the bits with no search.  One top-down scan carries
+the exited flags from level to level and runs a batched BFS on the child
 graphs of the free clusters only, at O(c**3) per hop for c children; its
 one cached result serves the histogram, the diameter and the components.
 A distance query reads the direct bit of the lowest common cluster, climbs
 on to the first ancestor that links the chain sideways (distance 2), and
-searches that one child graph only when there is none: O(gamma * p +
-p**2), with no whole-network pass.
+only when there is none runs a BFS over `_linked` in that one child graph:
+O(gamma * p + p**2), with no whole-network pass.
 
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
@@ -90,8 +92,8 @@ from .core import (
     checked_cluster,
     checked_model,
     checked_node,
-    child_pair_offsets,
     node_climb,
+    pair_offset,
 )
 
 __all__ = [
@@ -202,7 +204,7 @@ def _adjacency(B: np.ndarray, c: int) -> np.ndarray:
 
 
 def _child_pairs(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each child pair i < j, in the bit order of pair_index."""
+    """Row and column of each child pair i < j, in the bit order of `pair_offset`."""
     return np.nonzero(np.arange(c)[:, None] < np.arange(c))
 
 
@@ -296,9 +298,10 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     """
     if model._aggregates is not None:
         return model._aggregates
+    edges = _edge_levels(model)  # checks the model first
     out: list[ClusterAggregates] = []
-    prev: ClusterAggregates | None = None  # level below; None means leaves
-    for g, E in enumerate(_edge_levels(model)[1:], start=1):  # which checks the model
+    prev = ClusterAggregates(*(edges[0],) * 5)  # the nodes: N read-only zeros
+    for g, E in enumerate(edges[1:], start=1):
         sizes = model.shape._derived()[0][g]
         n_cl = len(sizes)
         big = bool(n_cl) and int(sizes.max()) > _INT64_SAFE_NODES
@@ -309,10 +312,7 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
         C3 = np.zeros(n_cl, dtype)
         C4 = np.zeros(n_cl, dtype)
         for c, sel, idx, Vm, B in _level_groups(model, g):
-            if prev is None:
-                Em = P2m = C3m = C4m = np.zeros(Vm.shape, np.int64)
-            else:
-                Em, P2m, C3m, C4m = (a[idx] for a in (prev.e, prev.p2, prev.c3, prev.c4))
+            Em, P2m, C3m, C4m = (a[idx] for a in (prev.e, prev.p2, prev.c3, prev.c4))
             if big:
                 Vm, Em, P2m, C3m, C4m = map(_object_array, (Vm, Em, P2m, C3m, C4m))
             P2[sel], C3[sel], C4[sel] = _merge_children(_adjacency(B, c), Vm, Em, P2m, C3m, C4m)
@@ -414,24 +414,29 @@ def four_cycle_count(model: NetworkModel, cluster: ClusterRef | None = None) -> 
 # -- per-node climbs ---------------------------------------------------------
 
 
-def _linked_levels(model: NetworkModel, x: int, above: int = 0):
-    """The levels of x's climb whose chain child has linked siblings.
+def _linked(vec: bytes, c: int, a: int) -> list[int]:
+    """The children linked to child a of a c-child cluster with bits `vec`, 0-based, in order."""
+    return [s for s in range(c)
+            if s != a and vec[pair_offset(a, s, c) if a < s else pair_offset(s, a, c)]]
 
-    Yields (g, lo, c, off, v, sibs) as `node_climb` numbers them, with v the
-    node counts of the c children and sibs the linked ones, 0-based, in order.
+
+def _linked_levels(model: NetworkModel, climb):
+    """The levels of a `node_climb` whose chain child has linked siblings.
+
+    Yields (g, lo, c, vec, v, sibs) as the climb numbers them: vec the
+    cluster's bits as bytes, v its c children's node counts, sibs `_linked`.
     """
-    for g, _, lo, a, c, off in node_climb(model, x, above):
-        flat = model.links._flat[g - 1]
-        # offset s belongs to sibling s before a and to sibling s + 1 past it
-        sibs = [s + (s >= a) for s, o in enumerate(child_pair_offsets(a, c)) if flat[off + o]]
+    for g, _, lo, a, c, off in climb:
+        vec = model.links._flat[g - 1][off:off + c * (c - 1) // 2].tobytes()
+        sibs = _linked(vec, c, a)
         if sibs:
             v = model.shape._derived()[0][g - 1][lo:lo + c].tolist()
-            yield g, lo, c, off, v, sibs
+            yield g, lo, c, vec, v, sibs
 
 
 def node_degree(model: NetworkModel, x: int) -> int:
     """Degree of node x, by one leaf-to-root climb over its chain; needs no aggregates."""
-    return sum(v[s] for *_, v, sibs in _linked_levels(model, x) for s in sibs)
+    return sum(v[s] for *_, v, sibs in _linked_levels(model, node_climb(model, x)) for s in sibs)
 
 
 def _chain_triangles(model: NetworkModel, x: int) -> tuple[int, int]:
@@ -443,14 +448,12 @@ def _chain_triangles(model: NetworkModel, x: int) -> tuple[int, int]:
     that are linked to the chain child and to each other.
     """
     total = deg = 0
-    for g, lo, c, off, v, sibs in _linked_levels(model, x):
+    for g, lo, c, vec, v, sibs in _linked_levels(model, node_climb(model, x)):
         e = _edge_levels(model)[g - 1][lo:lo + c].tolist()
-        flat = model.links._flat[g - 1]
         w = sum(v[s] for s in sibs)
         tri = 0
         for n, j in enumerate(sibs[:-1]):
-            row = child_pair_offsets(j, c)  # sibling k > j is entry k - 1
-            tri += v[j] * sum(v[k] for k in sibs[n + 1:] if flat[off + row[k - 1]])
+            tri += v[j] * sum(v[k] for k in sibs[n + 1:] if vec[pair_offset(j, k, c)])
         total += sum(e[s] for s in sibs) + deg * w + tri
         deg += w
     return deg, total
@@ -541,38 +544,20 @@ def _clustering(d: np.ndarray, t: np.ndarray) -> np.ndarray:
 # -- distances ---------------------------------------------------------------
 
 
-def _hops(vec: np.ndarray, c: int, a: int, b: int) -> int | None:
-    """Hops from child a to child b of one cluster with bit vector `vec`; None if apart.
+def _hops(vec: bytes, c: int, a: int, b: int) -> int | None:
+    """Hops from child a to child b of a c-child cluster with bits `vec`; None if apart.
 
-    A breadth-first search over neighbour bitmasks, one Python int per child,
-    built from the set bits alone: O(c + set bits) before the search.
+    A breadth-first search reading each child's `_linked` once, O(c**2) bits.
     """
-    on = np.flatnonzero(vec).tolist()
-    if not on:
+    if 1 not in vec:
         return None
-    nbr = [0] * c
-    i, end = 0, c - 1  # bits end-(c-1-i) .. end-1 pair child i with i+1 .. c-1
-    for k in on:
-        while k >= end:
-            i += 1
-            end += c - 1 - i
-        j = k - end + c
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-    seen = frontier = 1 << a
-    d = 0
-    while frontier:
-        d += 1
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= nbr[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~seen
-        if frontier >> b & 1:
-            return d
-        seen |= frontier
-    return None
+    hops, queue = {a: 0}, [a]
+    for s in queue:
+        for t in _linked(vec, c, s):
+            if t not in hops:
+                hops[t] = hops[s] + 1
+                queue.append(t)
+    return hops.get(b)
 
 
 def distance(model: NetworkModel, x: int, y: int) -> int | None:
@@ -590,20 +575,19 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     x, y = checked_node(shape, x), checked_node(shape, y)
     if x == y:
         return 0
-    _, starts, cums = shape._derived()
-    ix, iy = x - 1, y - 1  # 0-based chain positions at the level below g
-    for g, cum in enumerate(cums, start=1):
+    iy = y - 1  # y's 0-based chain position at the level below g
+    for g, cum in enumerate(shape._derived()[2], start=1):
         cx, cy = cum.searchsorted((x, y)).tolist()
         if cx == cy:
             break
-        ix, iy = cx, cy
-    start = int(starts[g - 1][cx])
-    a, b = sorted((ix - start, iy - start))
-    c, off = int(shape._counts[g - 1][cx]), int(model.links._starts[g - 1][cx])
-    vec = model.links._flat[g - 1][off:off + c * (c - 1) // 2]
-    if vec[a * (2 * c - a - 3) // 2 + b - 1]:  # the pair (a, b), as `pair_index` places it
+        iy = cy
+    climb = node_climb(model, x, above=g - 1)
+    _, _, lo, a, c, off = next(climb)
+    vec = model.links._flat[g - 1][off:off + c * (c - 1) // 2].tobytes()
+    b = iy - lo
+    if vec[pair_offset(a, b, c) if a < b else pair_offset(b, a, c)]:
         return 1
-    if next(_linked_levels(model, x, above=g), None):
+    if next(_linked_levels(model, climb), None):
         return 2
     return _hops(vec, c, a, b)
 

@@ -9,9 +9,10 @@ node sets, so the tree determines the graph exactly.  Leaves (level 0) are
 the network nodes, numbered 1..N left to right.
 
 Bits are stored in lexicographic pair order (1,2),(1,3),...,(1,k),(2,3),...,
-(k-1,k); `pair_index` maps a pair to its offset, and the serialized text
-format writes bit strings in the same order.  Adjacency is never expanded
-here; the oracle module materialises edges when verification needs them.
+(k-1,k); `pair_offset` maps a 0-based pair to its offset, `pair_index` is
+its checked 1-based form, and the serialized text format writes bit strings
+in the same order.  Adjacency is never expanded here; the oracle module
+materialises edges when verification needs them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
     "LinkTable",
     "NetworkModel",
     "pair_index",
-    "child_pair_offsets",
+    "pair_offset",
     "psi",
     "cluster_size",
     "checked_node",
@@ -143,18 +144,13 @@ def pair_index(n: int, s: int, k: int) -> int:
         raise InvalidPairError(f"pair ({n!r},{s!r}) for k={k!r} is not integers") from None
     if not 1 <= n < s <= k:
         raise InvalidPairError(f"pair ({n},{s}) invalid for k={k}")
-    # pairs whose first element is below n occupy (n-1)(2k-n)/2 leading slots
-    return (n - 1) * (2 * k - n) // 2 + (s - n - 1)
+    return pair_offset(n - 1, s - 1, k)
 
 
-def child_pair_offsets(a: int, k: int) -> list[int]:
-    """Offsets of the pairs of 0-based child a with each sibling, siblings in order.
-
-    Each sibling s < a holds one pair on its own row; the pairs of a with
-    the siblings past it are one contiguous run, row a.
-    """
-    row = a * (2 * k - a - 1) // 2 - a - 1  # the pair (a, s), s > a, sits at row + s
-    return [s * (2 * k - s - 3) // 2 + a - 1 for s in range(a)] + [*range(row + a + 1, row + k)]
+def pair_offset(a: int, b: int, k: int) -> int:
+    """`pair_index` of the 0-based children a < b of a k-child vertex, unchecked."""
+    # pairs whose first child is below a occupy a(2k-a-1)/2 leading slots
+    return a * (2 * k - a - 1) // 2 + b - a - 1
 
 
 @dataclass(frozen=True)
@@ -441,9 +437,8 @@ def psi(model: NetworkModel, cluster: ClusterRef, n: int, s: int) -> int:
         raise InvalidPairError(f"positions ({n},{s}) outside 1..{k}")
     if n == s:
         return 0
-    lo, hi = (n, s) if n < s else (s, n)
     vec = model.links.vector(cluster.gamma, cluster.index)
-    return int(vec[pair_index(lo, hi, k)])
+    return int(vec[pair_offset(min(n, s) - 1, max(n, s) - 1, k)])
 
 
 def cluster_size(model: NetworkModel, cluster: ClusterRef) -> int:

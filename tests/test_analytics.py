@@ -552,6 +552,36 @@ def test_exited_path_of_512_children():
     assert an.component_sizes(m) == g.bf_components()
 
 
+# -- point queries on wide random child graphs -------------------------------
+
+
+@pytest.mark.parametrize("p,mu", [(16, 0.3), (16, 0.8), (40, 0.3), (40, 0.8)])
+def test_point_queries_on_wide_child_graphs_match_the_oracle(p, mu, monkeypatch):
+    m = generate_network(GenParams(mode="by-nodes", p=p, mu=mu, seed=20260822, n=240))
+    g = oracle.expand(m)
+    nodes = range(1, m.shape.n + 1)
+    assert [an.node_degree(m, x) for x in nodes] == g.bf_degrees().tolist()
+    assert [an.triangles_at_node(m, x) for x in nodes] == [g.bf_triangles_at(x) for x in nodes]
+    assert [an.clustering_coefficient(m, x) for x in nodes] == [g.bf_clustering(x) for x in nodes]
+    # every pair, with the child-graph searches that saw a set bit recorded
+    searched = []
+    hops = an._hops
+
+    def spy(vec, c, a, b):
+        d = hops(vec, c, a, b)
+        if 1 in vec:
+            searched.append(d)
+        return d
+
+    monkeypatch.setattr(an, "_hops", spy)
+    dist = g.bf_all_distances()
+    want = [None if d < 0 else d for d in dist[np.triu_indices(m.shape.n, k=1)].tolist()]
+    assert [an.distance(m, x, y) for x in nodes for y in nodes[x:]] == want
+    assert any(d is not None for d in searched)
+    # wider child graphs than the acceptance corpus's p <= 8
+    assert max(int(c.max()) for c in m.shape._counts) > 8
+
+
 # -- distance engine vs per-pair recomputation -------------------------------
 
 

@@ -60,7 +60,11 @@ def test_pair_index_is_lexicographic_bijection(k):
     for n in range(1, k + 1):
         for s in range(n + 1, k + 1):
             seen.append(pair_index(n, s, k))
+            assert core.pair_offset(n - 1, s - 1, k) == seen[-1]
     assert seen == list(range(k * (k - 1) // 2))
+    # the whole-network passes list the pairs in the same order
+    iu, ju = an._child_pairs(k)
+    assert [core.pair_offset(i, j, k) for i, j in zip(iu.tolist(), ju.tolist())] == seen
 
 
 @pytest.mark.parametrize("n,s,k", [(0, 1, 4), (2, 2, 4), (3, 2, 4), (1, 5, 4), (4, 5, 4)])
