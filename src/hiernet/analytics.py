@@ -59,8 +59,12 @@ the two subtree sizes.  A cluster that some ancestor links sideways
 ("exited") gives its children distance 1 where their bit is set and 2
 elsewhere, read off the bits with no search.  One top-down scan carries
 the exited flags from level to level and runs a batched BFS on the child
-graphs of the free clusters only, at O(c**3) per hop for c children; its
-one cached result serves the histogram, the diameter and the components.
+graphs of the free clusters only, at O(c**3) per hop for c children.  For
+c <= 4 children the scan first runs that BFS on all 2**C(c, 2) child
+graphs and then looks each cluster up by its bits read as a little-endian
+code.  The histogram is one float64 bincount per block: exact, because
+each partial sum is an integer at most C(N, 2) < 2**53.  The scan's one
+cached result serves the histogram, the diameter and the components.
 A distance query reads the direct bit of the lowest common cluster, climbs
 on to the first ancestor that links the chain sideways (distance 2), and
 only when there is none runs a BFS over `_linked` in that one child graph:
@@ -89,6 +93,7 @@ from .core import (
     MAX_CHILDREN,
     ClusterRef,
     NetworkModel,
+    _climb_above,
     checked_cluster,
     checked_model,
     checked_node,
@@ -575,21 +580,36 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     x, y = checked_node(shape, x), checked_node(shape, y)
     if x == y:
         return 0
-    iy = y - 1  # y's 0-based chain position at the level below g
-    for g, cum in enumerate(shape._derived()[2], start=1):
+    _, starts, cums = shape._derived()
+    ix, iy = x - 1, y - 1  # the chain positions at the level below g
+    for g, cum in enumerate(cums, start=1):
         cx, cy = cum.searchsorted((x, y)).tolist()
         if cx == cy:
             break
-        iy = cy
-    climb = node_climb(model, x, above=g - 1)
-    _, _, lo, a, c, off = next(climb)
+        ix, iy = cx, cy
+    lo, c = int(starts[g - 1][cx]), int(shape._counts[g - 1][cx])
+    off = int(model.links._starts[g - 1][cx])
     vec = model.links._flat[g - 1][off:off + c * (c - 1) // 2].tobytes()
-    b = iy - lo
+    a, b = ix - lo, iy - lo
     if vec[pair_offset(a, b, c) if a < b else pair_offset(b, a, c)]:
         return 1
-    if next(_linked_levels(model, climb), None):
+    if next(_linked_levels(model, _climb_above(model, x, g, cx)), None):
         return 2
     return _hops(vec, c, a, b)
+
+
+def _child_graphs(A: np.ndarray):
+    """(pair distances, reach, group leads) of the child graphs of a block's clusters.
+
+    From `_child_reach`: distances in pair order like B, -1 where apart;
+    R[i, j] when child j is reachable from child i; and a lead flag on the
+    first child of each group of two or more linked children.
+    """
+    c = A.shape[0]
+    dist = _child_reach(A)
+    R = dist >= 0
+    iu, ju = _child_pairs(c)
+    return dist[iu, ju], R, (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
 
 
 def _free_scan(model: NetworkModel):
@@ -598,12 +618,16 @@ def _free_scan(model: NetworkModel):
     Walks the levels top-down.  A cluster is exited when its parent is, or
     when its row of the adjacency built for the parent has a set bit.
     The histogram weights each child pair by the product of its two subtree
-    sizes; the weights sum to at most C(N, 2) < 2**53, exact in int64.
+    sizes; the weights sum to at most C(N, 2) < 2**53, so every partial sum
+    of a block's float64 bincount is an exact integer, and so is the int64 sum.
     Exited clusters take distances 1 and 2 from their bits.  Free clusters
     run the child-graph BFS, and its reach also names the components:
     linked children of a cluster none of whose ancestors link it further
     form one component, counted at the group's first child, and a node
-    whose whole chain stays unlinked is one on its own.
+    whose whole chain stays unlinked is one on its own.  A block of c <= 4
+    children builds no adjacency: it reads its exited rows and its BFS
+    results by bit code from tables of all 2**C(c, 2) such child graphs,
+    which the scan builds with the same BFS as it starts.
 
     Row r of the (roots, MAX_CHILDREN + 1) histogram counts root r's pairs
     by distance, its last bucket the unreachable ones; the component sizes
@@ -617,12 +641,16 @@ def _free_scan(model: NetworkModel):
     sizes, _, cums = shape._derived()
     ends = _root_ends(shape)
     roots = len(ends)
-    # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket,
-    # where -1 lands, is free to collect the unreachable pairs
+    # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket
+    # is free to collect the unreachable pairs
     width = MAX_CHILDREN + 1
     hist = np.zeros(roots * width, np.int64)
     groups: list[np.ndarray] = []
     group_roots: list[np.ndarray] = []
+    tables = {}  # exited rows and `_child_graphs` of every c-child graph, c <= 4
+    for c, k in ((2, 1), (3, 3), (4, 6)):
+        A = _adjacency(np.arange(1 << k) >> np.arange(k)[:, None] & 1, c)
+        tables[c] = (A.any(axis=1), *_child_graphs(A))
     ex = np.zeros(roots, dtype=bool)  # a root has no ancestor
     for g in range(shape.gamma, 0, -1):
         exn = np.empty(len(sizes[g - 1]), dtype=bool)
@@ -630,25 +658,26 @@ def _free_scan(model: NetworkModel):
             if c < 2:
                 exn[idx] = ex[sel]
                 continue
-            A = _adjacency(B, c)
-            exn[idx] = ex[sel] | A.any(axis=1)
-            iu, ju = _child_pairs(c)
-            d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
             free = np.nonzero(~ex[sel])[0]
-            root = ends.searchsorted(cums[g - 1][sel]) if roots > 1 else None
-            if len(free):
-                dist = _child_reach(A[:, :, free])
-                d[:, free] = dist[iu, ju]
-                R = dist >= 0
-                # a group counts once, at its first child, if it has two or more
-                lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
-                groups.append((R * Vm[:, free]).sum(axis=1)[lead])
-                if root is not None:
-                    group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
-            if root is not None:
-                # unreachable pairs go to the last bucket of their own root's row
-                d = np.where(d < 0, width - 1, d) + root * width
-            np.add.at(hist, d, Vm[iu] * Vm[ju])
+            if c in tables:
+                code = (1 << np.arange(len(B))) @ B  # the bits, little-endian
+                exits = tables[c][0].take(code, 1)
+                pair_d, R, lead = (t.take(code[free], -1) for t in tables[c][1:])
+            else:
+                A = _adjacency(B, c)
+                exits, (pair_d, R, lead) = A.any(axis=1), _child_graphs(A[:, :, free])
+            exn[idx] = ex[sel] | exits
+            d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
+            d[:, free] = pair_d
+            d[d < 0] = width - 1
+            groups.append((R * Vm[:, free]).sum(axis=1)[lead])
+            if roots > 1:
+                root = ends.searchsorted(cums[g - 1][sel])
+                group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
+                d += root * width  # each pair counts in its own root's row
+            iu, ju = _child_pairs(c)
+            # exact: partial sums are integers <= C(MAX_NODES, 2) < 2**53, pinned in test_core
+            hist += np.bincount(d.ravel(), (Vm[iu] * Vm[ju]).ravel(), len(hist)).astype(np.int64)
         ex = exn
     lone = ~ex  # the nodes whose whole chain stays unlinked
     groups.append(np.ones(int(lone.sum()), np.int64))

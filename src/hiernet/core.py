@@ -480,21 +480,24 @@ def checked_model(model: NetworkModel) -> NetworkModel:
     return model
 
 
-def node_climb(model: NetworkModel, x: int, above: int = 0):
+def node_climb(model: NetworkModel, x: int):
     """Leaf-to-root climb of node x: one tuple of plain ints per level.
 
-    Yields (g, i, lo, a, c, off) for g = above+1 .. Gamma: the level, the
-    0-based index of the level-g cluster holding x, the level g-1 index of
-    its first child, the 0-based position a of x's chain child among its c
+    Yields (g, i, lo, a, c, off) for g = 1 .. Gamma: the level, the 0-based
+    index of the level-g cluster holding x, the level g-1 index of its
+    first child, the 0-based position a of x's chain child among its c
     children, and the offset of its bit vector within `links.flat_at(g)`.
-    `checked_model` vets the model and `checked_node` x before the first level.
+    `checked_model` vets the model and `checked_node` x at the call.
     """
-    shape = checked_model(model).shape
-    x = checked_node(shape, x)
-    _, starts, cums = shape._derived()
-    counts, offsets = shape._counts, model.links._starts
-    j = int(cums[above - 1].searchsorted(x)) if above else x - 1  # x's cluster one level down
-    for g in range(above + 1, shape.gamma + 1):
+    x = checked_node(checked_model(model).shape, x)
+    return _climb_above(model, x, 0, x - 1)
+
+
+def _climb_above(model: NetworkModel, x: int, above: int, j: int):
+    """`node_climb` of a vetted node x from level above+1 on, x's level-`above` cluster being j."""
+    _, starts, cums = model.shape._derived()
+    counts, offsets = model.shape._counts, model.links._starts
+    for g in range(above + 1, model.shape.gamma + 1):
         i = int(cums[g - 1].searchsorted(x))
         lo = int(starts[g - 1][i])
         yield g, i, lo, j - lo, int(counts[g - 1][i]), int(offsets[g - 1][i])

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -550,6 +551,63 @@ def test_exited_path_of_512_children():
     g = oracle.expand(m)
     assert (h.as_dict(), h.unreachable) == g.bf_distance_histogram()
     assert an.component_sizes(m) == g.bf_components()
+
+
+# -- every child graph of two to four children --------------------------------
+
+
+def _every_small_child_graph(root_bits: str):
+    """Three levels: level 2 holds each bit code of c = 2, 3 and 4 children once.
+
+    Its 2 + 8 + 64 clusters hold 284 level-1 clusters of 1 to 3 nodes (581
+    in all) with seeded random sizes and bits, so the weights differ from
+    code to code: with equal weights every code's histogram would add into
+    the same sum however the codes were read.  One root links the 74 by
+    `root_bits`.
+    """
+    counts, vectors = [], []
+    for c in (2, 3, 4):
+        k = c * (c - 1) // 2
+        for code in range(1 << k):
+            counts.append(c)
+            vectors.append("".join(str(code >> bit & 1) for bit in range(k)))
+    rng = np.random.default_rng(19)
+    sizes = rng.integers(1, 4, sum(counts)).tolist()
+    leaves = ["".join(map(str, rng.integers(0, 2, s * (s - 1) // 2))) for s in sizes]
+    return build_model(74, [sizes, counts, [74]], [leaves, vectors, [root_bits]])
+
+
+_ROOT_BITS = {
+    # every cluster free, so each reads its distances, reach and groups by code
+    "free": "0" * 2701,
+    # every cluster exited, distances 1 and 2 read off its bits
+    "exited": "1" * 2701,
+    # the root links its even children only: free and exited clusters in each block
+    "mixed": "".join("1" if a % 2 == b % 2 == 0 else "0" for a, b in combinations(range(74), 2)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ROOT_BITS))
+def test_every_small_child_graph_matches_the_oracle(kind):
+    m = _every_small_child_graph(_ROOT_BITS[kind])
+    assert validate(m) == []
+    g = oracle.expand(m)
+    h = an.distance_distribution(m)
+    assert (h.as_dict(), h.unreachable) == g.bf_distance_histogram()
+    assert an.component_sizes(m) == g.bf_components()
+    assert an.diameter(m) == g.bf_diameter()
+
+
+def test_every_small_child_graph_as_a_forest():
+    # one root per network: each root's row takes its own unreachable bucket
+    models = [_every_small_child_graph(bits) for bits in _ROOT_BITS.values()]
+    forest = ensemble._forest(74, models)
+    hists = an._root_distance_distributions(forest)
+    assert hists == [an.distance_distribution(m) for m in models]
+    assert [an._diameter(h) for h in hists] == [an.diameter(m) for m in models]
+    assert [s.tolist() for s in an._root_component_sizes(forest)] == \
+        [an.component_sizes(m) for m in models]
+    assert [h.unreachable > 0 for h in hists] == [True, False, True]
 
 
 # -- point queries on wide random child graphs -------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,12 @@ def test_validate_vertex_past_max_children():
     msgs = validate(NetworkModel(shape, links))
     assert msgs == [f"level 1 cluster 1: {c} children exceed the supported maximum {c - 1}"]
 
+
+
+def test_pair_count_of_max_nodes_is_float64_exact():
+    # the distance scan sums pair weights in float64 bincounts; every partial
+    # sum is an integer at most C(N, 2), exact only below 2**53
+    assert math.comb(core.MAX_NODES, 2) < 2**53
 
 # the broken models of the test_validate_* cases above, each built afresh
 BROKEN_MODELS = {
