@@ -72,9 +72,12 @@ O(gamma * p + p**2), with no whole-network pass.
 
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
-for many small copies.  The distance scan keeps a histogram row and a
-component list per root, and the `_root_*` readers give each statistic
-one value per root, in root order.  Other models have one root.
+for many small copies.  Every cached result already holds one value per
+root, in root order: the top level of `_level_values`, each root's
+`_per_root` slice of the per-node arrays, and the distance scan's
+histogram row and component array.  `ensemble.PROPERTY_TABLE` reads them
+as they lie.  Other models have one root, and the public functions read
+root 0.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
@@ -159,13 +162,6 @@ class Histogram:
 
 def _comb2(x):
     return x * (x - 1) // 2
-
-
-def _object_array(arr: np.ndarray) -> np.ndarray:
-    # tolist() yields Python ints, immune to int64 wraparound
-    out = np.empty(arr.shape, dtype=object)
-    out[...] = arr.tolist()
-    return out
 
 
 # -- child-graph tensors -----------------------------------------------------
@@ -307,20 +303,17 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     out: list[ClusterAggregates] = []
     prev = ClusterAggregates(*(edges[0],) * 5)  # the nodes: N read-only zeros
     for g, E in enumerate(edges[1:], start=1):
-        sizes = model.shape._derived()[0][g]
-        n_cl = len(sizes)
-        big = bool(n_cl) and int(sizes.max()) > _INT64_SAFE_NODES
-        dtype = object if big else np.int64
-        V = _object_array(sizes) if big else sizes
-        E = _object_array(E) if big else E
-        P2 = np.zeros(n_cl, dtype)
-        C3 = np.zeros(n_cl, dtype)
-        C4 = np.zeros(n_cl, dtype)
+        V = model.shape._derived()[0][g]
+        # casting int64 to object gives exact Python ints, immune to wraparound
+        dtype = object if len(V) and int(V.max()) > _INT64_SAFE_NODES else np.int64
+        V, E = V.astype(dtype, copy=False), E.astype(dtype, copy=False)
+        P2 = np.zeros(len(V), dtype)
+        C3 = np.zeros(len(V), dtype)
+        C4 = np.zeros(len(V), dtype)
         for c, sel, idx, Vm, B in _level_groups(model, g):
-            Em, P2m, C3m, C4m = (a[idx] for a in (prev.e, prev.p2, prev.c3, prev.c4))
-            if big:
-                Vm, Em, P2m, C3m, C4m = map(_object_array, (Vm, Em, P2m, C3m, C4m))
-            P2[sel], C3[sel], C4[sel] = _merge_children(_adjacency(B, c), Vm, Em, P2m, C3m, C4m)
+            inputs = (Vm, prev.e[idx], prev.p2[idx], prev.c3[idx], prev.c4[idx])
+            P2[sel], C3[sel], C4[sel] = _merge_children(
+                _adjacency(B, c), *(a.astype(dtype, copy=False) for a in inputs))
         prev = ClusterAggregates(v=V, e=E, p2=P2, c3=C3, c4=C4)
         out.append(prev)
     model._aggregates = tuple(out)
@@ -534,16 +527,11 @@ def degree_distribution(model: NetworkModel) -> Histogram:
 
 
 def clustering_values(model: NetworkModel) -> np.ndarray:
-    """Clustering coefficient of every node, in node order (float64)."""
-    return _clustering(*_per_node_passes(model))
-
-
-def _clustering(d: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """2 * t / (d * (d - 1)) per node, 0 where d < 2."""
+    """Clustering coefficient of every node, in node order (float64); 0 where d < 2."""
+    d, t = _per_node_passes(model)
     denom = d.astype(np.float64) * (d - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(d >= 2, 2.0 * t / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
+        return np.where(d >= 2, 2.0 * t / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 # -- distances ---------------------------------------------------------------
@@ -694,19 +682,26 @@ def _free_scan(model: NetworkModel):
     return model._free_scan
 
 
+def _diameter(row: np.ndarray) -> int:
+    """Largest finite distance of a scan histogram row; 0 when no pair is connected."""
+    return int(np.flatnonzero(row[:-1]).max(initial=0))
+
+
 def distance_distribution(model: NetworkModel) -> Histogram:
     """Histogram over all N(N-1)/2 node pairs, disconnected ones bucketed apart."""
-    return _root_distance_distributions(model)[0]
+    row = _free_scan(model)[0][0]
+    return Histogram(tuple((k, int(row[k])) for k in np.flatnonzero(row[:-1]).tolist()),
+                     unreachable=int(row[-1]))
 
 
 def diameter(model: NetworkModel) -> int:
     """Largest finite pairwise distance; 0 when no pair is connected."""
-    return _diameter(distance_distribution(model))
+    return _diameter(_free_scan(model)[0][0])
 
 
 def component_sizes(model: NetworkModel) -> list[int]:
     """Connected component sizes, descending."""
-    return _root_component_sizes(model)[0].tolist()
+    return _free_scan(model)[1][0].tolist()
 
 
 # -- per root: one value per root of a forest, in root order; a model has one
@@ -720,32 +715,3 @@ def _root_ends(shape) -> np.ndarray:
 def _per_root(model: NetworkModel, values: np.ndarray) -> list[np.ndarray]:
     """A per-node array cut into each root's slice, as views."""
     return np.split(values, _root_ends(model.shape)[:-1])
-
-
-def _root_values(model: NetworkModel, field: str) -> list[int]:
-    """The top-level aggregate `field` ("e", "p2", "c3" or "c4") of each root, as cached."""
-    return _level_values(model, field)[-1].tolist()
-
-
-def _root_clustering_values(model: NetworkModel):
-    """Each root's clustering coefficients, one root's slice at a time."""
-    d, t = _per_node_passes(model)
-    return map(_clustering, _per_root(model, d), _per_root(model, t))
-
-
-def _root_distance_distributions(model: NetworkModel) -> list[Histogram]:
-    return [
-        Histogram(tuple((k, int(row[k])) for k in np.nonzero(row[:-1])[0].tolist()),
-                  unreachable=int(row[-1]))
-        for row in _free_scan(model)[0]
-    ]
-
-
-def _root_component_sizes(model: NetworkModel) -> list[np.ndarray]:
-    """Each root's component sizes, descending."""
-    return _free_scan(model)[1]
-
-
-def _diameter(h: Histogram) -> int:
-    """Largest finite distance of a distance histogram; 0 when it has none."""
-    return h.counts[-1][0] if h.counts else 0

@@ -42,11 +42,10 @@ from .core import HiernetError, HierarchyShape, LinkTable, NetworkModel, ParamEr
 from .gen import GenParams, generate_network
 from .analytics import (
     _diameter,
+    _free_scan,
+    _level_values,
     _per_root,
-    _root_clustering_values,
-    _root_component_sizes,
-    _root_distance_distributions,
-    _root_values,
+    clustering_values,
     node_degrees,
 )
 
@@ -89,7 +88,7 @@ class EnsembleSpec:
 
 def check_properties(names, valid, kind: str = "property") -> tuple[str, ...]:
     """`names` as a tuple; ParamError when it is empty or lists a name not in `valid`."""
-    names = tuple(names)
+    names = (names,) if isinstance(names, str) else tuple(names)
     if not names:
         raise ParamError(f"at least one {kind} must be requested")
     for name in names:
@@ -110,25 +109,26 @@ def _clustering_histogram(vals: np.ndarray) -> dict:
     return {f"{b / 100:.2f}": int(c) for b, c in zip(uniq, cnt)}
 
 
-def _top(field: str):
-    return lambda model: _root_values(model, field)
+def _distance_counts(row: np.ndarray) -> dict:
+    """A distance scan histogram row as counts by distance, the unreachable pairs last."""
+    counts = {k: int(row[k]) for k in np.flatnonzero(row[:-1]).tolist()}
+    counts[_UNREACHABLE] = int(row[-1])
+    return counts
 
 
-# every network property, in report order: a function of a model giving one
-# int or histogram dict per root, so a model gives one value and a forest
-# of copies one per copy
+# every network property, in report order: a function of a model giving a
+# list of one int or histogram dict per root, read straight off the cached
+# passes, so a model gives one value and a forest of copies one per copy
 PROPERTY_TABLE = {
-    "edges": _top("e"),
-    "c3": _top("c3"),
-    "c4": _top("c4"),
+    "edges": lambda model: _level_values(model, "e")[-1].tolist(),
+    "c3": lambda model: _level_values(model, "c3")[-1].tolist(),
+    "c4": lambda model: _level_values(model, "c4")[-1].tolist(),
     "degree-dist": lambda model: [_value_counts(d) for d in _per_root(model, node_degrees(model))],
-    "distance-dist": lambda model: [
-        {**h.as_dict(), _UNREACHABLE: h.unreachable} for h in _root_distance_distributions(model)
-    ],
-    "components": lambda model: [_value_counts(s) for s in _root_component_sizes(model)],
-    "diameter": lambda model: [_diameter(h) for h in _root_distance_distributions(model)],
+    "distance-dist": lambda model: [_distance_counts(row) for row in _free_scan(model)[0]],
+    "components": lambda model: [_value_counts(s) for s in _free_scan(model)[1]],
+    "diameter": lambda model: [_diameter(row) for row in _free_scan(model)[0]],
     "clustering-dist": lambda model: [
-        _clustering_histogram(v) for v in _root_clustering_values(model)
+        _clustering_histogram(v) for v in _per_root(model, clustering_values(model))
     ],
 }
 PROPERTIES = tuple(PROPERTY_TABLE)
@@ -203,8 +203,10 @@ def _stacks(params: GenParams, first: int, last: int):
 
 
 def _range_worker(args) -> list[bytes]:
-    """Per-copy values of copies first..last, in copy order: one pickled list per stack.
+    """Values of copies first..last, one pickled list per stack, in copy order.
 
+    A stack's list holds one `PROPERTY_TABLE` result per requested
+    property, as the table returns it: one value per copy of the stack.
     Pickled, a copy's histograms take a tenth of the memory they take as
     dicts, and a worker holds a whole range of them until it returns.
     """
@@ -220,7 +222,7 @@ def _range_worker(args) -> list[bytes]:
                      f"copies {lo}-{hi} (seed={params.seed}, streams {lo}-{hi})")
             raise HiernetError(f"{where} failed: {exc}") from exc
         model = None
-        out.append(pickle.dumps([dict(zip(properties, per_copy)) for per_copy in zip(*values)]))
+        out.append(pickle.dumps(values))
     return out
 
 
@@ -249,11 +251,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> dict:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_range = list(pool.map(_range_worker, jobs))
-    per_copy = [values for part in per_range for stack in part for values in pickle.loads(stack)]
+    stacks = [pickle.loads(stack) for part in per_range for stack in part]
     results = {}
     summary = {}
-    for name in spec.properties:
-        vals = [pc[name] for pc in per_copy]
+    for i, name in enumerate(spec.properties):
+        vals = [v for values in stacks for v in values[i]]
         results[name] = vals
         if isinstance(vals[0], int):
             summary[name] = _scalar_summary(vals)

@@ -366,7 +366,7 @@ def _random_block(rng, c, rows, hi, dtype):
     X = rng.integers(0, hi, (3, c, rows))
     if dtype is object:
         # Python ints near 2**40, so fourth powers pass 2**63 by far
-        V, X = (an._object_array(a) * 2**20 + 1 for a in (V, X))
+        V, X = (a.astype(object) * 2**20 + 1 for a in (V, X))
     return A, V, X
 
 
@@ -383,8 +383,8 @@ def test_contraction_evaluators_agree(dtype):
         ring = an._ring_walks(K, V)
         assert all(r.dtype == dtype for r in (link, K, tri, ring))
         for r in range(A.shape[-1]):
-            a = an._object_array(A[:, :, r])
-            av = a * an._object_array(V[:, r])  # A.dV
+            a = A[:, :, r].astype(object)
+            av = a * V[:, r].astype(object)  # A.dV
             assert [list(row) for row in K[:, :, r]] == [list(row) for row in av @ a]
             assert list(tri[:, r]) == list(np.diag(av @ av @ a))
             assert ring[r] == np.trace(av @ av @ av @ av)
@@ -602,12 +602,13 @@ def test_every_small_child_graph_as_a_forest():
     # one root per network: each root's row takes its own unreachable bucket
     models = [_every_small_child_graph(bits) for bits in _ROOT_BITS.values()]
     forest = ensemble._forest(74, models)
-    hists = an._root_distance_distributions(forest)
-    assert hists == [an.distance_distribution(m) for m in models]
-    assert [an._diameter(h) for h in hists] == [an.diameter(m) for m in models]
-    assert [s.tolist() for s in an._root_component_sizes(forest)] == \
+    hists = ensemble.PROPERTY_TABLE["distance-dist"](forest)
+    assert hists == [{**h.as_dict(), "unreachable": h.unreachable}
+                     for h in map(an.distance_distribution, models)]
+    assert ensemble.PROPERTY_TABLE["diameter"](forest) == [an.diameter(m) for m in models]
+    assert [s.tolist() for s in an._free_scan(forest)[1]] == \
         [an.component_sizes(m) for m in models]
-    assert [h.unreachable > 0 for h in hists] == [True, False, True]
+    assert [h["unreachable"] > 0 for h in hists] == [True, False, True]
 
 
 # -- point queries on wide random child graphs -------------------------------

@@ -38,6 +38,16 @@ def test_spec_validation():
             run_ensemble(ALL_SPEC, workers=workers)
 
 
+def test_a_bare_string_is_one_property_name():
+    # a str is one name, not a sequence of one-character names
+    model = generate_network(PARAMS, stream=1)
+    assert compute_properties(model, "edges") == {"edges": an.edge_count(model)}
+    assert run_copy(PARAMS, 1, "diameter") == run_copy(PARAMS, 1, ("diameter",))
+    assert EnsembleSpec(params=PARAMS, copies=2, properties="c3").properties == ("c3",)
+    with pytest.raises(ParamError, match="'girth'"):
+        compute_properties(model, "girth")
+
+
 def test_copies_use_derived_streams():
     # copy c must equal a direct generation on stream c
     vals = run_copy(PARAMS, 3, ("edges", "c3"))
@@ -210,18 +220,24 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
     assert len({m.shape.gamma for m in models}) == 3 and models[1].shape.gamma == 0
     forest = ensemble._forest(3, models)
     assert forest.shape.n_clusters(forest.shape.gamma) == len(models)
+    table = {name: values(forest) for name, values in ensemble.PROPERTY_TABLE.items()}
+    wedges = an._level_values(forest, "p2")[-1].tolist()
     degrees = an._per_root(forest, an.node_degrees(forest))
     triangles = an._per_root(forest, an.triangles_at_all_nodes(forest))
     for j, m in enumerate(models):
-        for field, count in (("e", an.edge_count), ("p2", an.wedge_count),
-                             ("c3", an.triangle_count), ("c4", an.four_cycle_count)):
-            assert an._root_values(forest, field)[j] == count(m)
+        assert table["edges"][j] == an.edge_count(m)
+        assert wedges[j] == an.wedge_count(m)
+        assert table["c3"][j] == an.triangle_count(m)
+        assert table["c4"][j] == an.four_cycle_count(m)
         # a forest caches every level, as any model does
         assert len(an.cluster_aggregates(forest)) == forest.shape.gamma
         assert degrees[j].tolist() == an.node_degrees(m).tolist()
         assert triangles[j].tolist() == an.triangles_at_all_nodes(m).tolist()
-        assert an._root_distance_distributions(forest)[j] == an.distance_distribution(m)
-        assert an._root_component_sizes(forest)[j].tolist() == an.component_sizes(m)
+        h = an.distance_distribution(m)
+        assert table["distance-dist"][j] == {**h.as_dict(), "unreachable": h.unreachable}
+        assert an._free_scan(forest)[1][j].tolist() == an.component_sizes(m)
+        assert {name: values[j] for name, values in table.items()} == \
+            compute_properties(m, PROPERTIES)
 
 
 @pytest.mark.parametrize("budget,where", [
