@@ -38,6 +38,12 @@ peak of deep, narrow levels (2**20 entries held 116508 three-child
 clusters a block), smaller ones pay more per-block calls on wide child
 graphs.
 
+Where a block's outputs depend on its bits alone, c <= 4 children build
+no A: a pass runs its kernel once per c on all 2**C(c, 2) child graphs
+(`_code_graphs`) and takes each cluster's column at its little-endian bit
+code (`_code`).  The distance scan reads c <= 4 blocks so on every level,
+the pattern tier and the node passes on level 1, where each child is one node.
+
 With V the children's node counts and dV = diag(V), three
 contractions of A give every per-level term: A.X (sums over linked
 siblings: W = A.V, WE = A.E, A.V**2, A.C(V,2)); diag(A.dV.A.dV.A) (each
@@ -59,10 +65,8 @@ the two subtree sizes.  A cluster that some ancestor links sideways
 ("exited") gives its children distance 1 where their bit is set and 2
 elsewhere, read off the bits with no search.  One top-down scan carries
 the exited flags from level to level and runs a batched BFS on the child
-graphs of the free clusters only, at O(c**3) per hop for c children.  For
-c <= 4 children the scan first runs that BFS on all 2**C(c, 2) child
-graphs and then looks each cluster up by its bits read as a little-endian
-code.  The histogram is one float64 bincount per block: exact, because
+graphs of the free clusters only, at O(c**3) per hop for c children.
+The histogram is one float64 bincount per block: exact, because
 each partial sum is an integer at most C(N, 2) < 2**53.  The scan's one
 cached result serves the histogram, the diameter and the components.
 A distance query reads the direct bit of the lowest common cluster, climbs
@@ -128,6 +132,7 @@ __all__ = [
 _INT64_SAFE_NODES = 40_000
 # entries of a row block's (c, c, rows) tensor, past one cluster's c**2
 _BLOCK_ENTRIES = 1 << 16
+_CODE_CHILDREN = 4  # blocks of at most 4 children, 2**6 child graphs, read by code
 
 
 @dataclass(frozen=True)
@@ -207,6 +212,18 @@ def _adjacency(B: np.ndarray, c: int) -> np.ndarray:
 def _child_pairs(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each child pair i < j, in the bit order of `pair_offset`."""
     return np.nonzero(np.arange(c)[:, None] < np.arange(c))
+
+
+def _code(B: np.ndarray) -> np.ndarray:
+    """Each cluster's bits B read as one little-endian code: its column in `_code_graphs`."""
+    return (1 << np.arange(len(B))) @ B
+
+
+def _code_graphs(c: int):
+    """(A, V, Z): every child graph of c one-node children, column k of code k; V ones, Z zeros."""
+    k = c * (c - 1) // 2
+    ones = np.ones((c, 1 << k), np.int64)
+    return _adjacency(np.arange(1 << k) >> np.arange(k)[:, None] & 1, c), ones, ones - 1
 
 
 # The contractions, exact on int64 and on object values.  A is (c, c, rows)
@@ -307,10 +324,15 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
         # casting int64 to object gives exact Python ints, immune to wraparound
         dtype = object if len(V) and int(V.max()) > _INT64_SAFE_NODES else np.int64
         V, E = V.astype(dtype, copy=False), E.astype(dtype, copy=False)
-        P2 = np.zeros(len(V), dtype)
-        C3 = np.zeros(len(V), dtype)
-        C4 = np.zeros(len(V), dtype)
+        P2, C3, C4 = np.zeros((3, len(V)), dtype)
+        tables = {}  # level 1: (p2, c3, c4) of every c-child graph, c <= _CODE_CHILDREN
         for c, sel, idx, Vm, B in _level_groups(model, g):
+            if g == 1 and c <= _CODE_CHILDREN:
+                if c not in tables:
+                    A, ones, Z = _code_graphs(c)
+                    tables[c] = np.stack(_merge_children(A, ones, Z, Z, Z, Z))
+                P2[sel], C3[sel], C4[sel] = tables[c].take(_code(B), 1)
+                continue
             inputs = (Vm, prev.e[idx], prev.p2[idx], prev.c3[idx], prev.c4[idx])
             P2[sel], C3[sel], C4[sel] = _merge_children(
                 _adjacency(B, c), *(a.astype(dtype, copy=False) for a in inputs))
@@ -490,16 +512,19 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     edges = _edge_levels(model)  # checks the model first
     sizes = model.shape._derived()[0]
     F, D = np.zeros((2, len(sizes[-1])), np.int64)  # one entry per root each
+    tables = {}  # level 1: `_node_steps` of every c-child graph, c <= _CODE_CHILDREN
     for g in range(len(sizes) - 1, 0, -1):
         Fn = np.empty(len(sizes[g - 1]), np.int64)
         Dn = np.empty(len(sizes[g - 1]), np.int64)
         for c, sel, idx, Vm, B in _level_groups(model, g):
-            Em = edges[g - 1][idx]
-            A = _adjacency(B, c)
-            W, WE = _link_sums(A, np.stack([Vm, Em]))
-            tri = _triangle_walks(_walks(A, Vm), Vm, A) if c >= 3 else 0
-            Fn[idx] = F[sel] + 2 * WE + tri - W * W
-            Dn[idx] = D[sel] + W
+            if g == 1 and c <= _CODE_CHILDREN:
+                if c not in tables:
+                    tables[c] = np.stack(_node_steps(*_code_graphs(c)))
+                dF, dD = tables[c].take(_code(B), -1)
+            else:
+                dF, dD = _node_steps(_adjacency(B, c), Vm, edges[g - 1][idx])
+            Fn[idx] = F[sel] + dF
+            Dn[idx] = D[sel] + dD
         F, D = Fn, Dn
     # T = (D**2 + F) / 2 in place, the one array beside the two
     T = np.multiply(D, D)
@@ -509,6 +534,13 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     T.flags.writeable = False
     model._node_passes = (D, T)
     return model._node_passes
+
+
+def _node_steps(A, V, E):
+    """(F increment, degree increment W) of each child of a block, for `_per_node_passes`."""
+    W, WE = _link_sums(A, np.stack([V, E]))
+    tri = _triangle_walks(_walks(A, V), V, A) if A.shape[0] >= 3 else 0
+    return 2 * WE + tri - W * W, W
 
 
 def node_degrees(model: NetworkModel) -> np.ndarray:
@@ -613,9 +645,7 @@ def _free_scan(model: NetworkModel):
     linked children of a cluster none of whose ancestors link it further
     form one component, counted at the group's first child, and a node
     whose whole chain stays unlinked is one on its own.  A block of c <= 4
-    children builds no adjacency: it reads its exited rows and its BFS
-    results by bit code from tables of all 2**C(c, 2) such child graphs,
-    which the scan builds with the same BFS as it starts.
+    children reads its exited rows and BFS results off `_code_graphs(c)` by code.
 
     Row r of the (roots, MAX_CHILDREN + 1) histogram counts root r's pairs
     by distance, its last bucket the unreachable ones; the component sizes
@@ -635,10 +665,7 @@ def _free_scan(model: NetworkModel):
     hist = np.zeros(roots * width, np.int64)
     groups: list[np.ndarray] = []
     group_roots: list[np.ndarray] = []
-    tables = {}  # exited rows and `_child_graphs` of every c-child graph, c <= 4
-    for c, k in ((2, 1), (3, 3), (4, 6)):
-        A = _adjacency(np.arange(1 << k) >> np.arange(k)[:, None] & 1, c)
-        tables[c] = (A.any(axis=1), *_child_graphs(A))
+    tables = {}  # exited rows and `_child_graphs` of every c-child graph, c <= _CODE_CHILDREN
     ex = np.zeros(roots, dtype=bool)  # a root has no ancestor
     for g in range(shape.gamma, 0, -1):
         exn = np.empty(len(sizes[g - 1]), dtype=bool)
@@ -647,8 +674,11 @@ def _free_scan(model: NetworkModel):
                 exn[idx] = ex[sel]
                 continue
             free = np.nonzero(~ex[sel])[0]
-            if c in tables:
-                code = (1 << np.arange(len(B))) @ B  # the bits, little-endian
+            if c <= _CODE_CHILDREN:
+                if c not in tables:
+                    A = _code_graphs(c)[0]
+                    tables[c] = (A.any(axis=1), *_child_graphs(A))
+                code = _code(B)
                 exits = tables[c][0].take(code, 1)
                 pair_d, R, lead = (t.take(code[free], -1) for t in tables[c][1:])
             else:

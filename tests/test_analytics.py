@@ -611,6 +611,49 @@ def test_every_small_child_graph_as_a_forest():
     assert [h["unreachable"] > 0 for h in hists] == [True, False, True]
 
 
+def _every_level_one_code():
+    """Three levels: level 1 holds each bit code of c = 1, 2, 3 and 4 one-node children once.
+
+    Its 1 + 2 + 8 + 64 = 75 clusters (285 nodes) come in a seeded shuffle,
+    so every level-2 cluster mixes child counts and codes; the 12 level-2
+    clusters (1 to 11 children) and the root carry seeded random bits, so
+    the node passes bring non-zero steps down into every level-1 block.
+    """
+    codes = [(c, code) for c in (1, 2, 3, 4) for code in range(1 << c * (c - 1) // 2)]
+    rng = np.random.default_rng(21)
+    codes = [codes[i] for i in rng.permutation(len(codes))]
+    counts = [*range(1, 12), 9]
+    vectors = [
+        ["".join(str(code >> bit & 1) for bit in range(c * (c - 1) // 2)) for c, code in codes],
+        ["".join(map(str, rng.integers(0, 2, c * (c - 1) // 2))) for c in counts],
+        ["".join(map(str, rng.integers(0, 2, 66)))],
+    ]
+    return build_model(12, [[c for c, _ in codes], counts, [12]], vectors)
+
+
+@pytest.mark.parametrize("int64_safe", [40_000, 0])
+def test_every_level_one_code_matches_the_oracle(int64_safe, monkeypatch):
+    # level-1 blocks of c <= 4 read their pattern counts and node steps by code
+    monkeypatch.setattr(an, "_INT64_SAFE_NODES", int64_safe)
+    m = _every_level_one_code()
+    assert validate(m) == [] and m.shape.n == 285
+    g = oracle.expand(m)
+    assert an.wedge_count(m) == g.bf_wedges()
+    assert an.triangle_count(m) == g.bf_triangles()
+    assert an.four_cycle_count(m) == g.bf_four_cycles()
+    assert an.node_degrees(m).tolist() == g.bf_degrees().tolist()
+    assert an.triangles_at_all_nodes(m).tolist() == [g.bf_triangles_at(x) for x in range(1, 286)]
+    level1 = an.cluster_aggregates(m)[0]
+    for c, sel, _, V, B in an._level_groups(m, 1):
+        zero = np.zeros_like(V)
+        want = an._merge_children(an._adjacency(B, c), V, zero, zero, zero, zero)
+        assert [a[sel].tolist() for a in (level1.p2, level1.c3, level1.c4)] == \
+            [w.tolist() for w in want]
+    if not int64_safe:
+        for a in (level1.p2, level1.c3, level1.c4):
+            assert a.dtype == object and {type(x) for x in a} == {int}
+
+
 # -- point queries on wide random child graphs -------------------------------
 
 
