@@ -77,11 +77,11 @@ O(gamma * p + p**2), with no whole-network pass.
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
 for many small copies.  Every cached result already holds one value per
-root, in root order: the top level of `_level_values`, each root's
-`_per_root` slice of the per-node arrays, and the distance scan's
-histogram row and component array.  `ensemble.PROPERTY_TABLE` reads them
-as they lie.  Other models have one root, and the public functions read
-root 0.
+root, in root order: the top level of `_level_values`, and the distance
+scan's histogram row and component array.  `_root_counts` bins each root's
+slice of the per-node passes' D and T in chunks of nodes, so nothing past
+those two arrays is N long.  `ensemble.PROPERTY_TABLE` reads them all as
+they lie.  Other models have one root, and the public functions read root 0.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
@@ -130,7 +130,7 @@ __all__ = [
 ]
 
 _INT64_SAFE_NODES = 40_000
-# entries of a row block's (c, c, rows) tensor, past one cluster's c**2
+# entries of a row block's (c, c, rows) tensor past one cluster's c**2; nodes binned at once
 _BLOCK_ENTRIES = 1 << 16
 _CODE_CHILDREN = 4  # blocks of at most 4 children, 2**6 child graphs, read by code
 
@@ -503,9 +503,10 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     half the triangle walks) less the sum of squared per-level degree
     increments.  Triangles then follow from (deg**2 + that) / 2, because
     the cross products of increments from two different levels are exactly
-    the degree-times-new-weight terms.  The passes start from one cluster
-    per root.  V <= N <= 2**27 and the edge tier's E < 2**53, so the walks
-    (<= N**2), the squares and twice the edges fit int64.
+    the degree-times-new-weight terms; T is built in F's own buffer.  The
+    passes start from one cluster per root.  V <= N <= 2**27 and the edge
+    tier's E < 2**53, so the walks (<= N**2), the squares and twice the
+    edges fit int64.
     """
     if model._node_passes is not None:
         return model._node_passes
@@ -526,10 +527,10 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
             Fn[idx] = F[sel] + dF
             Dn[idx] = D[sel] + dD
         F, D = Fn, Dn
-    # T = (D**2 + F) / 2 in place, the one array beside the two
-    T = np.multiply(D, D)
-    T += F
-    T //= 2
+    T = F  # T = (D**2 + F) / 2 in F's buffer, D squared a chunk at a time
+    for lo in range(0, len(D), _BLOCK_ENTRIES):
+        d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
+        np.floor_divide(d * d + t, 2, out=t)
     D.flags.writeable = False
     T.flags.writeable = False
     model._node_passes = (D, T)
@@ -554,13 +555,17 @@ def triangles_at_all_nodes(model: NetworkModel) -> np.ndarray:
 
 
 def degree_distribution(model: NetworkModel) -> Histogram:
-    vals, cnts = np.unique(node_degrees(model), return_counts=True)
-    return Histogram(tuple((int(v), int(c)) for v, c in zip(vals, cnts)))
+    """(degree, node count) pairs, degree ascending, counted chunk by chunk."""
+    return Histogram(tuple(_items(_root_counts(model, "degree")[0])))
 
 
 def clustering_values(model: NetworkModel) -> np.ndarray:
-    """Clustering coefficient of every node, in node order (float64); 0 where d < 2."""
-    d, t = _per_node_passes(model)
+    """Clustering coefficients in node order (float64, 0 where d < 2); bins share `_clustering`."""
+    return _clustering(*_per_node_passes(model))
+
+
+def _clustering(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2t / (d(d - 1)) elementwise for degrees d and triangles t (float64); 0 where d < 2."""
     denom = d.astype(np.float64) * (d - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(d >= 2, 2.0 * t / np.where(denom > 0, denom, 1.0), 0.0)
@@ -720,8 +725,7 @@ def _diameter(row: np.ndarray) -> int:
 def distance_distribution(model: NetworkModel) -> Histogram:
     """Histogram over all N(N-1)/2 node pairs, disconnected ones bucketed apart."""
     row = _free_scan(model)[0][0]
-    return Histogram(tuple((k, int(row[k])) for k in np.flatnonzero(row[:-1]).tolist()),
-                     unreachable=int(row[-1]))
+    return Histogram(tuple(_items(row[:-1])), unreachable=int(row[-1]))
 
 
 def diameter(model: NetworkModel) -> int:
@@ -742,6 +746,32 @@ def _root_ends(shape) -> np.ndarray:
     return shape._derived()[2][-1] if shape.gamma else np.ones(1, np.int64)
 
 
-def _per_root(model: NetworkModel, values: np.ndarray) -> list[np.ndarray]:
-    """A per-node array cut into each root's slice, as views."""
-    return np.split(values, _root_ends(model.shape)[:-1])
+def _root_counts(model: NetworkModel, kind: str) -> list[np.ndarray]:
+    """Per root, its nodes counted by degree ("degree") or by clustering bin, from 0.
+
+    The 101 clustering bins are floor(100 * `_clustering` + 1e-9).
+    `np.bincount` copies its whole input, so it reads _BLOCK_ENTRIES nodes
+    at a time, each binned at its root's offset: one call per chunk.
+    """
+    D, T = _per_node_passes(model)
+    ends = _root_ends(model.shape)
+    if kind == "degree":
+        widths = np.maximum.reduceat(D, np.r_[0, ends[:-1]]) + 1
+    else:
+        widths = np.full(len(ends), 101)
+    offsets = np.cumsum(widths) - widths
+    counts = np.zeros(int(widths.sum()), np.int64)
+    for lo in range(0, len(D), _BLOCK_ENTRIES):
+        d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
+        b = d if kind == "degree" else np.floor(_clustering(d, t) * 100 + 1e-9).astype(np.int64)
+        if len(ends) > 1:
+            b = b + offsets[ends.searchsorted(np.arange(lo, lo + len(b)), side="right")]
+        add = np.bincount(b)
+        counts[:len(add)] += add
+    return np.split(counts, offsets[1:])
+
+
+def _items(counts: np.ndarray) -> list[tuple[int, int]]:
+    """(index, count) of every nonzero entry of a count array, index ascending."""
+    keys = np.flatnonzero(counts)
+    return list(zip(keys.tolist(), counts[keys].tolist()))

@@ -43,10 +43,9 @@ from .gen import GenParams, generate_network
 from .analytics import (
     _diameter,
     _free_scan,
+    _items,
     _level_values,
-    _per_root,
-    clustering_values,
-    node_degrees,
+    _root_counts,
 )
 
 __all__ = [
@@ -102,20 +101,6 @@ def _value_counts(values: np.ndarray) -> dict:
     return {int(v): int(c) for v, c in zip(uniq, cnt)}
 
 
-def _clustering_histogram(vals: np.ndarray) -> dict:
-    """Counts over 0.01-wide bins of the clustering coefficient, keyed by bin start."""
-    bins = np.floor(vals * 100 + 1e-9).astype(np.int64)
-    uniq, cnt = np.unique(bins, return_counts=True)
-    return {f"{b / 100:.2f}": int(c) for b, c in zip(uniq, cnt)}
-
-
-def _distance_counts(row: np.ndarray) -> dict:
-    """A distance scan histogram row as counts by distance, the unreachable pairs last."""
-    counts = {k: int(row[k]) for k in np.flatnonzero(row[:-1]).tolist()}
-    counts[_UNREACHABLE] = int(row[-1])
-    return counts
-
-
 # every network property, in report order: a function of a model giving a
 # list of one int or histogram dict per root, read straight off the cached
 # passes, so a model gives one value and a forest of copies one per copy
@@ -123,12 +108,14 @@ PROPERTY_TABLE = {
     "edges": lambda model: _level_values(model, "e")[-1].tolist(),
     "c3": lambda model: _level_values(model, "c3")[-1].tolist(),
     "c4": lambda model: _level_values(model, "c4")[-1].tolist(),
-    "degree-dist": lambda model: [_value_counts(d) for d in _per_root(model, node_degrees(model))],
-    "distance-dist": lambda model: [_distance_counts(row) for row in _free_scan(model)[0]],
+    "degree-dist": lambda model: [dict(_items(row)) for row in _root_counts(model, "degree")],
+    "distance-dist": lambda model: [
+        {**dict(_items(row[:-1])), _UNREACHABLE: int(row[-1])} for row in _free_scan(model)[0]
+    ],
     "components": lambda model: [_value_counts(s) for s in _free_scan(model)[1]],
     "diameter": lambda model: [_diameter(row) for row in _free_scan(model)[0]],
     "clustering-dist": lambda model: [
-        _clustering_histogram(v) for v in _per_root(model, clustering_values(model))
+        {f"{b / 100:.2f}": n for b, n in _items(row)} for row in _root_counts(model, "clustering")
     ],
 }
 PROPERTIES = tuple(PROPERTY_TABLE)

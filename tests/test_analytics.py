@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations
 
@@ -498,6 +499,73 @@ def test_results_do_not_depend_on_the_block_size(int64_safe, monkeypatch):
     for entries in (1, 2**10, 2**20):
         monkeypatch.setattr(an, "_BLOCK_ENTRIES", entries)
         assert [_every_pass(m) for m in _block_inputs(corpus)] == want, entries
+
+
+# -- distributions counted in chunks ------------------------------------------
+
+# oracle-corpus networks, wide and deep, and the copies of one mixed-depth
+# forest, a zero-level one among them
+_DIST_CORPUS = [
+    GenParams(mode="by-nodes", p=p, mu=mu, seed=20260822, n=n)
+    for p, mu, n in ((2, 0.5, 200), (3, 0.1, 120), (5, 1.0, 64), (8, 0.5, 200))
+]
+_FOREST_COPIES = [(GenParams(mode="by-nodes", p=3, mu=0.8, seed=7, n=n), s)
+                  for n, s in ((243, 1), (1, 1), (30, 3), (100, 2))]
+
+
+def _sorted_counts(values) -> dict:
+    """The reference: np.unique's value counts, keys and counts as Python ints."""
+    vals, cnts = np.unique(values, return_counts=True)
+    return dict(zip(vals.tolist(), cnts.tolist()))
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_distributions_equal_a_sort_across_chunks_and_roots(chunk, demo9, monkeypatch):
+    monkeypatch.setattr(an, "_BLOCK_ENTRIES", chunk)
+    copies = [generate_network(params, stream=s) for params, s in _FOREST_COPIES]
+    assert len({m.shape.gamma for m in copies}) >= 3 and min(m.shape.gamma for m in copies) == 0
+    # in chunks of 7 the first root ends inside a chunk (243 = 7 * 34 + 5); at the
+    # default every model is one chunk
+    forest = ensemble._forest(3, copies)
+    models = [demo9, *map(generate_network, _DIST_CORPUS), forest]
+    for m in models:
+        cuts = an._root_ends(m.shape)[:-1]
+        degrees = np.split(an.node_degrees(m), cuts)
+        bins = np.split(np.floor(an.clustering_values(m) * 100 + 1e-9).astype(np.int64), cuts)
+        parts = copies if m is forest else [m]
+        table = {name: ensemble.PROPERTY_TABLE[name](m)
+                 for name in ("degree-dist", "clustering-dist", "distance-dist")}
+        assert [len(v) for v in table.values()] == [len(parts)] * 3
+        for j, part in enumerate(parts):
+            want = _sorted_counts(degrees[j])
+            assert table["degree-dist"][j] == want
+            assert table["clustering-dist"][j] == {
+                f"{b / 100:.2f}": n for b, n in _sorted_counts(bins[j]).items()}
+            hist, unreachable = oracle.expand(part).bf_distance_histogram()
+            assert table["distance-dist"][j] == {**hist, "unreachable": unreachable}
+            if m is not forest:
+                assert an.degree_distribution(m).as_dict() == want
+                h = an.distance_distribution(m)
+                assert (h.as_dict(), h.unreachable) == (hist, unreachable)
+
+
+def test_distributions_count_in_bounded_memory(monkeypatch):
+    # past the node passes' D and T nothing N long is built: one sorted copy
+    # of the degrees, or one float64 array over the nodes, is 8N bytes
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=7, gamma=10))
+    n = m.shape.n
+    assert n == 59049
+    an._per_node_passes(m)
+    monkeypatch.setattr(an, "_BLOCK_ENTRIES", 4096)
+    for name, bound in (("clustering-dist", 8 * n), ("degree-dist", n)):
+        ensemble.PROPERTY_TABLE[name](m)  # one-time setup
+        tracemalloc.start()
+        try:
+            ensemble.PROPERTY_TABLE[name](m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (name, peak)
 
 
 # -- the widest child graphs --------------------------------------------------

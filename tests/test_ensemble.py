@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 import hiernet.analytics as an
@@ -222,8 +223,9 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
     assert forest.shape.n_clusters(forest.shape.gamma) == len(models)
     table = {name: values(forest) for name, values in ensemble.PROPERTY_TABLE.items()}
     wedges = an._level_values(forest, "p2")[-1].tolist()
-    degrees = an._per_root(forest, an.node_degrees(forest))
-    triangles = an._per_root(forest, an.triangles_at_all_nodes(forest))
+    cuts = an._root_ends(forest.shape)[:-1]
+    degrees = np.split(an.node_degrees(forest), cuts)
+    triangles = np.split(an.triangles_at_all_nodes(forest), cuts)
     for j, m in enumerate(models):
         assert table["edges"][j] == an.edge_count(m)
         assert wedges[j] == an.wedge_count(m)
