@@ -39,10 +39,10 @@ clusters a block), smaller ones pay more per-block calls on wide child
 graphs.
 
 Where a block's outputs depend on its bits alone, c <= 4 children build
-no A: a pass runs its kernel once per c on all 2**C(c, 2) child graphs
-(`_code_graphs`) and takes each cluster's column at its little-endian bit
-code (`_code`).  The distance scan reads c <= 4 blocks so on every level,
-the pattern tier and the node passes on level 1, where each child is one node.
+no A: `_code_table` runs a pass's kernel once on all 2**C(c, 2) graphs of
+c one-node children, for every model, and each cluster takes its column
+at its little-endian bit code (`_code`).  The distance scan reads c <= 4
+blocks so on every level, the pattern tier and the node passes on level 1.
 
 With V the children's node counts and dV = diag(V), three
 contractions of A give every per-level term: A.X (sums over linked
@@ -58,21 +58,19 @@ ring term.
 Per-node quantities follow from one leaf-to-root climb, `core.node_climb`;
 each climbed cluster's bits are read once, as bytes, and `_linked` lists
 the children linked to the chain child, each bit placed by
-`core.pair_offset`.  Whole-network distributions reuse the per-level terms
-in vectorised top-down passes.  Pairs with the same (lowest common
-cluster, child, child) share one distance, weighted in the histogram by
-the two subtree sizes.  A cluster that some ancestor links sideways
-("exited") gives its children distance 1 where their bit is set and 2
-elsewhere, read off the bits with no search.  One top-down scan carries
-the exited flags from level to level and runs a batched BFS on the child
-graphs of the free clusters only, at O(c**3) per hop for c children.
-The histogram is one float64 bincount per block: exact, because
-each partial sum is an integer at most C(N, 2) < 2**53.  The scan's one
-cached result serves the histogram, the diameter and the components.
-A distance query reads the direct bit of the lowest common cluster, climbs
-on to the first ancestor that links the chain sideways (distance 2), and
-only when there is none runs a BFS over `_linked` in that one child graph:
-O(gamma * p + p**2), with no whole-network pass.
+`core.pair_offset`.  Whole-network distributions come from one top-down
+descent, `_descend`, whose steps are the node passes and the distance
+scan.  Pairs with the same (lowest common cluster, child, child) share one
+distance, weighted in the histogram by the two subtree sizes.  A cluster
+that some ancestor links sideways ("exited") gives its children distance
+1 where their bit is set and 2 elsewhere, read off the bits with no
+search; the scan runs a batched BFS on the child graphs of the free
+clusters only, at O(c**3) per hop, and its one cached result serves the
+histogram, the diameter and the components.  A distance query reads the
+direct bit of the lowest common cluster, climbs on to the first ancestor
+that links the chain sideways (distance 2), and only when there is none
+runs a BFS over `_linked` in that one child graph: O(gamma * p + p**2),
+with no whole-network pass.
 
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
@@ -93,6 +91,7 @@ Python ints, which only the top few vertices of a deep tree ever reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,10 +201,9 @@ def _level_groups(model: NetworkModel, g: int):
 def _adjacency(B: np.ndarray, c: int) -> np.ndarray:
     """(c, c, rows) symmetric 0/1 int64 child adjacency of a block's bits B."""
     A = np.zeros((c, c, B.shape[1]), np.int64)
-    if c > 1:
-        iu, ju = _child_pairs(c)
-        A[iu, ju] = B
-        A[ju, iu] = B
+    iu, ju = _child_pairs(c)
+    A[iu, ju] = B
+    A[ju, iu] = B
     return A
 
 
@@ -215,15 +213,23 @@ def _child_pairs(c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _code(B: np.ndarray) -> np.ndarray:
-    """Each cluster's bits B read as one little-endian code: its column in `_code_graphs`."""
+    """Each cluster's bits B read as one little-endian code: its column in `_code_table`."""
     return (1 << np.arange(len(B))) @ B
 
 
-def _code_graphs(c: int):
-    """(A, V, Z): every child graph of c one-node children, column k of code k; V ones, Z zeros."""
+@lru_cache(maxsize=3 * _CODE_CHILDREN)
+def _code_table(kernel, c: int) -> tuple[np.ndarray, ...]:
+    """`kernel`'s arrays on every graph of c one-node children, column k of code k; read-only.
+
+    It gets `_merge_children`'s arguments: A, V ones, and zero E, P2, C3, C4.
+    """
     k = c * (c - 1) // 2
-    ones = np.ones((c, 1 << k), np.int64)
-    return _adjacency(np.arange(1 << k) >> np.arange(k)[:, None] & 1, c), ones, ones - 1
+    V = np.ones((c, 1 << k), np.int64)
+    Z = V - 1
+    table = kernel(_adjacency(np.arange(1 << k) >> np.arange(k)[:, None] & 1, c), V, Z, Z, Z, Z)
+    for t in table:
+        t.flags.writeable = False
+    return table
 
 
 # The contractions, exact on int64 and on object values.  A is (c, c, rows)
@@ -248,31 +254,6 @@ def _triangle_walks(K, V, A):
 def _ring_walks(K, V):
     """tr((A.dV)**4) = sum_ij V_i K_ij**2 V_j per row; <= S**4."""
     return np.einsum("ir,ijr,ijr,jr->r", V, K, K, V)
-
-
-def _child_reach(A: np.ndarray) -> np.ndarray:
-    """Hop distances among the children of each cluster of a block; -1 unreachable.
-
-    The oracle's frontier expansion (`ExpandedGraph.bf_all_distances`) run
-    on a (c, c, rows) 0/1 adjacency at once; the result is laid out
-    like A.  Each hop is one batched product, O(rows * c**3).
-    """
-    # numpy's boolean matmul skips BLAS; float32 products count at most
-    # c <= 2**10 paths per entry, so they are exact and the test > 0 is too
-    adj = np.ascontiguousarray(np.moveaxis(A, -1, 0), np.float32)
-    reach = np.broadcast_to(np.eye(A.shape[0], dtype=bool), adj.shape).copy()
-    dist = np.zeros(adj.shape, np.int64)
-    d = 0
-    while True:
-        grown = reach | (reach.astype(np.float32) @ adj > 0)
-        new = grown & ~reach
-        if not new.any():
-            break
-        d += 1
-        dist[new] = d
-        reach = grown
-    dist[~reach] = -1
-    return np.moveaxis(dist, 0, -1)
 
 
 # -- bottom-up passes: the edge tier, then the pattern tier ------------------
@@ -325,13 +306,10 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
         dtype = object if len(V) and int(V.max()) > _INT64_SAFE_NODES else np.int64
         V, E = V.astype(dtype, copy=False), E.astype(dtype, copy=False)
         P2, C3, C4 = np.zeros((3, len(V)), dtype)
-        tables = {}  # level 1: (p2, c3, c4) of every c-child graph, c <= _CODE_CHILDREN
         for c, sel, idx, Vm, B in _level_groups(model, g):
             if g == 1 and c <= _CODE_CHILDREN:
-                if c not in tables:
-                    A, ones, Z = _code_graphs(c)
-                    tables[c] = np.stack(_merge_children(A, ones, Z, Z, Z, Z))
-                P2[sel], C3[sel], C4[sel] = tables[c].take(_code(B), 1)
+                code = _code(B)
+                P2[sel], C3[sel], C4[sel] = (t.take(code) for t in _code_table(_merge_children, c))
                 continue
             inputs = (Vm, prev.e[idx], prev.p2[idx], prev.c3[idx], prev.c4[idx])
             P2[sel], C3[sel], C4[sel] = _merge_children(
@@ -486,47 +464,54 @@ def triangles_at_node(model: NetworkModel, x: int) -> int:
 
 def clustering_coefficient(model: NetworkModel, x: int) -> float:
     """2 * triangles_at_node / (d * (d - 1)); 0 by convention when d < 2."""
-    d, t = _chain_triangles(model, x)
-    if d < 2:
-        return 0.0
-    return 2.0 * t / (d * (d - 1))
+    return float(_clustering(*np.array(_chain_triangles(model, x))))
 
 
 # -- vectorised all-node passes ----------------------------------------------
 
 
+def _descend(model: NetworkModel, step, *dtypes) -> list[np.ndarray]:
+    """One accumulator per dtype, zero on every root, carried down to the nodes.
+
+    Every row block of `_level_groups`, top-down, hands its clusters' values
+    to `step(g, c, sel, idx, V, B, *parents)`, which returns its children's.
+    """
+    sizes = model.shape._derived()[0]
+    acc = [np.zeros(len(sizes[-1]), t) for t in dtypes]
+    for g in range(len(sizes) - 1, 0, -1):
+        below = [np.empty(len(sizes[g - 1]), t) for t in dtypes]
+        for c, sel, idx, V, B in _level_groups(model, g):
+            for a, x in zip(below, step(g, c, sel, idx, V, B, *(a[sel] for a in acc))):
+                a[idx] = x
+        acc = below
+    return acc
+
+
 def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, triangles through each node) for all nodes, top-down.
+    """(degrees, triangles through each node) for all nodes, by one `_descend`.
 
     Carries two per-chain accumulators down the tree: the degree, and twice
     the flat terms (linked siblings' edges plus the two-sibling products,
     half the triangle walks) less the sum of squared per-level degree
     increments.  Triangles then follow from (deg**2 + that) / 2, because
     the cross products of increments from two different levels are exactly
-    the degree-times-new-weight terms; T is built in F's own buffer.  The
-    passes start from one cluster per root.  V <= N <= 2**27 and the edge
-    tier's E < 2**53, so the walks (<= N**2), the squares and twice the
-    edges fit int64.
+    the degree-times-new-weight terms; T is built in F's own buffer.
+    V <= N <= 2**27 and the edge tier's E < 2**53, so the walks (<= N**2),
+    the squares and twice the edges fit int64.
     """
     if model._node_passes is not None:
         return model._node_passes
     edges = _edge_levels(model)  # checks the model first
-    sizes = model.shape._derived()[0]
-    F, D = np.zeros((2, len(sizes[-1])), np.int64)  # one entry per root each
-    tables = {}  # level 1: `_node_steps` of every c-child graph, c <= _CODE_CHILDREN
-    for g in range(len(sizes) - 1, 0, -1):
-        Fn = np.empty(len(sizes[g - 1]), np.int64)
-        Dn = np.empty(len(sizes[g - 1]), np.int64)
-        for c, sel, idx, Vm, B in _level_groups(model, g):
-            if g == 1 and c <= _CODE_CHILDREN:
-                if c not in tables:
-                    tables[c] = np.stack(_node_steps(*_code_graphs(c)))
-                dF, dD = tables[c].take(_code(B), -1)
-            else:
-                dF, dD = _node_steps(_adjacency(B, c), Vm, edges[g - 1][idx])
-            Fn[idx] = F[sel] + dF
-            Dn[idx] = D[sel] + dD
-        F, D = Fn, Dn
+
+    def step(g, c, sel, idx, V, B, F, D):
+        if g == 1 and c <= _CODE_CHILDREN:
+            code = _code(B)
+            dF, dD = (t.take(code, -1) for t in _code_table(_node_steps, c))
+        else:
+            dF, dD = _node_steps(_adjacency(B, c), V, edges[g - 1][idx])
+        return F + dF, D + dD
+
+    F, D = _descend(model, step, np.int64, np.int64)
     T = F  # T = (D**2 + F) / 2 in F's buffer, D squared a chunk at a time
     for lo in range(0, len(D), _BLOCK_ENTRIES):
         d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
@@ -537,7 +522,7 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     return model._node_passes
 
 
-def _node_steps(A, V, E):
+def _node_steps(A, V, E, *_):
     """(F increment, degree increment W) of each child of a block, for `_per_node_passes`."""
     W, WE = _link_sums(A, np.stack([V, E]))
     tri = _triangle_walks(_walks(A, V), V, A) if A.shape[0] >= 3 else 0
@@ -623,45 +608,62 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     return _hops(vec, c, a, b)
 
 
-def _child_graphs(A: np.ndarray):
-    """(pair distances, reach, group leads) of the child graphs of a block's clusters.
+def _child_graphs(A: np.ndarray, *_):
+    """(exits, pair distances, reach, group leads) of the child graphs of a block's clusters.
 
-    From `_child_reach`: distances in pair order like B, -1 where apart;
-    R[i, j] when child j is reachable from child i; and a lead flag on the
-    first child of each group of two or more linked children.
+    The oracle's frontier expansion (`ExpandedGraph.bf_all_distances`) run
+    on every cluster of the block at once, each hop one batched product,
+    O(rows * c**3).  exits flags each child with a linked sibling; the
+    distances come in pair order like B, -1 where apart; R[i, j] when child
+    j is reachable from child i; a lead flag marks the first child of each
+    group of two or more linked children.
     """
     c = A.shape[0]
-    dist = _child_reach(A)
+    # numpy's boolean matmul skips BLAS; float32 products count at most
+    # c <= 2**10 paths per entry, so they are exact and the test > 0 is too
+    adj = np.ascontiguousarray(np.moveaxis(A, -1, 0), np.float32)
+    reach = np.broadcast_to(np.eye(c, dtype=bool), adj.shape).copy()
+    dist = np.zeros(adj.shape, np.int64)
+    d = 0
+    while True:
+        grown = reach | (reach.astype(np.float32) @ adj > 0)
+        new = grown & ~reach
+        if not new.any():
+            break
+        d += 1
+        dist[new] = d
+        reach = grown
+    dist = np.where(reach, dist, -1).transpose(1, 2, 0)
     R = dist >= 0
     iu, ju = _child_pairs(c)
-    return dist[iu, ju], R, (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
+    lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
+    return A.any(axis=1), dist[iu, ju], R, lead
 
 
 def _free_scan(model: NetworkModel):
-    """(distance histograms, component sizes) of every root, one pass over clusters.
+    """(distance histograms, component sizes) of every root, by one `_descend`.
 
-    Walks the levels top-down.  A cluster is exited when its parent is, or
-    when its row of the adjacency built for the parent has a set bit.
-    The histogram weights each child pair by the product of its two subtree
-    sizes; the weights sum to at most C(N, 2) < 2**53, so every partial sum
-    of a block's float64 bincount is an exact integer, and so is the int64 sum.
-    Exited clusters take distances 1 and 2 from their bits.  Free clusters
-    run the child-graph BFS, and its reach also names the components:
-    linked children of a cluster none of whose ancestors link it further
-    form one component, counted at the group's first child, and a node
-    whose whole chain stays unlinked is one on its own.  A block of c <= 4
-    children reads its exited rows and BFS results off `_code_graphs(c)` by code.
+    It carries the exited flags down: a cluster is exited when its parent
+    is, or when it has a linked sibling.  The histogram weights each child
+    pair by the product of its two subtree sizes; the weights sum to at most
+    C(N, 2) < 2**53, so every partial sum of a block's float64 bincount is
+    an exact integer.  Exited clusters take distances 1 and 2 from their
+    bits.  Free clusters run the child-graph BFS, and its reach also names
+    the components: linked children of a cluster none of whose ancestors
+    link it further form one component, counted at the group's first
+    child, and a node whose whole chain stays unlinked is one on its own.
+    A block of c <= 4 children reads all of it off `_code_table` by code.
 
     Row r of the (roots, MAX_CHILDREN + 1) histogram counts root r's pairs
     by distance, its last bucket the unreachable ones; the component sizes
-    come as one descending array per root.  Only the root count forks the
-    scan: a forest's blocks add into their roots' rows by a flat offset and
-    sort sizes per root.  The model caches these sums only.
+    come as one descending array per root, both cached on the model.  Only
+    the root count forks the scan: a forest's blocks add into their roots'
+    rows by a flat offset and sort sizes per root.  One root skips that
+    lookup and the lexsort, which made regular gamma=13's scan 22% slower.
     """
     if model._free_scan is not None:
         return model._free_scan
     shape = checked_model(model).shape
-    sizes, _, cums = shape._derived()
     ends = _root_ends(shape)
     roots = len(ends)
     # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket
@@ -670,39 +672,34 @@ def _free_scan(model: NetworkModel):
     hist = np.zeros(roots * width, np.int64)
     groups: list[np.ndarray] = []
     group_roots: list[np.ndarray] = []
-    tables = {}  # exited rows and `_child_graphs` of every c-child graph, c <= _CODE_CHILDREN
-    ex = np.zeros(roots, dtype=bool)  # a root has no ancestor
-    for g in range(shape.gamma, 0, -1):
-        exn = np.empty(len(sizes[g - 1]), dtype=bool)
-        for c, sel, idx, Vm, B in _level_groups(model, g):
-            if c < 2:
-                exn[idx] = ex[sel]
-                continue
-            free = np.nonzero(~ex[sel])[0]
-            if c <= _CODE_CHILDREN:
-                if c not in tables:
-                    A = _code_graphs(c)[0]
-                    tables[c] = (A.any(axis=1), *_child_graphs(A))
-                code = _code(B)
-                exits = tables[c][0].take(code, 1)
-                pair_d, R, lead = (t.take(code[free], -1) for t in tables[c][1:])
-            else:
-                A = _adjacency(B, c)
-                exits, (pair_d, R, lead) = A.any(axis=1), _child_graphs(A[:, :, free])
-            exn[idx] = ex[sel] | exits
-            d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
-            d[:, free] = pair_d
-            d[d < 0] = width - 1
-            groups.append((R * Vm[:, free]).sum(axis=1)[lead])
-            if roots > 1:
-                root = ends.searchsorted(cums[g - 1][sel])
-                group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
-                d += root * width  # each pair counts in its own root's row
-            iu, ju = _child_pairs(c)
-            # exact: partial sums are integers <= C(MAX_NODES, 2) < 2**53, pinned in test_core
-            hist += np.bincount(d.ravel(), (Vm[iu] * Vm[ju]).ravel(), len(hist)).astype(np.int64)
-        ex = exn
-    lone = ~ex  # the nodes whose whole chain stays unlinked
+
+    def step(g, c, sel, idx, V, B, ex):
+        nonlocal hist
+        if c < 2:
+            return (ex,)
+        free = np.nonzero(~ex)[0]
+        if c <= _CODE_CHILDREN:
+            code = _code(B)
+            table = _code_table(_child_graphs, c)
+            exits = table[0].take(code, 1)
+            pair_d, R, lead = (t.take(code[free], -1) for t in table[1:])
+        else:
+            A = _adjacency(B, c)
+            exits, (_, pair_d, R, lead) = A.any(axis=1), _child_graphs(A[:, :, free])
+        d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
+        d[:, free] = pair_d
+        d[d < 0] = width - 1
+        groups.append((R * V[:, free]).sum(axis=1)[lead])
+        if roots > 1:
+            root = ends.searchsorted(shape._derived()[2][g - 1][sel])
+            group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
+            d += root * width  # each pair counts in its own root's row
+        iu, ju = _child_pairs(c)
+        # exact: partial sums are integers <= C(MAX_NODES, 2) < 2**53, pinned in test_core
+        hist += np.bincount(d.ravel(), (V[iu] * V[ju]).ravel(), len(hist)).astype(np.int64)
+        return (ex | exits,)
+
+    lone = ~_descend(model, step, bool)[0]  # the nodes whose whole chain stays unlinked
     groups.append(np.ones(int(lone.sum()), np.int64))
     sizes = np.concatenate(groups)
     if roots == 1:

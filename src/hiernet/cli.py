@@ -1,9 +1,9 @@
 """Command-line front end: generate, analyze, ensemble, export.
 
 Exit codes: 0 success, 1 internal or validation failure (bad input file,
-refused expansion, generation failure), 2 usage error (bad flags, unknown
-property names).  Every error is one `hiernet: ...` line on stderr, and
-usage errors are found before any file is read.  All output is
+refused expansion, generation failure, out of memory), 2 usage error (bad
+flags, unknown property names).  Every error is one `hiernet: ...` line on
+stderr, and usage errors are found before any file is read.  All output is
 deterministic for fixed flags: rerunning a command with the same seed
 reproduces every artifact byte for byte.
 """
@@ -214,6 +214,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"hiernet: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"hiernet: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

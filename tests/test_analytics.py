@@ -722,6 +722,22 @@ def test_every_level_one_code_matches_the_oracle(int64_safe, monkeypatch):
             assert a.dtype == object and {type(x) for x in a} == {int}
 
 
+def test_code_tables_are_shared_and_read_only():
+    # every model reads the same cached tables, so a write into one would corrupt the next
+    an._code_table.cache_clear()
+    m = _every_level_one_code()
+    an.four_cycle_count(m), an.node_degrees(m), an.diameter(m)
+    # the pattern tier and the node passes read c = 1..4, the scan c = 2..4
+    info = an._code_table.cache_info()
+    assert info.currsize == 11 and info.maxsize == 3 * an._CODE_CHILDREN
+    for kernel in (an._merge_children, an._node_steps, an._child_graphs):
+        for c in range(1, an._CODE_CHILDREN + 1):
+            for t in an._code_table(kernel, c):
+                assert t.shape[-1] == 1 << c * (c - 1) // 2 <= 64
+                with pytest.raises(ValueError, match="read-only"):
+                    t[...] = 0
+
+
 # -- point queries on wide random child graphs -------------------------------
 
 

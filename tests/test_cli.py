@@ -211,6 +211,20 @@ def test_export_cap(demo_file, tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_one_line_error(demo_file, tmp_path, capsys, monkeypatch):
+    # as numpy raises it for an N x N expansion far past the machine's memory
+    def refuse(model, cap):
+        raise MemoryError("Unable to allocate 2.31 TiB for an array with shape "
+                          "(1594323, 1594323) and data type uint8")
+    monkeypatch.setattr("hiernet.cli.edge_list_text", refuse)
+    out = tmp_path / "e.txt"
+    rc = main(["export", "--input", str(demo_file), "--out", str(out), "--cap", "2000000"])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == ("hiernet: error: out of memory: Unable to allocate "
+                                       "2.31 TiB for an array with shape (1594323, 1594323) "
+                                       "and data type uint8\n")
+
+
 def test_export_negative_cap_is_a_usage_error(tmp_path, capsys):
     # refused before the input is read: the file need not exist
     rc = main(["export", "--input", str(tmp_path / "missing.bhnet"), "--out",
