@@ -55,10 +55,13 @@ loop over the block on int64 and on object values alike; the walk matrix
 K = A.dV.A is built once per block and feeds both the triangle and the
 ring term.
 
-Per-node quantities follow from one leaf-to-root climb, `core.node_climb`;
-each climbed cluster's bits are read once, as bytes, and `_linked` lists
-the children linked to the chain child, each bit placed by
-`core.pair_offset`.  Whole-network distributions come from one top-down
+Per-node quantities follow from one leaf-to-root climb, `core.node_climb`:
+one search of the shape's joined leaf cums finds the node's cluster on
+every level, and one gather per joined array reads all their child
+starts, counts and bit offsets.  Each climbed cluster's bits are read
+once, as bytes, and `_linked` lists the children linked to the chain
+child through a cached table of (sibling, offset) pairs per (c, a),
+`_sibling_bits`.  Whole-network distributions come from one top-down
 descent, `_descend`, whose steps are the node passes and the distance
 scan.  Pairs with the same (lowest common cluster, child, child) share one
 distance, weighted in the histogram by the two subtree sizes.  A cluster
@@ -66,11 +69,14 @@ that some ancestor links sideways ("exited") gives its children distance
 1 where their bit is set and 2 elsewhere, read off the bits with no
 search; the scan runs a batched BFS on the child graphs of the free
 clusters only, at O(c**3) per hop, and its one cached result serves the
-histogram, the diameter and the components.  A distance query reads the
-direct bit of the lowest common cluster, climbs on to the first ancestor
-that links the chain sideways (distance 2), and only when there is none
-runs a BFS over `_linked` in that one child graph: O(gamma * p + p**2),
-with no whole-network pass.
+histogram, the diameter and the components.  A distance query finds both
+nodes' chains with one search of 2 * gamma needles, O(gamma log M) over
+M clusters; the lowest common cluster is the first level where they
+agree.  It reads that cluster's direct bit, continues x's climb from the
+positions already found to the first ancestor that links the chain
+sideways (distance 2), and only when there is none runs a BFS in that
+one child graph: O(gamma * (log M + p) + p**2), with no whole-network
+pass.
 
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
@@ -90,6 +96,7 @@ Python ints, which only the top few vertices of a deep tree ever reach.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,6 +106,7 @@ from .core import (
     MAX_CHILDREN,
     ClusterRef,
     NetworkModel,
+    _chain,
     _climb_above,
     checked_cluster,
     checked_model,
@@ -184,8 +192,8 @@ def _level_groups(model: NetworkModel, g: int):
     V the children's node counts (int64, laid out like idx) and B the
     clusters' bits, (c(c-1)/2, len(sel)) uint8 in pair order.
     """
-    sizes, starts, _ = model.shape._derived()
-    counts, starts, sizes = model.shape._counts[g - 1], starts[g - 1], sizes[g - 1]
+    d = model.shape._derived()
+    counts, starts, sizes = model.shape._counts[g - 1], d.starts[g - 1], d.sizes[g - 1]
     flat, offsets = model.links._flat[g - 1], model.links._starts[g - 1]
     # counts are at most MAX_CHILDREN, so a bincount finds them in one pass
     for c in np.flatnonzero(np.bincount(counts)).tolist():
@@ -271,7 +279,7 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
     if model._edges is None:
         shape, links = checked_model(model).shape, model.links
         out = [np.broadcast_to(np.int64(0), (shape.n,))]
-        for g, starts in enumerate(shape._derived()[1], start=1):
+        for g, starts in enumerate(shape._derived().starts, start=1):
             if g == 1:
                 # a level-1 child is one node, so a cluster's edges are its set bits
                 has = shape._counts[0] > 1
@@ -301,7 +309,7 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     out: list[ClusterAggregates] = []
     prev = ClusterAggregates(*(edges[0],) * 5)  # the nodes: N read-only zeros
     for g, E in enumerate(edges[1:], start=1):
-        V = model.shape._derived()[0][g]
+        V = model.shape._derived().sizes[g]
         # casting int64 to object gives exact Python ints, immune to wraparound
         dtype = object if len(V) and int(V.max()) > _INT64_SAFE_NODES else np.int64
         V, E = V.astype(dtype, copy=False), E.astype(dtype, copy=False)
@@ -412,10 +420,22 @@ def four_cycle_count(model: NetworkModel, cluster: ClusterRef | None = None) -> 
 # -- per-node climbs ---------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 8)
+def _sibling_bits(c: int, a: int) -> tuple[tuple[int, int], ...]:
+    """(sibling, offset of its pair with a) for each other child of a c-child cluster, in order.
+
+    Each entry holds c - 1 pairs: at c = MAX_CHILDREN one takes at most
+    116 KB (1023 pairs, most of their ints past the small-int cache), so
+    the 256 entries hold at most 30 MB; the 136 (c, a) keys of c <= 16, all
+    of a p=16 network's, take 92 KB together.
+    """
+    return tuple((s, pair_offset(a, s, c) if a < s else pair_offset(s, a, c))
+                 for s in range(c) if s != a)
+
+
 def _linked(vec: bytes, c: int, a: int) -> list[int]:
     """The children linked to child a of a c-child cluster with bits `vec`, 0-based, in order."""
-    return [s for s in range(c)
-            if s != a and vec[pair_offset(a, s, c) if a < s else pair_offset(s, a, c)]]
+    return [s for s, k in _sibling_bits(c, a) if vec[k]]
 
 
 def _linked_levels(model: NetworkModel, climb):
@@ -424,12 +444,12 @@ def _linked_levels(model: NetworkModel, climb):
     Yields (g, lo, c, vec, v, sibs) as the climb numbers them: vec the
     cluster's bits as bytes, v its c children's node counts, sibs `_linked`.
     """
+    flat, sizes = model.links._flat, model.shape._derived().sizes
     for g, _, lo, a, c, off in climb:
-        vec = model.links._flat[g - 1][off:off + c * (c - 1) // 2].tobytes()
+        vec = flat[g - 1][off:off + c * (c - 1) // 2].tobytes()
         sibs = _linked(vec, c, a)
         if sibs:
-            v = model.shape._derived()[0][g - 1][lo:lo + c].tolist()
-            yield g, lo, c, vec, v, sibs
+            yield g, lo, c, vec, sizes[g - 1][lo:lo + c].tolist(), sibs
 
 
 def node_degree(model: NetworkModel, x: int) -> int:
@@ -446,8 +466,10 @@ def _chain_triangles(model: NetworkModel, x: int) -> tuple[int, int]:
     that are linked to the chain child and to each other.
     """
     total = deg = 0
-    for g, lo, c, vec, v, sibs in _linked_levels(model, node_climb(model, x)):
-        e = _edge_levels(model)[g - 1][lo:lo + c].tolist()
+    climb = node_climb(model, x)  # vets the model and x before the edge tier is built
+    edges = _edge_levels(model)
+    for g, lo, c, vec, v, sibs in _linked_levels(model, climb):
+        e = edges[g - 1][lo:lo + c].tolist()
         w = sum(v[s] for s in sibs)
         tri = 0
         for n, j in enumerate(sibs[:-1]):
@@ -476,7 +498,7 @@ def _descend(model: NetworkModel, step, *dtypes) -> list[np.ndarray]:
     Every row block of `_level_groups`, top-down, hands its clusters' values
     to `step(g, c, sel, idx, V, B, *parents)`, which returns its children's.
     """
-    sizes = model.shape._derived()[0]
+    sizes = model.shape._derived().sizes
     acc = [np.zeros(len(sizes[-1]), t) for t in dtypes]
     for g in range(len(sizes) - 1, 0, -1):
         below = [np.empty(len(sizes[g - 1]), t) for t in dtypes]
@@ -562,13 +584,26 @@ def _clustering(d: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _hops(vec: bytes, c: int, a: int, b: int) -> int | None:
     """Hops from child a to child b of a c-child cluster with bits `vec`; None if apart.
 
-    A breadth-first search reading each child's `_linked` once, O(c**2) bits.
+    A breadth-first search over neighbour lists read off the bits once, row
+    by row: child s's pairs with s+1 .. c-1 are the next c-1-s bits.  It
+    does not read `_linked`: a child graph wider than `_sibling_bits`' 256
+    entries would rebuild a table for every child it reaches.
     """
     if 1 not in vec:
         return None
+    nbrs: list[list[int]] = [[] for _ in range(c)]
+    end = 0
+    for s in range(c - 1):
+        lo, end = end, end + c - 1 - s
+        k = vec.find(1, lo, end)
+        while k >= 0:
+            t = s + 1 + k - lo
+            nbrs[s].append(t)
+            nbrs[t].append(s)
+            k = vec.find(1, k + 1, end)
     hops, queue = {a: 0}, [a]
     for s in queue:
-        for t in _linked(vec, c, s):
+        for t in nbrs[s]:
             if t not in hops:
                 hops[t] = hops[s] + 1
                 queue.append(t)
@@ -582,28 +617,31 @@ def distance(model: NetworkModel, x: int, y: int) -> int | None:
     bit between their child positions is distance 1; otherwise the answer
     is the shorter of the child-graph path (whole children act as single
     hops, since cross links are complete) and a two-step detour through any
-    ancestor-linked outside cluster, which wins whenever it exists.  The
-    climb of x goes on above that cluster to look for such an ancestor
-    before the child graph is searched.
+    ancestor-linked outside cluster, which wins whenever it exists.  One
+    search finds both chains; x's climb goes on above that cluster from
+    the positions found, to look for such an ancestor before the child
+    graph is searched.
     """
     shape = checked_model(model).shape
     x, y = checked_node(shape, x), checked_node(shape, y)
     if x == y:
         return 0
-    _, starts, cums = shape._derived()
-    ix, iy = x - 1, y - 1  # the chain positions at the level below g
-    for g, cum in enumerate(cums, start=1):
-        cx, cy = cum.searchsorted((x, y)).tolist()
-        if cx == cy:
-            break
-        ix, iy = cx, cy
-    lo, c = int(starts[g - 1][cx]), int(shape._counts[g - 1][cx])
-    off = int(model.links._starts[g - 1][cx])
+    pos = _chain(shape, [[x], [y]])  # one search: a row of positions per node
+    px, py = pos.tolist()
+    # the chains part below the lowest common cluster and agree from it up
+    g = sum(map(operator.ne, px, py)) + 1
+    if g == 1:
+        ix, iy = x - 1, y - 1
+    else:  # the two chains' clusters one level below, as indices within that level
+        base = shape._derived().base[g - 2]
+        ix, iy = px[g - 2] - base, py[g - 2] - base
+    climb = _climb_above(model, pos[0], g - 1, ix)
+    _, _, lo, a, c, off = next(climb)
     vec = model.links._flat[g - 1][off:off + c * (c - 1) // 2].tobytes()
-    a, b = ix - lo, iy - lo
+    b = iy - lo
     if vec[pair_offset(a, b, c) if a < b else pair_offset(b, a, c)]:
         return 1
-    if next(_linked_levels(model, _climb_above(model, x, g, cx)), None):
+    if next(_linked_levels(model, climb), None):
         return 2
     return _hops(vec, c, a, b)
 
@@ -691,7 +729,7 @@ def _free_scan(model: NetworkModel):
         d[d < 0] = width - 1
         groups.append((R * V[:, free]).sum(axis=1)[lead])
         if roots > 1:
-            root = ends.searchsorted(shape._derived()[2][g - 1][sel])
+            root = ends.searchsorted(shape._derived().cums[g - 1][sel] - shape._shift(g))
             group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
             d += root * width  # each pair counts in its own root's row
         iu, ju = _child_pairs(c)
@@ -740,7 +778,8 @@ def component_sizes(model: NetworkModel) -> list[int]:
 
 def _root_ends(shape) -> np.ndarray:
     """One past the last node of each root, 0-based: a forest's copy offsets."""
-    return shape._derived()[2][-1] if shape.gamma else np.ones(1, np.int64)
+    return shape._derived().cums[-1] - shape._shift(shape.gamma) if shape.gamma \
+        else np.ones(1, np.int64)
 
 
 def _root_counts(model: NetworkModel, kind: str) -> list[np.ndarray]:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,6 +133,11 @@ def _integers(values, dtype, what: str) -> np.ndarray:
     raise ParamError(f"{what} must be integers that {np.dtype(dtype).name} holds")
 
 
+def _split(joined: np.ndarray, widths) -> tuple[np.ndarray, ...]:
+    """Consecutive views of `joined`, one per width; read-only when `joined` is."""
+    return tuple(joined[lo - w:lo] for lo, w in zip(accumulate(widths), widths))
+
+
 def pair_index(n: int, s: int, k: int) -> int:
     """Offset of the pair (n, s), n < s, within the bit vector of a k-child vertex.
 
@@ -173,6 +179,18 @@ class PathEntry:
     child_pos: int      # 1-based position of the level gamma-1 cluster under it
 
 
+class _Layout(NamedTuple):
+    """A shape's derived navigation arrays, read-only, built once by `HierarchyShape._derived`."""
+
+    sizes: tuple[np.ndarray, ...]   # node counts per cluster, by level from 0
+    starts: tuple[np.ndarray, ...]  # first child's index in the level below, by level from 1
+    cums: tuple[np.ndarray, ...]    # shifted leaf cums, by level from 1
+    keys: np.ndarray                # the leaf cums of every level, joined: `cums` are its views
+    all_starts: np.ndarray          # the child starts, joined: `starts` are its views
+    shifts: np.ndarray              # each level's shift (g-1)(N+1)
+    base: tuple[int, ...]           # each level's first position in the joined layout
+
+
 class HierarchyShape:
     """Per-level child counts of the partition tree.
 
@@ -185,22 +203,32 @@ class HierarchyShape:
     violations instead of raising, so deliberately broken shapes can be
     inspected.  The public accessors check their arguments and refuse
     counts that do not telescope; analysis reads the private arrays.
+
+    Every per-cluster kind (counts, child starts, leaf cums, and the link
+    table's bit offsets) is one array laid out level after level, level 1
+    first; the per-level arrays are views of it.  A cluster's position in
+    that layout indexes every kind at once, so one gather per kind reads a
+    node's whole chain.  The leaf cums of level g are stored shifted by
+    (g-1)(N+1): the joined array ascends across the levels, and one search
+    for the needles (g-1)(N+1) + x finds node x's cluster on every level.
+    The accessors that return leaf cums subtract the shift.
     """
 
-    __slots__ = ("p", "n", "_counts", "_derived_cache")
+    __slots__ = ("p", "n", "_counts", "_all_counts", "_derived_cache")
 
     def __init__(self, p: int, levels: Iterable[Sequence[int]]):
         self.p = _whole(p, "p", 2)
-        frozen = []
-        for level in levels:
-            arr = np.array(_integers(level, np.int64, "child counts"))
+        levels = list(levels)
+        for k, level in enumerate(levels):
+            levels[k] = arr = _integers(level, np.int64, "child counts")
             if arr.ndim != 1:
                 raise ParamError("each level must be a flat sequence of counts")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        self._counts = tuple(frozen)
+        # the leading empty array joins a zero-level shape's counts too
+        self._all_counts = np.concatenate([np.zeros(0, np.int64), *levels])
+        self._all_counts.flags.writeable = False
+        self._counts = _split(self._all_counts, [len(arr) for arr in levels])
         # node count, summed once: every node reference is checked against it
-        self.n = int(frozen[0].sum()) if frozen else 1
+        self.n = int(self._counts[0].sum()) if levels else 1
         self._derived_cache = None
 
     # -- basic dimensions ---------------------------------------------------
@@ -227,43 +255,53 @@ class HierarchyShape:
 
     # -- derived navigation arrays ------------------------------------------
 
-    def _derived(self):
-        """(sizes, child starts, leaf cums): sizes indexed by level from 0, the rest from 1."""
+    def _shift(self, gamma: int) -> int:
+        """What level gamma's stored leaf cums add to the true ones: (gamma-1)(N+1)."""
+        return (gamma - 1) * (self.n + 1)
+
+    def _derived(self) -> _Layout:
+        """The navigation arrays the counts imply, built on the first call."""
         d = self._derived_cache
         if d is not None:
             return d
         # a node covers itself: one broadcast of ones, built once and never copied
         sizes = [np.broadcast_to(np.int64(1), (self.n,))]
-        child_start, leaf_cum = [], []
-        for g, counts in enumerate(self._counts, start=1):
+        widths = [len(counts) for counts in self._counts]
+        all_starts, keys = np.zeros(sum(widths), np.int64), np.empty(sum(widths), np.int64)
+        for g, (counts, starts, cum) in enumerate(
+                zip(self._counts, _split(all_starts, widths), _split(keys, widths)), start=1):
             if (counts < 1).any():
                 raise ParamError("shape has counts below 1; run validate() for details")
             if int(counts.sum()) != len(sizes[-1]):
                 raise ParamError("inconsistent level widths; run validate() for details")
-            starts = np.zeros(len(counts), dtype=np.int64)
             np.cumsum(counts[:-1], out=starts[1:])
             # a level-1 cluster covers one node per child: its sizes are its counts
             sz = counts if g == 1 else np.add.reduceat(sizes[-1], starts)
-            cum = np.cumsum(sz)
-            for a in (starts, sz, cum):
-                a.flags.writeable = False
+            np.cumsum(sz, out=cum)
+            cum += self._shift(g)
+            sz.flags.writeable = False
             sizes.append(sz)
-            child_start.append(starts)
-            leaf_cum.append(cum)
-        d = (tuple(sizes), tuple(child_start), tuple(leaf_cum))
+        all_starts.flags.writeable = keys.flags.writeable = False
+        shifts = np.arange(len(widths), dtype=np.int64) * (self.n + 1)
+        d = _Layout(tuple(sizes), _split(all_starts, widths), _split(keys, widths), keys,
+                    all_starts, shifts, tuple(accumulate(widths[:-1], initial=0)))
         self._derived_cache = d
         return d
 
     def sizes_at(self, gamma: int) -> np.ndarray:
         """Node counts of all clusters at a level, read-only; level 0 is N ones."""
-        return self._derived()[0][_checked_level(gamma, len(self._counts), 0)]
+        return self._derived().sizes[_checked_level(gamma, len(self._counts), 0)]
 
     def child_start_at(self, gamma: int) -> np.ndarray:
         """0-based index of each cluster's first child within level gamma-1."""
-        return self._derived()[1][_checked_level(gamma, len(self._counts)) - 1]
+        return self._derived().starts[_checked_level(gamma, len(self._counts)) - 1]
 
     def leaf_cum_at(self, gamma: int) -> np.ndarray:
-        return self._derived()[2][_checked_level(gamma, len(self._counts)) - 1]
+        """Nodes covered by each level-gamma cluster and those before it; a new read-only array."""
+        gamma = _checked_level(gamma, len(self._counts))
+        cum = self._derived().cums[gamma - 1] - self._shift(gamma)
+        cum.flags.writeable = False
+        return cum
 
     def cluster_size(self, gamma: int, i: int) -> int:
         gamma, i = checked_cluster(self, gamma, i)
@@ -280,15 +318,17 @@ class HierarchyShape:
         gamma, i = checked_cluster(self, gamma, i)
         if gamma == 0:
             return i - 1, i
-        hi = int(self.leaf_cum_at(gamma)[i - 1])
-        return hi - int(self.sizes_at(gamma)[i - 1]), hi
+        d = self._derived()
+        hi = int(d.cums[gamma - 1][i - 1]) - self._shift(gamma)
+        return hi - int(d.sizes[gamma][i - 1]), hi
 
     def node_cluster(self, gamma: int, x: int) -> int:
         """1-based index of the level-gamma cluster containing node x."""
         x = checked_node(self, x)
-        if _checked_level(gamma, len(self._counts), 0) == 0:
+        gamma = _checked_level(gamma, len(self._counts), 0)
+        if gamma == 0:
             return x
-        return int(self.leaf_cum_at(gamma).searchsorted(x)) + 1
+        return int(self._derived().cums[gamma - 1].searchsorted(x + self._shift(gamma))) + 1
 
     def __eq__(self, other):
         if not isinstance(other, HierarchyShape):
@@ -314,9 +354,11 @@ class LinkTable:
     is the whole layout: a vector runs from its offset to the next one, the
     last to the end of the flat array, so `nbits_at` reads the lengths off
     the gaps and `validate` checks them, total included, against the counts.
+    The per-level offsets are views of one array laid out like the shape's
+    counts, so a cluster's position there indexes its offset too.
     """
 
-    __slots__ = ("_flat", "_starts")
+    __slots__ = ("_flat", "_starts", "_all_starts")
 
     def __init__(self, flat_per_level, nbits_per_level):
         """Bits and per-cluster bit counts per level; the counts give the offsets."""
@@ -324,18 +366,16 @@ class LinkTable:
         if len(flat_per_level) != len(nbits_per_level):
             raise ParamError(f"{len(flat_per_level)} levels of link bits "
                              f"but {len(nbits_per_level)} levels of bit counts")
-        flats, starts = [], []
-        for f, nb in zip(flat_per_level, nbits_per_level):
-            f = _integers(f, np.uint8, "link bits")
-            nb = _integers(nb, np.int64, "bit counts")
-            st = np.zeros(len(nb), dtype=np.int64)
+        flats = [_integers(f, np.uint8, "link bits") for f in flat_per_level]
+        nbits = [_integers(nb, np.int64, "bit counts") for nb in nbits_per_level]
+        widths = [len(nb) for nb in nbits]
+        self._all_starts = np.zeros(sum(widths), np.int64)
+        for st, nb in zip(_split(self._all_starts, widths), nbits):
             np.cumsum(nb[:-1], out=st[1:])
-            for a in (f, st):
-                a.flags.writeable = False
-            flats.append(f)
-            starts.append(st)
+        for a in (self._all_starts, *flats):
+            a.flags.writeable = False
         self._flat = tuple(flats)
-        self._starts = tuple(starts)
+        self._starts = _split(self._all_starts, widths)
 
     @classmethod
     def from_vectors(cls, vectors_per_level) -> "LinkTable":
@@ -487,20 +527,36 @@ def node_climb(model: NetworkModel, x: int):
     index of the level-g cluster holding x, the level g-1 index of its
     first child, the 0-based position a of x's chain child among its c
     children, and the offset of its bit vector within `links.flat_at(g)`.
-    `checked_model` vets the model and `checked_node` x at the call.
+    One search of the shape's joined leaf cums finds the whole chain, and
+    one gather per joined array reads every level's start, count and
+    offset.  `checked_model` vets the model and `checked_node` x at the call.
     """
     x = checked_node(checked_model(model).shape, x)
-    return _climb_above(model, x, 0, x - 1)
+    return _climb_above(model, _chain(model.shape, x), 0, x - 1)
 
 
-def _climb_above(model: NetworkModel, x: int, above: int, j: int):
-    """`node_climb` of a vetted node x from level above+1 on, x's level-`above` cluster being j."""
-    _, starts, cums = model.shape._derived()
-    counts, offsets = model.shape._counts, model.links._starts
-    for g in range(above + 1, model.shape.gamma + 1):
-        i = int(cums[g - 1].searchsorted(x))
-        lo = int(starts[g - 1][i])
-        yield g, i, lo, j - lo, int(counts[g - 1][i]), int(offsets[g - 1][i])
+def _chain(shape: HierarchyShape, x):
+    """Positions in the joined layout of the clusters holding node x, one per level, by one search.
+
+    x may also be a column of nodes, [[x], [y]]: then each node gets a row of positions.
+    """
+    d = shape._derived()
+    return d.keys.searchsorted(d.shifts + x)
+
+
+def _climb_above(model: NetworkModel, pos: np.ndarray, above: int, j: int):
+    """`node_climb` of a vetted node from level above+1 on, its level-`above` cluster being j.
+
+    `pos` is the node's `_chain`; the levels above `above` are read from
+    the joined arrays with one gather each, then yielded level by level.
+    """
+    d = model.shape._derived()
+    pos = pos[above:]
+    rows = zip(pos.tolist(), d.all_starts[pos].tolist(), model.shape._all_counts[pos].tolist(),
+               model.links._all_starts[pos].tolist())
+    for g, (k, lo, c, off) in enumerate(rows, start=above + 1):
+        i = k - d.base[g - 1]
+        yield g, i, lo, j - lo, c, off
         j = i
 
 

@@ -14,6 +14,7 @@ so the two references also cross-check each other.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
 
 import numpy as np
@@ -34,15 +35,26 @@ class ExpansionCapError(HiernetError):
     """Refused to expand adjacency for a network above the node cap."""
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def expand(model: NetworkModel, cap: int | None = DEFAULT_EXPANSION_CAP) -> "ExpandedGraph":
     """Materialise the adjacency matrix; refuses networks larger than `cap`.
 
-    `cap` is None, for no cap, or an integer >= 0; a bad cap or an invalid model is a ParamError.
+    `cap` is None, for no cap, or an integer >= 0; a bad cap or an invalid
+    model is a ParamError.  A matrix of N*N bytes past the host's physical
+    memory is refused too, before anything is allocated, whatever the cap.
     """
     n = model.shape.n
     cap = None if cap is None else _whole(cap, "cap", 0)
     if cap is not None and n > cap:
         raise ExpansionCapError(f"n={n} exceeds the expansion cap of {cap}")
+    memory = _physical_memory()
+    if n * n > memory:
+        raise ExpansionCapError(f"n={n} needs {n * n} bytes of adjacency, "
+                                f"more than the {memory} bytes of physical memory")
     shape, links = checked_model(model).shape, model.links
     adj = np.zeros((n, n), dtype=np.uint8)
     for g in range(1, shape.gamma + 1):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import fields
 from itertools import combinations
@@ -17,6 +18,8 @@ from hiernet.core import (
     InvalidRefError,
     LinkTable,
     NetworkModel,
+    PathEntry,
+    node_climb,
     node_path,
     pair_index,
     validate,
@@ -454,6 +457,109 @@ def test_root_only_bits_past_the_int64_switch():
     assert h.as_dict() == {1: 3 * s * s, 2: 3 * math.comb(s, 2)} and h.unreachable == 0
     assert an.diameter(m) == 2
     assert an.component_sizes(m) == [n]
+
+
+# -- one-search climbs ----------------------------------------------------------
+
+
+def _per_level_climb(m: NetworkModel, x: int) -> list[tuple[int, ...]]:
+    """`node_climb` of node x from the public accessors, one search of one level's leaf cums each."""
+    out, below = [], x - 1
+    for g in range(1, m.shape.gamma + 1):
+        i = int(np.searchsorted(m.shape.leaf_cum_at(g), x))
+        lo = int(m.shape.child_start_at(g)[i])
+        c, off = int(m.shape.counts_at(g)[i]), int(m.links.starts_at(g)[i])
+        out.append((g, i, lo, below - lo, c, off))
+        below = i
+    return out
+
+
+_CLIMB_CASES = {
+    "demo9": lambda: build_model(4, [[3, 4, 2], [3]], [["011", "100110", "1"], ["100"]]),
+    "one-node": lambda: NetworkModel(HierarchyShape(3, []), LinkTable([], [])),
+    # one-child vertices stacked over a cluster, and a level of them mid-tree
+    "one-child-chain": lambda: build_model(3, [[3], [1], [1], [1]], [["111"], [""], [""], [""]]),
+    "one-child-level": lambda: build_model(
+        3, [[2, 1, 3], [1, 1, 1], [3]], [["1", "", "011"], ["", "", ""], ["110"]]),
+    "root-bits-only": lambda: _root_bits_only(5),
+    "by-nodes-p40": lambda: generate_network(
+        GenParams(mode="by-nodes", p=40, mu=0.5, seed=3, n=3000)),
+    "regular-g8": lambda: generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=8)),
+}
+
+
+@pytest.mark.parametrize("make", list(_CLIMB_CASES.values()), ids=list(_CLIMB_CASES))
+def test_one_search_climb_equals_the_per_level_search(make):
+    m = make()
+    assert validate(m) == []
+    n = m.shape.n
+    for x in range(1, n + 1):
+        want = _per_level_climb(m, x)
+        assert list(node_climb(m, x)) == want, x
+        assert node_path(m, x) == tuple(PathEntry(g, i + 1, a + 1) for g, i, _, a, _, _ in want)
+    # the two ends of every level's segment of the joined leaf cums
+    assert [e.cluster_index for e in node_path(m, 1)] == [1] * m.shape.gamma
+    assert [e.cluster_index for e in node_path(m, n)] == \
+        [m.shape.n_clusters(g) for g in range(1, m.shape.gamma + 1)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=6)),
+    lambda: generate_network(GenParams(mode="regular", p=3, mu=0.8, seed=2, gamma=6)),
+    lambda: _root_bits_only(5),
+    lambda: generate_network(GenParams(mode="by-nodes", p=40, mu=0.3, seed=3, n=600)),
+], ids=["regular-g6", "regular-g6-sparse", "root-bits-only", "by-nodes-p40"])
+def test_distance_at_every_lowest_common_level(make):
+    m = make()
+    n, top = m.shape.n, m.shape.gamma
+    dist = oracle.expand(m).bf_all_distances()
+    rng = np.random.default_rng(7)
+    chains = {x: [e.cluster_index for e in node_path(m, x)] for x in range(1, n + 1)}
+    seen = set()
+    for x, y in rng.integers(1, n + 1, (4000, 2)).tolist() + [[1, n], [1, 2], [n - 1, n]]:
+        if x == y:
+            continue
+        # the lowest common cluster's level: the levels where the chains still differ, plus one
+        seen.add(sum(a != b for a, b in zip(chains[x], chains[y])) + 1)
+        d = an.distance(m, x, y)
+        assert (-1 if d is None else d) == dist[x - 1, y - 1], (x, y)
+    assert {1, top // 2, top} <= seen
+
+
+def _count_searches(fn) -> int:
+    """How many times `fn()` calls a `searchsorted`, numpy's function and the array method alike."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__name__", None) == "searchsorted":
+            calls += 1
+
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(before)
+    return calls
+
+
+def test_every_point_query_makes_one_search():
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=8))
+    n = m.shape.n
+    an.triangles_at_node(m, 1)  # the edge tier, which the triangle climbs read, built first
+    kinds = [lambda x, y: an.node_degree(m, x), lambda x, y: an.triangles_at_node(m, x),
+             lambda x, y: an.clustering_coefficient(m, x), lambda x, y: an.distance(m, x, y)]
+    rng = np.random.default_rng(5)
+    pairs = [[1, n], [n, 1], [1, 2]] + rng.integers(1, n + 1, (297, 2)).tolist()
+    queries = [(kinds[k % 4], x, y if x != y else x % n + 1)
+               for k, (x, y) in enumerate(pairs)]
+
+    def ask():
+        for fn, x, y in queries:
+            fn(x, y)
+
+    assert _count_searches(ask) == len(queries) == 300
 
 
 # -- row blocks ----------------------------------------------------------------

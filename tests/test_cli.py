@@ -225,6 +225,16 @@ def test_out_of_memory_is_a_one_line_error(demo_file, tmp_path, capsys, monkeypa
                                        "and data type uint8\n")
 
 
+def test_export_past_physical_memory_is_a_one_line_error(demo_file, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr("hiernet.oracle._physical_memory", lambda: 80)
+    out = tmp_path / "e.txt"
+    rc = main(["export", "--input", str(demo_file), "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == ("hiernet: error: n=9 needs 81 bytes of adjacency, "
+                                       "more than the 80 bytes of physical memory\n")
+
+
 def test_export_negative_cap_is_a_usage_error(tmp_path, capsys):
     # refused before the input is read: the file need not exist
     rc = main(["export", "--input", str(tmp_path / "missing.bhnet"), "--out",

@@ -675,6 +675,43 @@ def test_generated_model_memory_per_node():
     assert held / model.shape.n <= 20
 
 
+def _layout_bytes(model: NetworkModel) -> int:
+    """Bytes of the distinct buffers behind every array the shape and the link table hold."""
+    roots, todo = {}, [getattr(obj, slot) for obj in (model.shape, model.links)
+                       for slot in type(obj).__slots__]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            roots[id(item)] = item.nbytes
+    return sum(roots.values())
+
+
+def test_passes_and_queries_build_no_search_array():
+    # the joined leaf cums are the one search array, and they are the shape's own
+    # storage: past the model, no property, serialization or query adds a byte
+    model = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=7))
+    shape = model.shape
+    clusters = sum(shape.n_clusters(g) for g in range(1, shape.gamma + 1))
+    bits = sum(len(model.links.flat_at(g)) for g in range(1, shape.gamma + 1))
+    # per cluster: count, child start, leaf cum and bit offset, and a size above
+    # level 1; one level-0 one, each level's shift, and the bits
+    want = 8 * (4 * clusters + clusters - shape.n_clusters(1) + 1 + shape.gamma) + bits
+    assert _layout_bytes(model) == want
+    layout = shape._derived()
+    assert all(np.shares_memory(layout.keys, cum) for cum in layout.cums)
+    ensemble.compute_properties(model, ensemble.PROPERTIES)
+    for _ in core.serialize_chunks(model):
+        pass
+    for x in (1, 5, shape.n):
+        an.node_degree(model, x), an.triangles_at_node(model, x), distance(model, 1, x)
+    assert _layout_bytes(model) == want
+    assert an._sibling_bits.cache_info().maxsize is not None
+
+
 def test_deserialize_memory_against_file_size():
     # the canonical path keeps the model, one level's template and its bit
     # positions at a time, never a copy of the file: about 2x the file past

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hiernet.analytics as an
+from hiernet import oracle
 from hiernet.core import ParamError
 from hiernet.gen import GenParams, generate_network
 from hiernet.oracle import (
@@ -71,6 +72,22 @@ def test_expansion_cap():
     with pytest.raises(ExpansionCapError):
         edge_list_text(m, cap=100)
     expand(m, cap=None)  # explicit opt-out works
+
+
+def test_expansion_past_physical_memory_is_refused(demo9, monkeypatch):
+    # nine nodes take 81 bytes of adjacency: refused on a host of 80, whatever the cap
+    monkeypatch.setattr(oracle, "_physical_memory", lambda: 80)
+    for cap in (None, 9):
+        with pytest.raises(ExpansionCapError) as exc:
+            expand(demo9, cap=cap)
+        assert str(exc.value) == ("n=9 needs 81 bytes of adjacency, "
+                                  "more than the 80 bytes of physical memory")
+    monkeypatch.setattr(oracle, "_physical_memory", lambda: 81)
+    assert expand(demo9).n == 9
+
+
+def test_physical_memory_is_read_from_the_host():
+    assert oracle._physical_memory() > 0
 
 
 @pytest.mark.parametrize("cap", ["x", 2.5, -5, [9]])
