@@ -27,8 +27,9 @@ only `wedge_count`, `triangle_count` and `four_cycle_count` pay for it.
 Every pass walks a level in row blocks of clusters sharing a child count
 c, the same blocks for a model and for a forest.  `_level_groups` is the
 one reader of a block's layout: it gathers the children's indices, their
-node counts V (level 0 is the nodes, one each) and the block's bits B,
-one column per cluster, once for every pass.  The edge tier reads B as it
+node counts V (level 0 is the nodes, one each), widened from the shape's
+int32 to int64 as they are gathered, and the block's bits B, one column
+per cluster, once for every pass.  The edge tier reads B as it
 lies and the distance scan reads its exited distances off it; every other
 pass builds one (c, c, rows) int64 tensor A of 0/1 child adjacency from
 B, holding 2**16 entries at most, or one cluster's c**2 past 2**8
@@ -148,7 +149,8 @@ class ClusterAggregates:
 
     v: nodes covered; e: edges; p2: wedges (unordered 2-edge paths);
     c3: triangles; c4: four-cycles (distinct 4-edge cycle subgraphs).
-    dtype is int64 or object (exact Python ints) per the module contract.
+    dtype is int64 or object (exact Python ints) per the module contract,
+    except v on int64 levels: the shape's own read-only int32 sizes.
     """
 
     v: np.ndarray
@@ -189,8 +191,9 @@ def _level_groups(model: NetworkModel, g: int):
     `sel` are 0-based cluster indices with count c, at most
     _BLOCK_ENTRIES // c**2 of them and at least one; `idx` is the
     (c, len(sel)) matrix of their children's 0-based indices in level g-1,
-    V the children's node counts (int64, laid out like idx) and B the
-    clusters' bits, (c(c-1)/2, len(sel)) uint8 in pair order.
+    V the children's node counts (laid out like idx, widened once here from
+    the shape's int32 to int64) and B the clusters' bits, (c(c-1)/2,
+    len(sel)) uint8 in pair order.
     """
     d = model.shape._derived()
     counts, starts, sizes = model.shape._counts[g - 1], d.starts[g - 1], d.sizes[g - 1]
@@ -203,7 +206,7 @@ def _level_groups(model: NetworkModel, g: int):
         for lo in range(0, len(every), rows):
             sel = every[lo:lo + rows]
             idx = np.arange(c, dtype=np.int64)[:, None] + starts[sel]
-            yield c, sel, idx, sizes[idx], flat[pairs + offsets[sel]]
+            yield c, sel, idx, sizes[idx].astype(np.int64), flat[pairs + offsets[sel]]
 
 
 def _adjacency(B: np.ndarray, c: int) -> np.ndarray:
@@ -281,10 +284,12 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
         out = [np.broadcast_to(np.int64(0), (shape.n,))]
         for g, starts in enumerate(shape._derived().starts, start=1):
             if g == 1:
-                # a level-1 child is one node, so a cluster's edges are its set bits
+                # a level-1 child is one node, so a cluster's edges are its set bits;
+                # reduceat copies the bits to its dtype, and int32 holds a vertex's
+                # at most 2**19 bits in half the bytes of int64
                 has = shape._counts[0] > 1
                 E = np.zeros(len(has), np.int64)
-                E[has] = np.add.reduceat(links._flat[0], links._starts[0][has], dtype=np.int64)
+                E[has] = np.add.reduceat(links._flat[0], links._starts[0][has], dtype=np.int32)
             else:
                 E = np.add.reduceat(E, starts)
                 for c, sel, _, V, B in _level_groups(model, g):
@@ -301,7 +306,9 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
 def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     """The pattern tier: wedges, triangles and four-cycles of every level over the edge tier's E.
 
-    Bottom-up, one entry per internal level; cached on the model.
+    Bottom-up, one entry per internal level; cached on the model.  A
+    one-child cluster holds what its child holds, so it takes the child's
+    values with no kernel.
     """
     if model._aggregates is not None:
         return model._aggregates
@@ -310,11 +317,16 @@ def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
     prev = ClusterAggregates(*(edges[0],) * 5)  # the nodes: N read-only zeros
     for g, E in enumerate(edges[1:], start=1):
         V = model.shape._derived().sizes[g]
-        # casting int64 to object gives exact Python ints, immune to wraparound
+        # casting to object gives exact Python ints, immune to wraparound;
+        # int64 levels keep the shape's int32 sizes as they are
         dtype = object if len(V) and int(V.max()) > _INT64_SAFE_NODES else np.int64
-        V, E = V.astype(dtype, copy=False), E.astype(dtype, copy=False)
+        if dtype is object:
+            V, E = V.astype(object), E.astype(object)
         P2, C3, C4 = np.zeros((3, len(V)), dtype)
         for c, sel, idx, Vm, B in _level_groups(model, g):
+            if c == 1:
+                P2[sel], C3[sel], C4[sel] = prev.p2[idx[0]], prev.c3[idx[0]], prev.c4[idx[0]]
+                continue
             if g == 1 and c <= _CODE_CHILDREN:
                 code = _code(B)
                 P2[sel], C3[sel], C4[sel] = (t.take(code) for t in _code_table(_merge_children, c))
@@ -526,6 +538,8 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     edges = _edge_levels(model)  # checks the model first
 
     def step(g, c, sel, idx, V, B, F, D):
+        if c == 1:  # a one-child cluster links nothing: its child keeps its chain's values
+            return F, D
         if g == 1 and c <= _CODE_CHILDREN:
             code = _code(B)
             dF, dD = (t.take(code, -1) for t in _code_table(_node_steps, c))
@@ -729,7 +743,8 @@ def _free_scan(model: NetworkModel):
         d[d < 0] = width - 1
         groups.append((R * V[:, free]).sum(axis=1)[lead])
         if roots > 1:
-            root = ends.searchsorted(shape._derived().cums[g - 1][sel] - shape._shift(g))
+            layout = shape._derived()
+            root = ends.searchsorted(layout.cums[g - 1][sel] - layout.shifts[g - 1])
             group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
             d += root * width  # each pair counts in its own root's row
         iu, ju = _child_pairs(c)
@@ -744,7 +759,7 @@ def _free_scan(model: NetworkModel):
         sizes[::-1].sort()
         per_root = [sizes]
     else:
-        group_roots.append(ends.searchsorted(np.flatnonzero(lone) + 1))
+        group_roots.append(ends.searchsorted(np.flatnonzero(lone).astype(ends.dtype) + 1))
         owner = np.concatenate(group_roots)
         sizes = sizes[np.lexsort((-sizes, owner))]
         per_root = np.split(sizes, np.cumsum(np.bincount(owner, minlength=roots))[:-1])
@@ -777,9 +792,12 @@ def component_sizes(model: NetworkModel) -> list[int]:
 
 
 def _root_ends(shape) -> np.ndarray:
-    """One past the last node of each root, 0-based: a forest's copy offsets."""
-    return shape._derived().cums[-1] - shape._shift(shape.gamma) if shape.gamma \
-        else np.ones(1, np.int64)
+    """One past the last node of each root, 0-based: a forest's copy offsets, in the keys' dtype.
+
+    A search into them passes needles of that dtype, as one into the keys does.
+    """
+    d = shape._derived()
+    return d.cums[-1] - d.shifts[-1] if shape.gamma else np.ones(1, d.keys.dtype)
 
 
 def _root_counts(model: NetworkModel, kind: str) -> list[np.ndarray]:
@@ -801,7 +819,8 @@ def _root_counts(model: NetworkModel, kind: str) -> list[np.ndarray]:
         d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
         b = d if kind == "degree" else np.floor(_clustering(d, t) * 100 + 1e-9).astype(np.int64)
         if len(ends) > 1:
-            b = b + offsets[ends.searchsorted(np.arange(lo, lo + len(b)), side="right")]
+            at = np.arange(lo, lo + len(b), dtype=ends.dtype)
+            b = b + offsets[ends.searchsorted(at, side="right")]
         add = np.bincount(b)
         counts[:len(add)] += add
     return np.split(counts, offsets[1:])

@@ -61,6 +61,10 @@ MAX_LINK_BITS = 1 << 30
 # resource guard on the children of one vertex: the analytics hold its
 # (c, c) child adjacency as one block of at most MAX_CHILDREN**2 entries
 MAX_CHILDREN = 1 << 10
+# the guards above keep every count, child start, size and bit offset below
+# 2**31, so the layout stores them int32; the shifted leaf cums reach
+# gamma(N+1) and are int32 only below this bound, as are the bit offsets
+_INT32_SAFE_KEYS = 1 << 31
 
 
 class HiernetError(Exception):
@@ -159,6 +163,14 @@ def pair_offset(a: int, b: int, k: int) -> int:
     return a * (2 * k - a - 1) // 2 + b - a - 1
 
 
+def _bit_counts(counts: np.ndarray) -> np.ndarray:
+    """c(c-1)/2, the bits of each c-child vertex, as int64: the int32 counts are widened first."""
+    nbits = counts.astype(np.int64)
+    nbits *= nbits - 1
+    nbits //= 2
+    return nbits
+
+
 @dataclass(frozen=True)
 class ClusterRef:
     """Cluster address: level gamma in 0..Gamma and 1-based index within it.
@@ -182,12 +194,12 @@ class PathEntry:
 class _Layout(NamedTuple):
     """A shape's derived navigation arrays, read-only, built once by `HierarchyShape._derived`."""
 
-    sizes: tuple[np.ndarray, ...]   # node counts per cluster, by level from 0
+    sizes: tuple[np.ndarray, ...]   # node counts per cluster, by level from 0, int32
     starts: tuple[np.ndarray, ...]  # first child's index in the level below, by level from 1
     cums: tuple[np.ndarray, ...]    # shifted leaf cums, by level from 1
     keys: np.ndarray                # the leaf cums of every level, joined: `cums` are its views
-    all_starts: np.ndarray          # the child starts, joined: `starts` are its views
-    shifts: np.ndarray              # each level's shift (g-1)(N+1)
+    all_starts: np.ndarray          # the child starts, joined, int32: `starts` are its views
+    shifts: np.ndarray              # each level's shift (g-1)(N+1), in the dtype of `keys`
     base: tuple[int, ...]           # each level's first position in the joined layout
 
 
@@ -198,11 +210,12 @@ class HierarchyShape:
     level-1 clusters (whose children are network nodes) and the last entry
     is the root level.  Level 0 is the nodes themselves: it has sizes (all
     ones) but no counts.  Construction only refuses a p that is not an
-    integer >= 2 (3.0 is taken as 3) and non-integer counts, and freezes
-    the arrays; the structural rules live in `validate`, which reports
-    violations instead of raising, so deliberately broken shapes can be
-    inspected.  The public accessors check their arguments and refuse
-    counts that do not telescope; analysis reads the private arrays.
+    integer >= 2 (3.0 is taken as 3) and counts that are not integers
+    int32 holds, and freezes the arrays; the structural rules live in
+    `validate`, which reports violations instead of raising, so
+    deliberately broken shapes can be inspected.  The public accessors
+    check their arguments and refuse counts that do not telescope;
+    analysis reads the private arrays.
 
     Every per-cluster kind (counts, child starts, leaf cums, and the link
     table's bit offsets) is one array laid out level after level, level 1
@@ -212,6 +225,12 @@ class HierarchyShape:
     (g-1)(N+1): the joined array ascends across the levels, and one search
     for the needles (g-1)(N+1) + x finds node x's cluster on every level.
     The accessors that return leaf cums subtract the shift.
+
+    Counts, child starts, sizes and bit offsets are int32: a valid model
+    keeps each below 2**31, and a shape of more than MAX_NODES nodes has no
+    layout.  The leaf cums are int32 while gamma(N+1) < 2**31 and int64
+    past it; a search into them passes needles of their own dtype, since
+    numpy would otherwise copy the whole joined array to the needles' one.
     """
 
     __slots__ = ("p", "n", "_counts", "_all_counts", "_derived_cache")
@@ -220,15 +239,15 @@ class HierarchyShape:
         self.p = _whole(p, "p", 2)
         levels = list(levels)
         for k, level in enumerate(levels):
-            levels[k] = arr = _integers(level, np.int64, "child counts")
+            levels[k] = arr = _integers(level, np.int32, "child counts")
             if arr.ndim != 1:
                 raise ParamError("each level must be a flat sequence of counts")
         # the leading empty array joins a zero-level shape's counts too
-        self._all_counts = np.concatenate([np.zeros(0, np.int64), *levels])
+        self._all_counts = np.concatenate([np.zeros(0, np.int32), *levels])
         self._all_counts.flags.writeable = False
         self._counts = _split(self._all_counts, [len(arr) for arr in levels])
         # node count, summed once: every node reference is checked against it
-        self.n = int(self._counts[0].sum()) if levels else 1
+        self.n = int(self._counts[0].sum(dtype=np.int64)) if levels else 1
         self._derived_cache = None
 
     # -- basic dimensions ---------------------------------------------------
@@ -246,7 +265,7 @@ class HierarchyShape:
         return len(self._counts[gamma - 1]) if gamma else self.n
 
     def counts_at(self, gamma: int) -> np.ndarray:
-        """Child counts of all clusters at a level (gamma >= 1), read-only int64."""
+        """Child counts of all clusters at a level (gamma >= 1), read-only int32."""
         return self._counts[_checked_level(gamma, len(self._counts)) - 1]
 
     def count(self, gamma: int, i: int) -> int:
@@ -255,34 +274,34 @@ class HierarchyShape:
 
     # -- derived navigation arrays ------------------------------------------
 
-    def _shift(self, gamma: int) -> int:
-        """What level gamma's stored leaf cums add to the true ones: (gamma-1)(N+1)."""
-        return (gamma - 1) * (self.n + 1)
-
     def _derived(self) -> _Layout:
         """The navigation arrays the counts imply, built on the first call."""
         d = self._derived_cache
         if d is not None:
             return d
-        # a node covers itself: one broadcast of ones, built once and never copied
-        sizes = [np.broadcast_to(np.int64(1), (self.n,))]
+        n = self.n
+        if n > MAX_NODES:
+            raise ParamError(f"a shape of {n} nodes exceeds the supported maximum {MAX_NODES}")
         widths = [len(counts) for counts in self._counts]
-        all_starts, keys = np.zeros(sum(widths), np.int64), np.empty(sum(widths), np.int64)
+        key_t = np.int32 if len(widths) * (n + 1) < _INT32_SAFE_KEYS else np.int64
+        # a node covers itself: one broadcast of ones, built once and never copied
+        sizes = [np.broadcast_to(np.int32(1), (n,))]
+        all_starts, keys = np.zeros(sum(widths), np.int32), np.empty(sum(widths), key_t)
+        shifts = np.arange(0, len(widths) * (n + 1), n + 1, dtype=key_t)
         for g, (counts, starts, cum) in enumerate(
                 zip(self._counts, _split(all_starts, widths), _split(keys, widths)), start=1):
             if (counts < 1).any():
                 raise ParamError("shape has counts below 1; run validate() for details")
-            if int(counts.sum()) != len(sizes[-1]):
+            if int(counts.sum(dtype=np.int64)) != len(sizes[-1]):
                 raise ParamError("inconsistent level widths; run validate() for details")
-            np.cumsum(counts[:-1], out=starts[1:])
+            np.cumsum(counts[:-1], dtype=np.int32, out=starts[1:])
             # a level-1 cluster covers one node per child: its sizes are its counts
-            sz = counts if g == 1 else np.add.reduceat(sizes[-1], starts)
-            np.cumsum(sz, out=cum)
-            cum += self._shift(g)
+            sz = counts if g == 1 else np.add.reduceat(sizes[-1], starts, dtype=np.int32)
+            np.cumsum(sz, dtype=key_t, out=cum)
+            cum += shifts[g - 1]
             sz.flags.writeable = False
             sizes.append(sz)
         all_starts.flags.writeable = keys.flags.writeable = False
-        shifts = np.arange(len(widths), dtype=np.int64) * (self.n + 1)
         d = _Layout(tuple(sizes), _split(all_starts, widths), _split(keys, widths), keys,
                     all_starts, shifts, tuple(accumulate(widths[:-1], initial=0)))
         self._derived_cache = d
@@ -299,7 +318,8 @@ class HierarchyShape:
     def leaf_cum_at(self, gamma: int) -> np.ndarray:
         """Nodes covered by each level-gamma cluster and those before it; a new read-only array."""
         gamma = _checked_level(gamma, len(self._counts))
-        cum = self._derived().cums[gamma - 1] - self._shift(gamma)
+        d = self._derived()
+        cum = d.cums[gamma - 1] - d.shifts[gamma - 1]
         cum.flags.writeable = False
         return cum
 
@@ -319,7 +339,7 @@ class HierarchyShape:
         if gamma == 0:
             return i - 1, i
         d = self._derived()
-        hi = int(d.cums[gamma - 1][i - 1]) - self._shift(gamma)
+        hi = int(d.cums[gamma - 1][i - 1] - d.shifts[gamma - 1])
         return hi - int(d.sizes[gamma][i - 1]), hi
 
     def node_cluster(self, gamma: int, x: int) -> int:
@@ -328,7 +348,9 @@ class HierarchyShape:
         gamma = _checked_level(gamma, len(self._counts), 0)
         if gamma == 0:
             return x
-        return int(self._derived().cums[gamma - 1].searchsorted(x + self._shift(gamma))) + 1
+        d = self._derived()
+        # numpy scalars of the keys' dtype: a Python int would make the needle int64
+        return int(d.cums[gamma - 1].searchsorted(d.shifts[gamma - 1] + d.keys.dtype.type(x))) + 1
 
     def __eq__(self, other):
         if not isinstance(other, HierarchyShape):
@@ -355,7 +377,8 @@ class LinkTable:
     last to the end of the flat array, so `nbits_at` reads the lengths off
     the gaps and `validate` checks them, total included, against the counts.
     The per-level offsets are views of one array laid out like the shape's
-    counts, so a cluster's position there indexes its offset too.
+    counts, so a cluster's position there indexes its offset too.  They are
+    int32 unless an offset reaches 2**31 or falls below 0: then int64.
     """
 
     __slots__ = ("_flat", "_starts", "_all_starts")
@@ -369,9 +392,14 @@ class LinkTable:
         flats = [_integers(f, np.uint8, "link bits") for f in flat_per_level]
         nbits = [_integers(nb, np.int64, "bit counts") for nb in nbits_per_level]
         widths = [len(nb) for nb in nbits]
-        self._all_starts = np.zeros(sum(widths), np.int64)
-        for st, nb in zip(_split(self._all_starts, widths), nbits):
+        starts = np.zeros(sum(widths), np.int64)
+        for st, nb in zip(_split(starts, widths), nbits):
             np.cumsum(nb[:-1], out=st[1:])
+        # an int64 sum that wraps, or a negative count, leaves an offset outside
+        # 0..2**31 - 1 at or before the first wrong one
+        if not len(starts) or 0 <= starts.min() and starts.max() < _INT32_SAFE_KEYS:
+            starts = starts.astype(np.int32)
+        self._all_starts = starts
         for a in (self._all_starts, *flats):
             a.flags.writeable = False
         self._flat = tuple(flats)
@@ -404,7 +432,8 @@ class LinkTable:
         """Per-cluster vector lengths: the gaps between offsets, closed by the flat length."""
         gamma = _checked_level(gamma, len(self._flat), 1, "link table")
         starts = self._starts[gamma - 1]  # np.diff(append=) costs three times as much
-        return np.concatenate((starts[1:], [len(self._flat[gamma - 1])])) - starts
+        ends = np.concatenate((starts[1:], [len(self._flat[gamma - 1])]), dtype=np.int64)
+        return ends - starts
 
     def starts_at(self, gamma: int) -> np.ndarray:
         return self._starts[_checked_level(gamma, len(self._flat), 1, "link table") - 1]
@@ -539,9 +568,10 @@ def _chain(shape: HierarchyShape, x):
     """Positions in the joined layout of the clusters holding node x, one per level, by one search.
 
     x may also be a column of nodes, [[x], [y]]: then each node gets a row of positions.
+    The needles take the keys' dtype: any other would copy the keys on every search.
     """
     d = shape._derived()
-    return d.keys.searchsorted(d.shifts + x)
+    return d.keys.searchsorted(d.shifts + np.asarray(x, d.keys.dtype))
 
 
 def _climb_above(model: NetworkModel, pos: np.ndarray, above: int, j: int):
@@ -585,11 +615,13 @@ def _shape_problems(shape: HierarchyShape) -> list[str]:
     p = shape.p
     big_g = shape.gamma
     counts = shape._counts
+    # int32 counts hold no value above 2**31 - 1, so a larger p bounds none of them
+    top = np.int32(min(p, np.iinfo(np.int32).max))
     for g, arr in enumerate(counts, start=1):
         if len(arr) == 0:
             out.append(f"level {g}: empty level")
             continue
-        bad = (arr < 1) | (arr > p)
+        bad = (arr < 1) | (arr > top)
         if bad.any():
             j = int(np.argmax(bad))
             out.append(f"level {g} cluster {j + 1}: count {int(arr[j])} outside 1..p={p}")
@@ -601,14 +633,14 @@ def _shape_problems(shape: HierarchyShape) -> list[str]:
         out.append(f"level {big_g}: root level has {len(counts[-1])} clusters, want 1")
     for g in range(2, big_g + 1):
         want = len(counts[g - 2])
-        got = int(counts[g - 1].sum())
+        got = int(counts[g - 1].sum(dtype=np.int64))
         if got != want:
             out.append(
                 f"level {g}: level telescoping broken, counts sum to {got} "
                 f"but {want} clusters sit below"
             )
     if big_g >= 1 and len(counts[0]) > 0:
-        n = int(counts[0].sum())
+        n = shape.n
         if pow_below(p, big_g, n):
             out.append(f"n={n} exceeds p^gamma={p ** big_g}")
     return out
@@ -632,7 +664,7 @@ def validate(model: NetworkModel) -> list[str]:
         if len(nb) != len(arr):
             out.append(f"level {g}: {len(nb)} bit vectors for {len(arr)} clusters")
             continue
-        want_nb = arr * (arr - 1) // 2
+        want_nb = _bit_counts(arr)
         bad = nb != want_nb
         if bad.any():
             j = int(np.argmax(bad))
@@ -670,27 +702,39 @@ _INT32_SAFE_BYTES = 1 << 31
 
 
 def _n_digits(values: np.ndarray) -> np.ndarray:
-    """Decimal digit counts of non-negative int64 values."""
-    return np.searchsorted(_POW10[1:], values, side="right") + 1
+    """Decimal digit counts of non-negative int64, int32 or uint32 values.
+
+    The powers take the dtype of 32-bit values, as numpy would otherwise
+    copy the values to int64; such values have at most ten digits.
+    """
+    powers = _POW10[1:10].astype(values.dtype) if values.dtype.itemsize == 4 else _POW10[1:]
+    return np.searchsorted(powers, values, side="right") + 1
 
 
 def _put_decimal(buf: np.ndarray, stop: np.ndarray, values: np.ndarray, nd: np.ndarray) -> None:
     """Write values[j] as nd[j] decimal digits ending just before buf[stop[j]].
 
-    uint32 divides about three times as fast as int64.  Where nd ascends, as
-    for cluster indices, the values with a digit at a place are a suffix.
+    Works in place, so that a level's digits take no temporary as long as
+    the level: each stop[j] moves back to its value's first digit, and
+    values already of the digits' dtype (uint32 up to nine places) are used
+    up.  uint32 divides about three times as fast as int64.  Where nd
+    ascends, as for cluster indices, the values with a digit at a place are
+    a suffix.
     """
     places = int(nd.max(initial=0))
     ascending = bool((nd[1:] >= nd[:-1]).all())
-    rest = values.astype(np.uint32 if places <= 9 else np.uint64)
+    rest = values.astype(np.uint32 if places <= 9 else np.uint64, copy=False)
+    tens = np.empty_like(rest)
     digit = np.empty(len(rest), dtype=np.uint8)
     for d in range(places):
-        live = slice(int(nd.searchsorted(d, side="right")), None) if ascending else nd > d
-        tens = rest // 10
-        rest -= tens * 10
+        # a needle of nd's own dtype: any other would copy nd to its dtype
+        live = slice(int(nd.searchsorted(nd.dtype.type(d), side="right")), None) if ascending \
+            else nd > d
+        np.divmod(rest, 10, out=(tens, rest))
         np.add(rest, _ZERO, out=digit, casting="unsafe")
-        buf[stop[live] - (d + 1)] = digit[live]
-        rest = tens
+        stop[live] -= 1
+        buf[stop[live]] = digit[live]
+        rest, tens = tens, rest
 
 
 def _decimal_line(values: np.ndarray) -> np.ndarray:
@@ -708,7 +752,8 @@ def _read_counts(body: np.ndarray) -> np.ndarray | None:
 
     Takes up to MAX_NODES runs of one to nine digits split by single spaces,
     leading zeros too: the caller's byte comparison with `_head` refuses
-    those.  The limits keep every sum of counts within int64.
+    those.  Nine digits keep each count within the shape's int32, and the
+    limits every sum of counts within int64.
     """
     digit = body - _ZERO  # a space, like any other non-digit, wraps past 9
     ends = np.append(np.flatnonzero(body == _SPACE), len(body))  # the byte after each count
@@ -716,10 +761,10 @@ def _read_counts(body: np.ndarray) -> np.ndarray | None:
     if len(ends) > MAX_NODES or np.count_nonzero(digit > 9) >= len(ends) \
             or not 1 <= nd.min() <= nd.max() <= 9:
         return None
-    counts = np.zeros(len(ends), dtype=np.int64)
+    counts = np.zeros(len(ends), dtype=np.int32)
     for d in range(int(nd.max())):
         live = nd > d
-        counts[live] += digit[ends[live] - (d + 1)] * _POW10[d]
+        counts[live] += np.multiply(digit[ends[live] - (d + 1)], 10 ** d, dtype=np.int32)
     return counts
 
 
@@ -741,33 +786,39 @@ def _bitmap_lines(g: int, counts: np.ndarray, room: int | None = None):
     valid, at most MAX_CHILDREN.
     """
     idx = np.flatnonzero(counts >= 2)
-    nbits = counts[idx].astype(np.int32)
+    nbits = counts[idx].astype(np.int32, copy=False)
     nbits = nbits * (nbits - 1) // 2
-    idx += 1
+    idx = (idx + 1).astype(np.uint32)  # labels, at most MAX_NODES: half of intp's bytes
     label = b"B%d." % g
     nd = _n_digits(idx).astype(np.int32)
     length = nbits + nd + (len(label) + 3)  # with ": " and the newline
-    end = np.cumsum(length, dtype=np.intp)  # numpy indexes fastest with intp
-    total = int(end[-1]) if len(end) else 0
+    at = np.cumsum(length, dtype=np.intp)  # numpy indexes fastest with intp
+    total = int(at[-1]) if len(at) else 0
     if room is not None and total > room:
         return None
-    at = end - length  # each line's start, then the places within it
+    at -= length  # each line's start, then the places within it
     del length
     buf = np.empty(total, dtype=np.uint8)
     for ch in label:
         buf[at] = ch
         at += 1
     at += nd
-    _put_decimal(buf, at, idx, nd)
+    _put_decimal(buf, at, idx, nd)  # moves `at` back to the first digit, uses up idx
+    at += nd
     del idx, nd
     buf[at] = ord(":")
-    buf[at + 1] = _SPACE
-    buf[end - 1] = _NEWLINE
-    # a bit's position: its rank in the level, plus its line's newline
-    # position less the bits up to and including that line
-    end -= np.cumsum(nbits) + 1
+    at += 2  # each line's first bit
+    buf[at - 1] = _SPACE
+    buf[at + nbits] = _NEWLINE
+    # a bit's position: its rank in the level, plus its line's first bit
+    # position less the bits before that line
+    at -= np.cumsum(nbits, dtype=np.intp)
+    at += nbits
     dt = np.int32 if total < _INT32_SAFE_BYTES else np.int64
-    at = np.repeat(end.astype(dt), nbits)
+    first = at.astype(dt)
+    del at
+    at = np.repeat(first, nbits)
+    del first, nbits
     at += np.arange(len(at), dtype=dt)
     return buf, at
 
@@ -789,6 +840,7 @@ def _render(model: NetworkModel):
         buf[at] = model.links.flat_at(g) + _ZERO
         del at
         yield buf
+        del buf  # before the next level's
 
 
 def serialize(model: NetworkModel) -> str:
@@ -861,7 +913,7 @@ def _parse_canonical(raw: bytes) -> NetworkModel | None:
         del buf  # before the next level's
     if pos != len(raw):
         return None
-    nbits = (c * (c - 1) // 2 for c in shape._counts)
+    nbits = (_bit_counts(c) for c in shape._counts)
     model = NetworkModel(shape, LinkTable(flats[::-1], nbits))
     model._problems = validate(model)
     return None if model._problems else model

@@ -38,7 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core import HiernetError, HierarchyShape, LinkTable, NetworkModel, ParamError, _whole
+from .core import (
+    HiernetError,
+    HierarchyShape,
+    LinkTable,
+    NetworkModel,
+    ParamError,
+    _bit_counts,
+    _whole,
+)
 from .gen import GenParams, generate_network
 from .analytics import (
     _diameter,
@@ -135,8 +143,9 @@ def run_copy(params: GenParams, copy: int, properties) -> dict:
 
 # -- stacks ------------------------------------------------------------------
 
-# the (child counts, flat bits) of a level of one one-child vertex, which has no bits
-_PAD_LEVEL = (np.ones(1, np.int64), np.zeros(0, np.uint8))
+# the (child counts, flat bits) of a level of one one-child vertex, which has no bits;
+# its count has the counts' dtype, so the levels join with no widening copy
+_PAD_LEVEL = (np.ones(1, np.int32), np.zeros(0, np.uint8))
 
 
 def _forest(p: int, models: list[NetworkModel]) -> NetworkModel:
@@ -155,7 +164,7 @@ def _forest(p: int, models: list[NetworkModel]) -> NetworkModel:
         for out, parts in zip((counts, flats), zip(*level)):
             out.append(np.concatenate(parts))
     forest = NetworkModel(HierarchyShape(p, counts),
-                          LinkTable(flats, [c * (c - 1) // 2 for c in counts]))
+                          LinkTable(flats, [_bit_counts(c) for c in counts]))
     forest._problems = []
     return forest
 
@@ -175,18 +184,27 @@ def _stacks(params: GenParams, first: int, last: int):
     A stack holds copies while they fit in _FOREST_NODES nodes, or one copy
     larger than that.  The model is the `_forest` of the stack's copies.
     Each copy is generated on its own stream and kept as its model until
-    its stack is full.
+    its stack is full; the stack drops them once their forest is built, so
+    the passes over the forest do not run beside them.
     """
     stack: list[NetworkModel] = []
     nodes = 0
     for copy in range(first, last + 1):
         model = _generated(params, copy)
         if stack and nodes + model.shape.n > _FOREST_NODES:
-            yield copy - len(stack), len(stack), _forest(params.p, stack)
-            stack, nodes = [], 0
+            yield copy - len(stack), len(stack), _taken_forest(params.p, stack)
+            nodes = 0
         stack.append(model)
         nodes += model.shape.n
-    yield last + 1 - len(stack), len(stack), _forest(params.p, stack)
+        del model  # the stack's reference is the only one
+    yield last + 1 - len(stack), len(stack), _taken_forest(params.p, stack)
+
+
+def _taken_forest(p: int, stack: list[NetworkModel]) -> NetworkModel:
+    """The `_forest` of a stack's models, the stack emptied: the forest alone holds them."""
+    forest = _forest(p, stack)
+    stack.clear()
+    return forest
 
 
 def _range_worker(args) -> list[bytes]:

@@ -15,8 +15,9 @@ which makes a (seed, stream) pair pin the network bit for bit:
     used group is clipped to the remaining budget, and the surplus draws
     are discarded;
   * by-levels: one batch of w integers per level, w the cluster count;
-  * links: one batch of uniforms per level, one value per bit, clusters in
-    index order and bits in pair order, bottom level first.
+  * links: one value per bit, clusters in index order and bits in pair
+    order, bottom level first, drawn in blocks of whole clusters; uniforms
+    drawn in pieces equal the same draws made at once.
 
 Every entry point checks its parameters the same way: an integer one (p,
 n, gamma, seed, stream) may be any value equal to an integer in range,
@@ -40,6 +41,7 @@ from .core import (
     LinkTable,
     NetworkModel,
     ParamError,
+    _bit_counts,
     _whole,
     pow_below,
 )
@@ -55,6 +57,8 @@ __all__ = [
 ]
 
 _MODES = ("by-nodes", "by-levels", "regular")
+# link bits are drawn in blocks of whole clusters holding at most about this many bits
+_BLOCK_BITS = 1 << 20
 
 
 class RngStream:
@@ -136,7 +140,7 @@ def generate_shape_by_nodes(n: int, p: int, rng: RngStream) -> HierarchyShape:
         cum = np.cumsum(draws)
         # first prefix whose group sizes cover the budget; draws past it are unused
         g = int(np.searchsorted(cum, width, side="left")) + 1
-        counts = draws[:g].copy()
+        counts = draws[:g].astype(np.int32)
         counts[g - 1] = width - (int(cum[g - 1]) - int(counts[g - 1]))
         levels.append(counts)
         width = g
@@ -164,7 +168,7 @@ def generate_shape_regular(gamma: int, p: int) -> HierarchyShape:
         raise ParamError(
             f"p**gamma for p={p}, gamma={gamma} exceeds the supported maximum {MAX_NODES}"
         )
-    levels = [np.full(p ** (gamma - g), p, dtype=np.int64) for g in range(1, gamma + 1)]
+    levels = [np.full(p ** (gamma - g), p, dtype=np.int32) for g in range(1, gamma + 1)]
     return HierarchyShape(p, levels)
 
 
@@ -177,15 +181,24 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
     therefore sets every bit, since uniforms live in [0, 1).  A shape with
     more than MAX_LINK_BITS bits, or with a vertex of more than
     MAX_CHILDREN children, is refused before anything is drawn.
+
+    Each level is drawn in blocks of whole clusters, at most about
+    _BLOCK_BITS bits a block, and each block's uniforms are compared with
+    its own clusters' omega: no float array is as long as the level.
     """
     _check_mu(mu)
     nbits_per_level = _link_bit_counts(shape)
     flats = []
     for g, nbits in enumerate(nbits_per_level, start=1):
-        omega = shape.sizes_at(g).astype(np.float64) ** (-float(mu))
-        u = rng.uniforms(int(nbits.sum()))
-        bits = (u < np.repeat(omega, nbits)).astype(np.uint8)
-        flats.append(bits)
+        sizes, total = shape.sizes_at(g), int(nbits.sum())
+        rows = len(nbits) if total <= _BLOCK_BITS else max(1, _BLOCK_BITS // int(nbits.max()))
+        blocks = []
+        for lo in range(0, len(nbits), rows):
+            nb = nbits[lo:lo + rows]
+            omega = sizes[lo:lo + rows].astype(np.float64) ** (-float(mu))
+            blocks.append(rng.uniforms(int(nb.sum())) < np.repeat(omega, nb))
+        bits = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        flats.append(bits.view(np.uint8))  # a bool is one byte, 0 or 1
     return LinkTable(flats, nbits_per_level)
 
 
@@ -200,9 +213,10 @@ def _link_bit_counts(shape: HierarchyShape) -> list[np.ndarray]:
     for g in range(1, shape.gamma + 1):
         counts = shape.counts_at(g)
         top = int(counts.max()) if len(counts) else 0
-        # the widest vertex is checked on its own first, so c*(c-1) stays inside int64
+        # the widest vertex is checked on its own first, so the int64 sum of a
+        # level's bits cannot wrap
         if top * (top - 1) // 2 <= MAX_LINK_BITS:
-            out.append(counts * (counts - 1) // 2)
+            out.append(_bit_counts(counts))
             total += int(out[-1].sum())
         if top * (top - 1) // 2 > MAX_LINK_BITS or total > MAX_LINK_BITS:
             raise ParamError(

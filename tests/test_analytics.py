@@ -562,6 +562,25 @@ def test_every_point_query_makes_one_search():
     assert _count_searches(ask) == len(queries) == 300
 
 
+def test_point_queries_copy_no_search_array():
+    # needles of another dtype than the keys' would make numpy copy the whole
+    # joined array, or a level of it, on every search; 1000 queries and 500
+    # level-1 lookups allocate less than one copy
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=10))
+    keys = m.shape._derived().keys
+    rng = np.random.default_rng(7)
+    pairs = rng.integers(1, m.shape.n + 1, (500, 2)).tolist()
+    an.distance(m, 1, m.shape.n), an.node_degree(m, 1)  # warm the sibling tables
+    tracemalloc.start()
+    try:
+        for x, y in pairs:
+            an.distance(m, x, y), an.node_degree(m, y), m.shape.node_cluster(1, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.dtype == np.int32 and peak < keys.nbytes, peak
+
+
 # -- row blocks ----------------------------------------------------------------
 
 # p=40 and p=400 draw vertices past 2**5 and 2**8 children, which take a
@@ -833,9 +852,9 @@ def test_code_tables_are_shared_and_read_only():
     an._code_table.cache_clear()
     m = _every_level_one_code()
     an.four_cycle_count(m), an.node_degrees(m), an.diameter(m)
-    # the pattern tier and the node passes read c = 1..4, the scan c = 2..4
+    # every pass reads c = 2..4: a one-child cluster takes its child's values
     info = an._code_table.cache_info()
-    assert info.currsize == 11 and info.maxsize == 3 * an._CODE_CHILDREN
+    assert info.currsize == 9 and info.maxsize == 3 * an._CODE_CHILDREN
     for kernel in (an._merge_children, an._node_steps, an._child_graphs):
         for c in range(1, an._CODE_CHILDREN + 1):
             for t in an._code_table(kernel, c):

@@ -275,6 +275,14 @@ def test_shape_accessors_refuse_counts_that_do_not_telescope():
         HierarchyShape(4, [[2, 2], [3]]).sizes_at(2)
 
 
+def test_shapes_past_max_nodes_have_no_layout(monkeypatch):
+    # the int32 layout holds MAX_NODES nodes; a larger shape is refused, not wrapped
+    monkeypatch.setattr(core, "MAX_NODES", 8)
+    with pytest.raises(ParamError, match="9 nodes exceeds the supported maximum 8"):
+        HierarchyShape(4, [[3, 4, 2], [3]]).sizes_at(1)
+    assert HierarchyShape(4, [[3, 3, 2], [3]]).sizes_at(2).tolist() == [8]
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, np.float64(1.0)])
 def test_cluster_references_must_be_integers(demo9, bad):
     shape = demo9.shape
@@ -331,6 +339,7 @@ def test_cluster_references_accept_numpy_integers(demo9):
     lambda: HierarchyShape(4, [[3.0]]),
     lambda: HierarchyShape(4, [["3"]]),
     lambda: HierarchyShape(4, [[2**70]]),
+    lambda: HierarchyShape(4, [[2**31]]),  # past the int32 counts
     lambda: HierarchyShape(4, [[1, [2]]]),
     lambda: LinkTable([[0.5, 1, 1]], [[3]]),
     lambda: LinkTable([np.array([0.5, 1, 1])], [[3]]),
@@ -609,6 +618,23 @@ def test_read_counts_takes_only_what_sums_safely(monkeypatch):
     assert read(b"1 1 1") is None and read(b"1 1").tolist() == [1, 1]
 
 
+def test_digit_counts_take_the_values_dtype():
+    # 32-bit labels and counts are searched with powers of their own dtype,
+    # so no int64 copy of a level is made
+    for dt in (np.int32, np.uint32, np.int64):
+        top = int(np.iinfo(dt).max)
+        values = np.array([0, 9, 10, 99, 10**9 - 1, 10**9, 2**31 - 1, top], dt)
+        assert core._n_digits(values).tolist() == [len(str(int(v))) for v in values]
+    labels = np.arange(1 << 20, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        core._n_digits(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * len(labels)  # the intp result, + 1 in place; no int64 copy
+
+
 def test_bit_positions_int64_branch(monkeypatch):
     # levels of 2**31 bytes or more index their bits with int64 positions;
     # a threshold of 0 sends every level there
@@ -659,12 +685,13 @@ def test_level_zero_sizes_are_one_shared_broadcast(demo9):
     assert NetworkModel(HierarchyShape(3, []), LinkTable([], [])).shape.sizes_at(0).tolist() == [1]
 
 
-def test_generated_model_memory_per_node():
+@pytest.mark.parametrize("gamma", [12, 14])
+def test_generated_model_memory_per_node(gamma):
     # a regular p=3 network has about half a cluster per node; the model
     # holds the bits, the counts (which are the level-1 sizes) and per
     # cluster its child start and leaf cum, its size above level 1 and its
-    # bit offset, and nothing more: 18.9 B per node
-    params = GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=12)
+    # bit offset, each int32, and nothing more: 10.2 B per node
+    params = GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=gamma)
     generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=2))  # one-time setup
     tracemalloc.start()
     try:
@@ -672,7 +699,7 @@ def test_generated_model_memory_per_node():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held / model.shape.n <= 20
+    assert held / model.shape.n <= 12
 
 
 def _layout_bytes(model: NetworkModel) -> int:
@@ -698,8 +725,8 @@ def test_passes_and_queries_build_no_search_array():
     clusters = sum(shape.n_clusters(g) for g in range(1, shape.gamma + 1))
     bits = sum(len(model.links.flat_at(g)) for g in range(1, shape.gamma + 1))
     # per cluster: count, child start, leaf cum and bit offset, and a size above
-    # level 1; one level-0 one, each level's shift, and the bits
-    want = 8 * (4 * clusters + clusters - shape.n_clusters(1) + 1 + shape.gamma) + bits
+    # level 1; one level-0 one, each level's shift, all int32, and the bits
+    want = 4 * (4 * clusters + clusters - shape.n_clusters(1) + 1 + shape.gamma) + bits
     assert _layout_bytes(model) == want
     layout = shape._derived()
     assert all(np.shares_memory(layout.keys, cum) for cum in layout.cums)
@@ -710,6 +737,47 @@ def test_passes_and_queries_build_no_search_array():
         an.node_degree(model, x), an.triangles_at_node(model, x), distance(model, 1, x)
     assert _layout_bytes(model) == want
     assert an._sibling_bits.cache_info().maxsize is not None
+
+
+def test_layout_is_int32_and_keys_switch_to_int64(monkeypatch):
+    # gamma(N+1) < 2**31 keeps the shifted leaf cums int32; a bound of 0 sends
+    # them to int64, and every climb, search and pass reads the same answers
+    params = GenParams(mode="by-nodes", p=5, mu=0.5, seed=3, n=3000)
+    narrow = generate_network(params)
+    monkeypatch.setattr(core, "_INT32_SAFE_KEYS", 0)
+    wide = generate_network(params)
+    for m, key_t in ((narrow, np.int32), (wide, np.int64)):
+        layout = m.shape._derived()
+        assert layout.keys.dtype == layout.shifts.dtype == an._root_ends(m.shape).dtype == key_t
+        assert m.shape.leaf_cum_at(1).dtype == key_t
+        assert m.shape._all_counts.dtype == layout.all_starts.dtype == np.int32
+        assert all(s.dtype == np.int32 for s in layout.sizes)
+        # the offsets take the bound too, at 0 every one goes int64
+        assert m.links._all_starts.dtype == key_t
+    assert wide == narrow
+    for x in range(1, narrow.shape.n + 1, 37):
+        assert node_path(wide, x) == node_path(narrow, x)
+        assert wide.shape.node_cluster(2, x) == narrow.shape.node_cluster(2, x)
+        assert distance(wide, x, 1500) == distance(narrow, x, 1500)
+    # a forest of two copies looks up its roots in int64 ends
+    forest = ensemble._forest(5, [wide, wide])
+    assert an._root_ends(forest.shape).dtype == np.int64
+    for values in ensemble.PROPERTY_TABLE.values():
+        assert values(wide) == values(narrow) and values(forest) == values(narrow) * 2
+    assert serialize(wide) == serialize(narrow)
+
+
+def test_link_offsets_past_int32_are_int64_not_wrapped():
+    # 3 * 2**30 declared bits do not fit int32 offsets; the flat array need not hold them
+    links = LinkTable([np.zeros(0, np.uint8)], [[2**30, 2**30, 2**30]])
+    assert links.starts_at(1).dtype == np.int64
+    assert links.starts_at(1).tolist() == [0, 2**30, 2**31]
+    assert links.nbits_at(1).tolist() == [2**30, 2**30, -(2**31)]
+    for nbits in ([2**31, 1], [-1, 2]):  # one count past int32, or below 0, goes int64 too
+        assert LinkTable([np.zeros(0, np.uint8)], [nbits]).starts_at(1).dtype == np.int64
+    assert LinkTable([np.zeros(3, np.uint8)], [[1, 2]]).starts_at(1).dtype == np.int32
+    m = NetworkModel(HierarchyShape(2**31, [[2, 2, 2]]), links)
+    assert "bitmap length" in validate(m)[-1]
 
 
 def test_deserialize_memory_against_file_size():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
         assert an._free_scan(forest)[1][j].tolist() == an.component_sizes(m)
         assert {name: values[j] for name, values in table.items()} == \
             compute_properties(m, PROPERTIES)
+
+
+def test_stacks_drop_their_copies_before_the_forest_runs():
+    # when a stack's forest is yielded, nothing else of its copies is held:
+    # dropping the forest leaves only the next stack's first copy
+    params = GenParams(mode="by-nodes", p=3, mu=0.8, seed=1, n=8000)
+    list(ensemble._stacks(params, 1, 2))  # one-time setup
+    tracemalloc.start()
+    try:
+        stacks = ensemble._stacks(params, 1, 17)
+        _, count, forest = next(stacks)
+        # the padding has the counts' dtype, so the levels join with no widening copy
+        assert forest.shape._all_counts.dtype == ensemble._PAD_LEVEL[0].dtype == np.int32
+        del forest
+        held = tracemalloc.get_traced_memory()[0]
+        one = generate_network(params, stream=18)
+        copy_bytes = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert count == 8 and one.shape.n == 8000
+    assert held < 4 * copy_bytes, (held, copy_bytes)
 
 
 @pytest.mark.parametrize("budget,where", [
