@@ -12,32 +12,38 @@ or pass reaches it (a generated, stacked or loaded one is trusted as
 built); past that gate every climb and pass reads the shape's and the
 link table's private arrays, with no level or offset check.
 
-The bottom-up pass comes in two tiers, each cached on the model.  The
-edge tier (`_edge_levels`) reads the bits and the child sizes only: it
-starts from level 0, the nodes, which hold no edge, and a cluster's
-edges are its children's plus V_i * V_j per set bit, exact int64 on
-every level.  `edge_count`, the per-node climbs (`triangles_at_node`,
+The bottom-up pass is one driver, `_ascend`, with two tiers as its steps;
+each keeps what its readers use.  The edge tier (`_edge_levels`) reads the
+bits and the child sizes only: it starts from level 0, the nodes, which
+hold no edge, and a cluster's edges are its children's plus V_i * V_j per
+set bit, exact int64 on every level.  It keeps every level, cached on the
+model, because `edge_count`, the per-node climbs (`triangles_at_node`,
 `clustering_coefficient`) and the all-node passes (`node_degrees`,
 `triangles_at_all_nodes`, `degree_distribution`, `clustering_values`) read
-it alone.  The pattern tier (`cluster_aggregates`) adds wedges, triangles
-and four-cycles over the edge tier's E, through the contractions below;
-only `wedge_count`, `triangle_count` and `four_cycle_count` pay for it.
-`node_degree` and `distance` read neither tier.
+it there.  The pattern tier (`_patterns`) adds wedges, triangles and
+four-cycles over the edge tier's E, through the contractions below; only
+`wedge_count`, `triangle_count` and `four_cycle_count` pay for it.  Every
+whole-network reader reads its top level alone, so the model caches that
+level only, one value per root.  `cluster_aggregates`, and the counts of a
+`ClusterRef` below the top, run the tier again keeping every level, and
+cache nothing.  `node_degree` and `distance` read neither tier.
 
 Every pass walks a level in row blocks of clusters sharing a child count
-c, the same blocks for a model and for a forest.  `_level_groups` is the
-one reader of a block's layout: it gathers the children's indices, their
-node counts V (level 0 is the nodes, one each), widened from the shape's
-int32 to int64 as they are gathered, and the block's bits B, one column
-per cluster, once for every pass.  The edge tier reads B as it
-lies and the distance scan reads its exited distances off it; every other
-pass builds one (c, c, rows) int64 tensor A of 0/1 child adjacency from
-B, holding 2**16 entries at most, or one cluster's c**2 past 2**8
-children, so a pass keeps a bounded working set however wide the level.
-The size trades memory against Python overhead: larger blocks raise the
-peak of deep, narrow levels (2**20 entries held 116508 three-child
-clusters a block), smaller ones pay more per-block calls on wide child
-graphs.
+c, the same blocks for a model and for a forest; the two drivers,
+`_ascend` bottom-up and `_descend` top-down, copy a one-child cluster's
+values between it and its child themselves, so no step sees c = 1.
+`_level_groups` is the one reader of a block's layout: it gathers the
+children's indices, their node counts V (level 0 is the nodes, one each),
+widened from the shape's int32 to int64 as they are gathered, and the
+block's bits B, one column per cluster, once for every pass.  The edge
+tier reads B as it lies and the distance scan reads its exited distances
+off it; every other pass builds one (c, c, rows) int64 tensor A of 0/1
+child adjacency from B, holding 2**16 entries at most, or one cluster's
+c**2 past 2**8 children, so a pass keeps a bounded working set however
+wide the level.  The size trades memory against Python overhead: larger
+blocks raise the peak of deep, narrow levels (2**20 entries held 116508
+three-child clusters a block), smaller ones pay more per-block calls on
+wide child graphs.
 
 Where a block's outputs depend on its bits alone, c <= 4 children build
 no A: `_code_table` runs a pass's kernel once on all 2**C(c, 2) graphs of
@@ -82,10 +88,10 @@ pass.
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
 for many small copies.  Every cached result already holds one value per
-root, in root order: the top level of `_level_values`, and the distance
-scan's histogram row and component array.  `_root_counts` bins each root's
-slice of the per-node passes' D and T in chunks of nodes, so nothing past
-those two arrays is N long.  `ensemble.PROPERTY_TABLE` reads them all as
+root, in root order: the two tiers' top levels (`_root_values`), and the
+distance scan's histogram row and component array.  `_root_counts` bins
+each root's slice of the per-node passes' D and T in chunks of nodes, so
+nothing past those two arrays is N long.  `ensemble.PROPERTY_TABLE` reads them all as
 they lie.  Other models have one root, and the public functions read root 0.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
@@ -198,8 +204,10 @@ def _level_groups(model: NetworkModel, g: int):
     d = model.shape._derived()
     counts, starts, sizes = model.shape._counts[g - 1], d.starts[g - 1], d.sizes[g - 1]
     flat, offsets = model.links._flat[g - 1], model.links._starts[g - 1]
-    # counts are at most MAX_CHILDREN, so a bincount finds them in one pass
-    for c in np.flatnonzero(np.bincount(counts)).tolist():
+    # counts are at most MAX_CHILDREN, so a bincount finds them in one pass; a
+    # level of one count, as every level of a regular network is, needs none
+    least, most = counts.min(), counts.max()
+    for c in [int(most)] if least == most else np.flatnonzero(np.bincount(counts)).tolist():
         rows = max(1, _BLOCK_ENTRIES // (c * c))
         every = np.nonzero(counts == c)[0]
         pairs = np.arange(c * (c - 1) // 2)[:, None]
@@ -226,6 +234,11 @@ def _child_pairs(c: int) -> tuple[np.ndarray, np.ndarray]:
 def _code(B: np.ndarray) -> np.ndarray:
     """Each cluster's bits B read as one little-endian code: its column in `_code_table`."""
     return (1 << np.arange(len(B))) @ B
+
+
+def _by_code(kernel, c: int, code: np.ndarray) -> list[np.ndarray]:
+    """`kernel`'s values on a block of c <= 4 children: its `_code_table` columns at `code`."""
+    return [t.take(code, -1) for t in _code_table(kernel, c)]
 
 
 @lru_cache(maxsize=3 * _CODE_CHILDREN)
@@ -270,74 +283,93 @@ def _ring_walks(K, V):
 # -- bottom-up passes: the edge tier, then the pattern tier ------------------
 
 
+def _ascend(model: NetworkModel, step, *nodes, keep: bool = False, exact: bool = False):
+    """Per-cluster arrays carried up from the nodes' values `nodes`, level by level.
+
+    Every row block of `_level_groups`, bottom-up, hands the whole level
+    below to `step(g, c, sel, idx, V, B, *below)`, which gathers its
+    children at idx and returns its clusters' values, scattered at sel; a
+    one-child cluster takes its child's values with no step.  A level keeps
+    the dtype of the one below, but with `exact` a level whose largest
+    cluster holds more than _INT64_SAFE_NODES nodes, and so every level
+    above it, holds object arrays of Python ints, and the level below is
+    handed over cast to them.  Returns each kind's levels from 0 with
+    `keep`, else only the top level's arrays, one value per root.
+    """
+    sizes = model.shape._derived().sizes
+    levels = [nodes]
+    for g in range(1, len(sizes)):
+        below = levels[-1]
+        if exact and int(sizes[g].max(initial=0)) > _INT64_SAFE_NODES:
+            below = [a.astype(object, copy=False) for a in below]
+        out = [np.empty(len(sizes[g]), a.dtype) for a in below]
+        for c, sel, idx, V, B in _level_groups(model, g):
+            vals = [b[idx[0]] for b in below] if c == 1 else step(g, c, sel, idx, V, B, *below)
+            for a, x in zip(out, vals):
+                a[sel] = x
+        levels = [*levels, out] if keep else [out]
+    return tuple(zip(*levels)) if keep else tuple(levels[-1])
+
+
 def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
     """Edges inside every cluster, one read-only int64 array per level from 0.
 
-    The edge tier: a node holds none, one shared broadcast of N zeros;
-    level 1 counts each cluster's set bits; every level above sums its
-    children's edges, then adds V_i * V_j for every set bit of a row block,
-    read off its bits B with no adjacency tensor.  E < C(2**27, 2) < 2**53,
-    so int64 is exact on every level.  Cached on the model.
+    The edge tier, one `_ascend` that keeps every level: a node holds none,
+    one shared broadcast of N zeros, and a cluster's edges are its
+    children's plus V_i * V_j for every set bit, read off its bits B with no
+    adjacency tensor.  E < C(2**27, 2) < 2**53, so int64 is exact on every
+    level.  Cached on the model.
     """
     if model._edges is None:
-        shape, links = checked_model(model).shape, model.links
-        out = [np.broadcast_to(np.int64(0), (shape.n,))]
-        for g, starts in enumerate(shape._derived().starts, start=1):
-            if g == 1:
-                # a level-1 child is one node, so a cluster's edges are its set bits;
-                # reduceat copies the bits to its dtype, and int32 holds a vertex's
-                # at most 2**19 bits in half the bytes of int64
-                has = shape._counts[0] > 1
-                E = np.zeros(len(has), np.int64)
-                E[has] = np.add.reduceat(links._flat[0], links._starts[0][has], dtype=np.int32)
-            else:
-                E = np.add.reduceat(E, starts)
-                for c, sel, _, V, B in _level_groups(model, g):
-                    if c < 2:
-                        continue
-                    iu, ju = _child_pairs(c)
-                    E[sel] += (B * V[iu] * V[ju]).sum(axis=0)
+        checked_model(model)
+
+        def step(g, c, sel, idx, V, B, E):
+            if g == 1:  # one-node children: a cluster's edges are its set bits
+                return (B.sum(axis=0, dtype=np.int64),)
+            iu, ju = _child_pairs(c)
+            return (E[idx].sum(axis=0) + (B * V[iu] * V[ju]).sum(axis=0),)
+
+        nodes = np.broadcast_to(np.int64(0), (model.shape.n,))
+        (model._edges,) = _ascend(model, step, nodes, keep=True)
+        for E in model._edges:
             E.flags.writeable = False
-            out.append(E)
-        model._edges = tuple(out)
     return model._edges
 
 
-def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
-    """The pattern tier: wedges, triangles and four-cycles of every level over the edge tier's E.
+def _patterns(model: NetworkModel, keep: bool = False) -> tuple:
+    """The pattern tier: (P2, C3, C4), wedges, triangles and four-cycles over the edge tier's E.
 
-    Bottom-up, one entry per internal level; cached on the model.  A
-    one-child cluster holds what its child holds, so it takes the child's
-    values with no kernel.
+    One `_ascend` on exact levels; level-1 blocks of c <= 4 children read
+    `_merge_children`'s `_code_table`.  Every level from 0 with `keep`,
+    else the top level only.
     """
-    if model._aggregates is not None:
-        return model._aggregates
     edges = _edge_levels(model)  # checks the model first
-    out: list[ClusterAggregates] = []
-    prev = ClusterAggregates(*(edges[0],) * 5)  # the nodes: N read-only zeros
-    for g, E in enumerate(edges[1:], start=1):
-        V = model.shape._derived().sizes[g]
-        # casting to object gives exact Python ints, immune to wraparound;
-        # int64 levels keep the shape's int32 sizes as they are
-        dtype = object if len(V) and int(V.max()) > _INT64_SAFE_NODES else np.int64
-        if dtype is object:
-            V, E = V.astype(object), E.astype(object)
-        P2, C3, C4 = np.zeros((3, len(V)), dtype)
-        for c, sel, idx, Vm, B in _level_groups(model, g):
-            if c == 1:
-                P2[sel], C3[sel], C4[sel] = prev.p2[idx[0]], prev.c3[idx[0]], prev.c4[idx[0]]
-                continue
-            if g == 1 and c <= _CODE_CHILDREN:
-                code = _code(B)
-                P2[sel], C3[sel], C4[sel] = (t.take(code) for t in _code_table(_merge_children, c))
-                continue
-            inputs = (Vm, prev.e[idx], prev.p2[idx], prev.c3[idx], prev.c4[idx])
-            P2[sel], C3[sel], C4[sel] = _merge_children(
-                _adjacency(B, c), *(a.astype(dtype, copy=False) for a in inputs))
-        prev = ClusterAggregates(v=V, e=E, p2=P2, c3=C3, c4=C4)
-        out.append(prev)
-    model._aggregates = tuple(out)
-    return model._aggregates
+
+    def step(g, c, sel, idx, V, B, P2, C3, C4):
+        if g == 1 and c <= _CODE_CHILDREN:
+            return _by_code(_merge_children, c, _code(B))
+        V, E = (a.astype(P2.dtype, copy=False) for a in (V, edges[g - 1][idx]))
+        return _merge_children(_adjacency(B, c), V, E, P2[idx], C3[idx], C4[idx])
+
+    return _ascend(model, step, *(edges[0],) * 3, keep=keep, exact=True)
+
+
+def cluster_aggregates(model: NetworkModel) -> tuple[ClusterAggregates, ...]:
+    """Nodes, edges, wedges, triangles and four-cycles of every cluster, one entry per level from 1.
+
+    The edge tier's levels, and the pattern tier run again keeping every
+    level: only the top level is cached, since every whole-network reader
+    reads that alone, so each call pays for one pattern pass.  Exact
+    (object) levels carry V and E as Python ints too; int64 levels hold the
+    shape's own read-only int32 sizes.
+    """
+    edges = _edge_levels(model)  # checks the model first
+    levels = zip(model.shape._derived().sizes, edges, *_patterns(model, keep=True))
+    out = []
+    for v, e, *counts in list(levels)[1:]:
+        exact = counts[0].dtype == object
+        out.append(ClusterAggregates(*(a.astype(object) if exact else a for a in (v, e)), *counts))
+    return tuple(out)
 
 
 def _merge_children(A, V, E, P2, C3, C4):
@@ -394,19 +426,31 @@ def _merge_children(A, V, E, P2, C3, C4):
 # -- whole-network and per-cluster counts ------------------------------------
 
 
-def _level_values(model: NetworkModel, field: str) -> tuple[np.ndarray, ...]:
-    """Aggregate `field` ("e", "p2", "c3" or "c4") of every level from 0; a node holds none."""
-    edges = _edge_levels(model)
+_PATTERN_FIELDS = ("p2", "c3", "c4")
+
+
+def _root_values(model: NetworkModel, field: str) -> np.ndarray:
+    """Aggregate `field` ("e", "p2", "c3" or "c4") of every root, in root order.
+
+    The pattern tier's top level is cached on the model as it is read.
+    """
     if field == "e":
-        return edges
-    return (edges[0], *(getattr(a, field) for a in cluster_aggregates(model)))
+        return _edge_levels(model)[-1]
+    if model._aggregates is None:
+        model._aggregates = _patterns(model)
+    return model._aggregates[_PATTERN_FIELDS.index(field)]
 
 
 def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> int:
     if cluster is None:
         cluster = ClusterRef(model.shape.gamma, 1)  # the root; node 1 when gamma is 0
     g, i = checked_cluster(checked_model(model).shape, cluster.gamma, cluster.index)
-    return int(_level_values(model, field)[g][i - 1])
+    if field == "e":
+        return int(_edge_levels(model)[g][i - 1])
+    if g == model.shape.gamma:
+        return int(_root_values(model, field)[i - 1])
+    # below the top: the pattern tier again, every level kept, uncached
+    return int(_patterns(model, keep=True)[_PATTERN_FIELDS.index(field)][g][i - 1])
 
 
 def edge_count(model: NetworkModel, cluster: ClusterRef | None = None) -> int:
@@ -508,14 +552,16 @@ def _descend(model: NetworkModel, step, *dtypes) -> list[np.ndarray]:
     """One accumulator per dtype, zero on every root, carried down to the nodes.
 
     Every row block of `_level_groups`, top-down, hands its clusters' values
-    to `step(g, c, sel, idx, V, B, *parents)`, which returns its children's.
+    to `step(g, c, sel, idx, V, B, *parents)`, which returns its children's;
+    a one-child cluster hands its values to its child with no step.
     """
     sizes = model.shape._derived().sizes
     acc = [np.zeros(len(sizes[-1]), t) for t in dtypes]
     for g in range(len(sizes) - 1, 0, -1):
         below = [np.empty(len(sizes[g - 1]), t) for t in dtypes]
         for c, sel, idx, V, B in _level_groups(model, g):
-            for a, x in zip(below, step(g, c, sel, idx, V, B, *(a[sel] for a in acc))):
+            up = [a[sel] for a in acc]
+            for a, x in zip(below, up if c == 1 else step(g, c, sel, idx, V, B, *up)):
                 a[idx] = x
         acc = below
     return acc
@@ -538,11 +584,8 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     edges = _edge_levels(model)  # checks the model first
 
     def step(g, c, sel, idx, V, B, F, D):
-        if c == 1:  # a one-child cluster links nothing: its child keeps its chain's values
-            return F, D
         if g == 1 and c <= _CODE_CHILDREN:
-            code = _code(B)
-            dF, dD = (t.take(code, -1) for t in _code_table(_node_steps, c))
+            dF, dD = _by_code(_node_steps, c, _code(B))
         else:
             dF, dD = _node_steps(_adjacency(B, c), V, edges[g - 1][idx])
         return F + dF, D + dD
@@ -727,14 +770,11 @@ def _free_scan(model: NetworkModel):
 
     def step(g, c, sel, idx, V, B, ex):
         nonlocal hist
-        if c < 2:
-            return (ex,)
         free = np.nonzero(~ex)[0]
         if c <= _CODE_CHILDREN:
             code = _code(B)
-            table = _code_table(_child_graphs, c)
-            exits = table[0].take(code, 1)
-            pair_d, R, lead = (t.take(code[free], -1) for t in table[1:])
+            exits = _code_table(_child_graphs, c)[0].take(code, 1)
+            _, pair_d, R, lead = _by_code(_child_graphs, c, code[free])
         else:
             A = _adjacency(B, c)
             exits, (_, pair_d, R, lead) = A.any(axis=1), _child_graphs(A[:, :, free])
@@ -803,7 +843,9 @@ def _root_ends(shape) -> np.ndarray:
 def _root_counts(model: NetworkModel, kind: str) -> list[np.ndarray]:
     """Per root, its nodes counted by degree ("degree") or by clustering bin, from 0.
 
-    The 101 clustering bins are floor(100 * `_clustering` + 1e-9).
+    The 101 clustering bins are floor(100 * `_clustering`), in exact
+    integers: (200 t) // (d (d - 1)), 0 where d < 2 (t is 0 there too);
+    t < 2**53 keeps 200 t below 2**61.
     `np.bincount` copies its whole input, so it reads _BLOCK_ENTRIES nodes
     at a time, each binned at its root's offset: one call per chunk.
     """
@@ -817,7 +859,7 @@ def _root_counts(model: NetworkModel, kind: str) -> list[np.ndarray]:
     counts = np.zeros(int(widths.sum()), np.int64)
     for lo in range(0, len(D), _BLOCK_ENTRIES):
         d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
-        b = d if kind == "degree" else np.floor(_clustering(d, t) * 100 + 1e-9).astype(np.int64)
+        b = d if kind == "degree" else 200 * t // np.maximum(d * (d - 1), 1)
         if len(ends) > 1:
             at = np.arange(lo, lo + len(b), dtype=ends.dtype)
             b = b + offsets[ends.searchsorted(at, side="right")]

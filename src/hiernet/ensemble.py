@@ -52,8 +52,8 @@ from .analytics import (
     _diameter,
     _free_scan,
     _items,
-    _level_values,
     _root_counts,
+    _root_values,
 )
 
 __all__ = [
@@ -113,9 +113,9 @@ def _value_counts(values: np.ndarray) -> dict:
 # list of one int or histogram dict per root, read straight off the cached
 # passes, so a model gives one value and a forest of copies one per copy
 PROPERTY_TABLE = {
-    "edges": lambda model: _level_values(model, "e")[-1].tolist(),
-    "c3": lambda model: _level_values(model, "c3")[-1].tolist(),
-    "c4": lambda model: _level_values(model, "c4")[-1].tolist(),
+    "edges": lambda model: _root_values(model, "e").tolist(),
+    "c3": lambda model: _root_values(model, "c3").tolist(),
+    "c4": lambda model: _root_values(model, "c4").tolist(),
     "degree-dist": lambda model: [dict(_items(row)) for row in _root_counts(model, "degree")],
     "distance-dist": lambda model: [
         {**dict(_items(row[:-1])), _UNREACHABLE: int(row[-1])} for row in _free_scan(model)[0]

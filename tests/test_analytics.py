@@ -1,7 +1,9 @@
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -430,6 +432,52 @@ def test_complete_graph_past_the_int64_switch():
     assert an.component_sizes(m) == [n]
 
 
+def test_complete_graph_past_the_int32_size_products():
+    # at gamma=11 a root pair's V_i * V_j = 59049**2 passes 2**31, so the edge
+    # tier counts K_N exactly only if it widens the shape's int32 sizes
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.0, seed=1, gamma=11))
+    assert an.edge_count(m) == math.comb(m.shape.n, 2) == 15690441231
+
+
+def test_pattern_cache_holds_the_top_level_only():
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=12))
+    an.four_cycle_count(generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=3)))
+    an.edge_count(m)  # the edge tier keeps every level; only what the pattern tier adds counts
+    tracemalloc.start()
+    try:
+        c4 = an.four_cycle_count(m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # one value per root; every level of P2, C3 and C4 held 12 B per node
+    assert [a.tolist() for a in m._aggregates] == [
+        [an.wedge_count(m)], [an.triangle_count(m)], [c4]]
+    assert held / m.shape.n < 0.1
+    # a cluster below the top reruns the tier, keeping every level, and caches nothing new
+    agg = an.cluster_aggregates(m)[m.shape.gamma - 2]
+    assert an.four_cycle_count(m, ClusterRef(m.shape.gamma - 1, 2)) == agg.c4[1]
+    assert [len(a) for a in m._aggregates] == [1, 1, 1]
+
+
+def _fraction_bins(model) -> dict:
+    """clustering-dist from exact Fractions of the node passes' degrees and triangles."""
+    pairs = zip(an.node_degrees(model).tolist(), an.triangles_at_all_nodes(model).tolist())
+    bins = Counter(math.floor(100 * Fraction(2 * t, d * (d - 1))) if d >= 2 else 0
+                   for d, t in pairs)
+    return {f"{b / 100:.2f}": n for b, n in sorted(bins.items())}
+
+
+def test_clustering_bins_are_exact_on_bin_edges(demo9):
+    # node 189 has degree 25 and 174 triangles: C = 348/600 = 0.58 exactly, which
+    # float64 gives as 0.57999..., so only an exact bin counts it in 0.58
+    m = generate_network(GenParams(mode="by-nodes", p=5, mu=0.5, seed=3, n=500))
+    assert (an.node_degrees(m)[188], an.triangles_at_all_nodes(m)[188]) == (25, 174)
+    assert math.floor(an.clustering_values(m)[188] * 100) == 57
+    for model in (m, demo9, *map(generate_network, _DIST_CORPUS)):
+        got = ensemble.compute_properties(model, ["clustering-dist"])["clustering-dist"]
+        assert got == _fraction_bins(model)
+
+
 def test_isolated_nodes_past_the_int64_switch():
     shape = generate_shape_regular(10, 3)
     nbits = [shape.counts_at(g) * (shape.counts_at(g) - 1) // 2 for g in range(1, 11)]
@@ -656,7 +704,8 @@ def test_distributions_equal_a_sort_across_chunks_and_roots(chunk, demo9, monkey
     for m in models:
         cuts = an._root_ends(m.shape)[:-1]
         degrees = np.split(an.node_degrees(m), cuts)
-        bins = np.split(np.floor(an.clustering_values(m) * 100 + 1e-9).astype(np.int64), cuts)
+        d, t = an.node_degrees(m), an.triangles_at_all_nodes(m)
+        bins = np.split(200 * t // np.maximum(d * (d - 1), 1), cuts)
         parts = copies if m is forest else [m]
         table = {name: ensemble.PROPERTY_TABLE[name](m)
                  for name in ("degree-dist", "clustering-dist", "distance-dist")}

@@ -223,7 +223,11 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
     forest = ensemble._forest(3, models)
     assert forest.shape.n_clusters(forest.shape.gamma) == len(models)
     table = {name: values(forest) for name, values in ensemble.PROPERTY_TABLE.items()}
-    wedges = an._level_values(forest, "p2")[-1].tolist()
+    wedges = an._root_values(forest, "p2").tolist()
+    # the cache holds one value per root; the per-level aggregates cover every level
+    assert [len(a) for a in forest._aggregates] == [len(models)] * 3
+    levels = an.cluster_aggregates(forest)
+    assert len(levels) == forest.shape.gamma and levels[-1].p2.tolist() == wedges
     cuts = an._root_ends(forest.shape)[:-1]
     degrees = np.split(an.node_degrees(forest), cuts)
     triangles = np.split(an.triangles_at_all_nodes(forest), cuts)
@@ -232,8 +236,6 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
         assert wedges[j] == an.wedge_count(m)
         assert table["c3"][j] == an.triangle_count(m)
         assert table["c4"][j] == an.four_cycle_count(m)
-        # a forest caches every level, as any model does
-        assert len(an.cluster_aggregates(forest)) == forest.shape.gamma
         assert degrees[j].tolist() == an.node_degrees(m).tolist()
         assert triangles[j].tolist() == an.triangles_at_all_nodes(m).tolist()
         h = an.distance_distribution(m)
