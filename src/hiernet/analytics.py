@@ -12,19 +12,25 @@ or pass reaches it (a generated, stacked or loaded one is trusted as
 built); past that gate every climb and pass reads the shape's and the
 link table's private arrays, with no level or offset check.
 
+Four whole-network passes are cached, each through one primitive,
+`_cached`: the edge tier's levels, the pattern tier's top level
+(`_pattern_roots`), the per-node passes and the distance scan.  A model's
+first read of a pass runs it and keeps its result on the model, every
+array read-only, so no reader can change what a later one sees.
+
 The bottom-up pass is one driver, `_ascend`, with two tiers as its steps;
 each keeps what its readers use.  The edge tier (`_edge_levels`) reads the
 bits and the child sizes only: it starts from level 0, the nodes, which
 hold no edge, and a cluster's edges are its children's plus V_i * V_j per
-set bit, exact int64 on every level.  It keeps every level, cached on the
-model, because `edge_count`, the per-node climbs (`triangles_at_node`,
+set bit, exact int64 on every level.  It keeps every level, because
+`edge_count`, the per-node climbs (`triangles_at_node`,
 `clustering_coefficient`) and the all-node passes (`node_degrees`,
 `triangles_at_all_nodes`, `degree_distribution`, `clustering_values`) read
 it there.  The pattern tier (`_patterns`) adds wedges, triangles and
 four-cycles over the edge tier's E, through the contractions below; only
 `wedge_count`, `triangle_count` and `four_cycle_count` pay for it.  Every
-whole-network reader reads its top level alone, so the model caches that
-level only, one value per root.  `cluster_aggregates`, and the counts of a
+whole-network reader reads its top level alone, so that level, one value
+per root, is what is cached.  `cluster_aggregates`, and the counts of a
 `ClusterRef` below the top, run the tier again keeping every level, and
 cache nothing.  `node_degree` and `distance` read neither tier.
 
@@ -105,7 +111,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -283,6 +289,30 @@ def _ring_walks(K, V):
 # -- bottom-up passes: the edge tier, then the pattern tier ------------------
 
 
+def _cached(build):
+    """`build`, a whole-network pass, as a reader that runs it once per model.
+
+    The first read of a model vets it (`checked_model`), runs the pass,
+    makes every array of the result, a tuple of arrays or of lists of
+    arrays, read-only, and keeps it in the model's `_passes` under the
+    reader; later reads return it as it lies.  The values are
+    deterministic, so a racing recomputation by concurrent readers is harmless.
+    """
+
+    @wraps(build)
+    def read(model: NetworkModel):
+        out = model._passes.get(read)
+        if out is None:
+            out = build(checked_model(model))
+            for part in out:
+                for a in part if isinstance(part, list) else (part,):
+                    a.flags.writeable = False
+            model._passes[read] = out
+        return out
+
+    return read
+
+
 def _ascend(model: NetworkModel, step, *nodes, keep: bool = False, exact: bool = False):
     """Per-cluster arrays carried up from the nodes' values `nodes`, level by level.
 
@@ -311,6 +341,7 @@ def _ascend(model: NetworkModel, step, *nodes, keep: bool = False, exact: bool =
     return tuple(zip(*levels)) if keep else tuple(levels[-1])
 
 
+@_cached
 def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
     """Edges inside every cluster, one read-only int64 array per level from 0.
 
@@ -318,22 +349,17 @@ def _edge_levels(model: NetworkModel) -> tuple[np.ndarray, ...]:
     one shared broadcast of N zeros, and a cluster's edges are its
     children's plus V_i * V_j for every set bit, read off its bits B with no
     adjacency tensor.  E < C(2**27, 2) < 2**53, so int64 is exact on every
-    level.  Cached on the model.
+    level.
     """
-    if model._edges is None:
-        checked_model(model)
 
-        def step(g, c, sel, idx, V, B, E):
-            if g == 1:  # one-node children: a cluster's edges are its set bits
-                return (B.sum(axis=0, dtype=np.int64),)
-            iu, ju = _child_pairs(c)
-            return (E[idx].sum(axis=0) + (B * V[iu] * V[ju]).sum(axis=0),)
+    def step(g, c, sel, idx, V, B, E):
+        if g == 1:  # one-node children: a cluster's edges are its set bits
+            return (B.sum(axis=0, dtype=np.int64),)
+        iu, ju = _child_pairs(c)
+        return (E[idx].sum(axis=0) + (B * V[iu] * V[ju]).sum(axis=0),)
 
-        nodes = np.broadcast_to(np.int64(0), (model.shape.n,))
-        (model._edges,) = _ascend(model, step, nodes, keep=True)
-        for E in model._edges:
-            E.flags.writeable = False
-    return model._edges
+    nodes = np.broadcast_to(np.int64(0), (model.shape.n,))
+    return _ascend(model, step, nodes, keep=True)[0]
 
 
 def _patterns(model: NetworkModel, keep: bool = False) -> tuple:
@@ -429,16 +455,14 @@ def _merge_children(A, V, E, P2, C3, C4):
 _PATTERN_FIELDS = ("p2", "c3", "c4")
 
 
-def _root_values(model: NetworkModel, field: str) -> np.ndarray:
-    """Aggregate `field` ("e", "p2", "c3" or "c4") of every root, in root order.
+_pattern_roots = _cached(_patterns)  # the pattern tier's top level, (P2, C3, C4) per root
 
-    The pattern tier's top level is cached on the model as it is read.
-    """
+
+def _root_values(model: NetworkModel, field: str) -> np.ndarray:
+    """Aggregate `field` ("e", "p2", "c3" or "c4") of every root, in root order: a tier's top level."""
     if field == "e":
         return _edge_levels(model)[-1]
-    if model._aggregates is None:
-        model._aggregates = _patterns(model)
-    return model._aggregates[_PATTERN_FIELDS.index(field)]
+    return _pattern_roots(model)[_PATTERN_FIELDS.index(field)]
 
 
 def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> int:
@@ -567,6 +591,7 @@ def _descend(model: NetworkModel, step, *dtypes) -> list[np.ndarray]:
     return acc
 
 
+@_cached
 def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """(degrees, triangles through each node) for all nodes, by one `_descend`.
 
@@ -579,9 +604,7 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     V <= N <= 2**27 and the edge tier's E < 2**53, so the walks (<= N**2),
     the squares and twice the edges fit int64.
     """
-    if model._node_passes is not None:
-        return model._node_passes
-    edges = _edge_levels(model)  # checks the model first
+    edges = _edge_levels(model)
 
     def step(g, c, sel, idx, V, B, F, D):
         if g == 1 and c <= _CODE_CHILDREN:
@@ -595,10 +618,7 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(D), _BLOCK_ENTRIES):
         d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
         np.floor_divide(d * d + t, 2, out=t)
-    D.flags.writeable = False
-    T.flags.writeable = False
-    model._node_passes = (D, T)
-    return model._node_passes
+    return D, T
 
 
 def _node_steps(A, V, E, *_):
@@ -735,6 +755,7 @@ def _child_graphs(A: np.ndarray, *_):
     return A.any(axis=1), dist[iu, ju], R, lead
 
 
+@_cached
 def _free_scan(model: NetworkModel):
     """(distance histograms, component sizes) of every root, by one `_descend`.
 
@@ -751,14 +772,12 @@ def _free_scan(model: NetworkModel):
 
     Row r of the (roots, MAX_CHILDREN + 1) histogram counts root r's pairs
     by distance, its last bucket the unreachable ones; the component sizes
-    come as one descending array per root, both cached on the model.  Only
-    the root count forks the scan: a forest's blocks add into their roots'
-    rows by a flat offset and sort sizes per root.  One root skips that
-    lookup and the lexsort, which made regular gamma=13's scan 22% slower.
+    come as one descending array per root.  Only the root count forks the
+    scan: a forest's blocks add into their roots' rows by a flat offset and
+    sort sizes per root.  One root skips that lookup and the lexsort, which
+    made regular gamma=13's scan 22% slower.
     """
-    if model._free_scan is not None:
-        return model._free_scan
-    shape = checked_model(model).shape
+    shape = model.shape
     ends = _root_ends(shape)
     roots = len(ends)
     # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket
@@ -803,8 +822,7 @@ def _free_scan(model: NetworkModel):
         owner = np.concatenate(group_roots)
         sizes = sizes[np.lexsort((-sizes, owner))]
         per_root = np.split(sizes, np.cumsum(np.bincount(owner, minlength=roots))[:-1])
-    model._free_scan = (hist.reshape(roots, width), per_root)
-    return model._free_scan
+    return hist.reshape(roots, width), per_root
 
 
 def _diameter(row: np.ndarray) -> int:

@@ -469,20 +469,26 @@ class NetworkModel:
     sizes, the child ranges and each vector's length, and `validate` holds
     the link table's offsets to them.  Immutable after construction, which
     refuses nothing structural.  `_problems` keeps what `validate` found,
-    None until `checked_model` runs it; generated, stacked and loaded models
-    are valid by construction and come with it empty.  Analysis code fills
-    the other private slots with derived caches, once each; the values are
-    deterministic, so a racing recomputation by concurrent readers is harmless.
+    None until `checked_model` runs it.  Models the package builds valid,
+    generated, stacked and loaded ones, come from `_trusted` with it empty.
+    `_passes` holds the whole-network passes analysis has run on the model,
+    read-only, each filled once by the reader that keys it.
     """
 
-    __slots__ = ("shape", "links", "_problems", "_edges", "_aggregates", "_node_passes",
-                 "_free_scan")
+    __slots__ = ("shape", "links", "_problems", "_passes")
 
     def __init__(self, shape: HierarchyShape, links: LinkTable):
         self.shape = shape
         self.links = links
         self._problems = None
-        self._edges = self._aggregates = self._node_passes = self._free_scan = None
+        self._passes = {}
+
+    @classmethod
+    def _trusted(cls, shape: HierarchyShape, links: LinkTable) -> NetworkModel:
+        """A model valid by construction: `checked_model` passes it with no `validate`."""
+        model = cls(shape, links)
+        model._problems = []
+        return model
 
     def __eq__(self, other):
         if not isinstance(other, NetworkModel):
@@ -874,7 +880,13 @@ def deserialize(data: str | bytes) -> NetworkModel:
 
 
 def _parse_canonical(raw: bytes) -> NetworkModel | None:
-    """The valid model whose `serialize` output is exactly `raw`, else None."""
+    """The valid model whose `serialize` output is exactly `raw`, else None.
+
+    Every rule of `validate` holds once the checks below pass: the shape's
+    rules, the 0/1 bits and the byte comparison with the re-rendered
+    levels are run here, and the bit lengths and level count follow from
+    the counts the link table is built from.
+    """
     magic = FORMAT_MAGIC.encode("ascii") + b"\n"
     eol = raw.find(b"\n", len(magic))
     m = _CANONICAL_HEADER_RE.fullmatch(raw, len(magic), eol) if raw.startswith(magic) else None
@@ -914,9 +926,7 @@ def _parse_canonical(raw: bytes) -> NetworkModel | None:
     if pos != len(raw):
         return None
     nbits = (_bit_counts(c) for c in shape._counts)
-    model = NetworkModel(shape, LinkTable(flats[::-1], nbits))
-    model._problems = validate(model)
-    return None if model._problems else model
+    return NetworkModel._trusted(shape, LinkTable(flats[::-1], nbits))
 
 
 def _parse_lines(text: str) -> NetworkModel:

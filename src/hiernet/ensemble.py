@@ -163,10 +163,8 @@ def _forest(p: int, models: list[NetworkModel]) -> NetworkModel:
                  for m in models]
         for out, parts in zip((counts, flats), zip(*level)):
             out.append(np.concatenate(parts))
-    forest = NetworkModel(HierarchyShape(p, counts),
-                          LinkTable(flats, [_bit_counts(c) for c in counts]))
-    forest._problems = []
-    return forest
+    return NetworkModel._trusted(HierarchyShape(p, counts),
+                                 LinkTable(flats, [_bit_counts(c) for c in counts]))
 
 
 def _generated(params: GenParams, copy: int) -> NetworkModel:

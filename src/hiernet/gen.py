@@ -243,6 +243,4 @@ def generate_network(params: GenParams, stream: int = 0) -> NetworkModel:
         shape = generate_shape_by_levels(params.gamma, params.p, rng)
     else:
         shape = generate_shape_regular(params.gamma, params.p)
-    model = NetworkModel(shape, generate_links(shape, params.mu, rng))
-    model._problems = []  # valid by construction, so `checked_model` need not validate it
-    return model
+    return NetworkModel._trusted(shape, generate_links(shape, params.mu, rng))

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hiernet.analytics as an
@@ -66,7 +66,7 @@ def test_degrees(demo9):
 def test_node_degree_reads_sizes_not_aggregates():
     m = generate_network(GenParams(mode="by-nodes", p=4, mu=0.3, seed=11, n=400))
     degs = [an.node_degree(m, x) for x in range(1, m.shape.n + 1)]
-    assert m._aggregates is None
+    assert an._pattern_roots not in m._passes
     assert degs == oracle.expand(m).bf_degrees().tolist()
 
 
@@ -113,9 +113,7 @@ def test_distance_on_a_fresh_model_runs_no_whole_network_pass(make):
         for y in range(x + 1, n + 1):
             d = an.distance(m, x, y)
             assert (-1 if d is None else d) == want[x - 1, y - 1], (x, y)
-    # the trust slot `_problems` holds no whole-network pass; the caches must stay empty
-    assert [getattr(m, s) for s in ("_edges", "_aggregates", "_node_passes", "_free_scan")] \
-        == [None] * 4
+    assert m._passes == {}  # no whole-network pass ran
 
 
 def test_point_queries_read_the_layout_raw(monkeypatch):
@@ -234,13 +232,20 @@ def test_mu_zero_is_complete():
 # -- identities on random networks -------------------------------------------
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=50, deadline=None)
-def test_count_identities(seed):
-    p = 2 + seed % 4
-    n = 2 + seed % 120
+def _small_params(seed: int) -> GenParams:
     mu = (0.1, 0.5, 1.0)[seed % 3]
-    m = generate_network(GenParams(mode="by-nodes", p=p, mu=mu, seed=seed, n=n))
+    return GenParams(mode="by-nodes", p=2 + seed % 4, mu=mu, seed=seed, n=2 + seed % 120)
+
+
+@given(st.integers(0, 10**6).map(_small_params))
+# past the oracle's cap: a root pair's V_i * V_j passes 2**31 at N = 531441, and
+# both roots hold more than _INT64_SAFE_NODES nodes, so their patterns are object
+@example(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=12))
+@example(GenParams(mode="by-nodes", p=16, mu=0.5, seed=1, n=50000))
+@settings(max_examples=50, deadline=None)
+def test_count_identities(params):
+    m = generate_network(params)
+    n = m.shape.n
     deg = an.node_degrees(m)
     assert int(deg.sum()) == 2 * an.edge_count(m)
     assert int(np.sum(deg * (deg - 1) // 2)) == an.wedge_count(m)
@@ -290,7 +295,7 @@ def test_edge_levels_match_the_oracle_per_cluster(params):
     m = generate_network(params)
     adj = oracle.expand(m).adj.astype(np.int64)
     edges = an._edge_levels(m)
-    assert m._aggregates is None
+    assert an._pattern_roots not in m._passes
     aggs = an.cluster_aggregates(m)
     assert len(edges) == len(aggs) + 1 == m.shape.gamma + 1
     for g, E in enumerate(edges[1:], start=1):
@@ -326,7 +331,7 @@ def test_edge_tier_readers_run_no_pattern_pass(params):
     assert [an.clustering_coefficient(m, x) for x in range(1, n + 1)] == pytest.approx(
         [g.bf_clustering(x) for x in range(1, n + 1)], abs=1e-12)
     assert an.node_degrees(m).tolist() == g.bf_degrees().tolist()
-    assert m._aggregates is None
+    assert an._pattern_roots not in m._passes
 
 
 # -- engine dtype strategy ---------------------------------------------------
@@ -423,7 +428,7 @@ def test_complete_graph_past_the_int64_switch():
     n = m.shape.n
     # the edge tier alone gives the count, before any pattern pass
     assert an.edge_count(m) == math.comb(n, 2)
-    assert m._aggregates is None
+    assert an._pattern_roots not in m._passes
     _assert_root_on_object_arrays(m)
     assert an.wedge_count(m) == n * math.comb(n - 1, 2)
     assert an.triangle_count(m) == math.comb(n, 3)
@@ -450,13 +455,13 @@ def test_pattern_cache_holds_the_top_level_only():
     finally:
         tracemalloc.stop()
     # one value per root; every level of P2, C3 and C4 held 12 B per node
-    assert [a.tolist() for a in m._aggregates] == [
+    assert [a.tolist() for a in m._passes[an._pattern_roots]] == [
         [an.wedge_count(m)], [an.triangle_count(m)], [c4]]
     assert held / m.shape.n < 0.1
     # a cluster below the top reruns the tier, keeping every level, and caches nothing new
     agg = an.cluster_aggregates(m)[m.shape.gamma - 2]
     assert an.four_cycle_count(m, ClusterRef(m.shape.gamma - 1, 2)) == agg.c4[1]
-    assert [len(a) for a in m._aggregates] == [1, 1, 1]
+    assert [len(a) for a in m._passes[an._pattern_roots]] == [1, 1, 1]
 
 
 def _fraction_bins(model) -> dict:
@@ -910,6 +915,26 @@ def test_code_tables_are_shared_and_read_only():
                 assert t.shape[-1] == 1 << c * (c - 1) // 2 <= 64
                 with pytest.raises(ValueError, match="read-only"):
                     t[...] = 0
+
+
+def _arrays(value) -> list[np.ndarray]:
+    """Every array in a cached pass result: an array, or tuples and lists of them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for part in value for a in _arrays(part)]
+
+
+def test_every_cached_pass_is_read_only():
+    # a write into a cached result would change every later read of the model
+    params = GenParams(mode="by-nodes", p=3, mu=0.5, seed=7, n=243)
+    copies = [generate_network(params, stream=s) for s in (1, 2, 3)]
+    for m in (generate_network(params), ensemble._forest(3, copies)):
+        ensemble.compute_properties(m, ensemble.PROPERTIES)
+        an.wedge_count(m)  # the ninth property
+        passes = (an._edge_levels, an._pattern_roots, an._per_node_passes, an._free_scan)
+        assert set(m._passes) == set(passes)
+        arrays = _arrays(list(m._passes.values()))
+        assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
 
 
 # -- point queries on wide random child graphs -------------------------------

@@ -225,7 +225,7 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
     table = {name: values(forest) for name, values in ensemble.PROPERTY_TABLE.items()}
     wedges = an._root_values(forest, "p2").tolist()
     # the cache holds one value per root; the per-level aggregates cover every level
-    assert [len(a) for a in forest._aggregates] == [len(models)] * 3
+    assert [len(a) for a in forest._passes[an._pattern_roots]] == [len(models)] * 3
     levels = an.cluster_aggregates(forest)
     assert len(levels) == forest.shape.gamma and levels[-1].p2.tolist() == wedges
     cuts = an._root_ends(forest.shape)[:-1]
