@@ -94,11 +94,14 @@ pass.
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
 for many small copies.  Every cached result already holds one value per
-root, in root order: the two tiers' top levels (`_root_values`), and the
-distance scan's histogram row and component array.  `_root_counts` bins
-each root's slice of the per-node passes' D and T in chunks of nodes, so
-nothing past those two arrays is N long.  `ensemble.PROPERTY_TABLE` reads them all as
-they lie.  Other models have one root, and the public functions read root 0.
+root, in root order: the two tiers' top levels (`_edge_levels(model)[-1]`
+and `_pattern_roots`), and the distance scan's histogram row and component
+array.  `_root_counts` bins each root's slice of the per-node passes' D
+and T in chunks of nodes, so nothing past those two arrays is N long.
+`PROPERTY_TABLE`, at the end of this module, reads them all as they lie
+for the ensemble and the CLI, which read no pass themselves, and builds
+each histogram in the key order every report writes.  Other models have
+one root, and the public functions read root 0.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
@@ -458,23 +461,17 @@ _PATTERN_FIELDS = ("p2", "c3", "c4")
 _pattern_roots = _cached(_patterns)  # the pattern tier's top level, (P2, C3, C4) per root
 
 
-def _root_values(model: NetworkModel, field: str) -> np.ndarray:
-    """Aggregate `field` ("e", "p2", "c3" or "c4") of every root, in root order: a tier's top level."""
-    if field == "e":
-        return _edge_levels(model)[-1]
-    return _pattern_roots(model)[_PATTERN_FIELDS.index(field)]
-
-
 def _agg_value(model: NetworkModel, cluster: ClusterRef | None, field: str) -> int:
     if cluster is None:
         cluster = ClusterRef(model.shape.gamma, 1)  # the root; node 1 when gamma is 0
     g, i = checked_cluster(checked_model(model).shape, cluster.gamma, cluster.index)
     if field == "e":
         return int(_edge_levels(model)[g][i - 1])
+    k = _PATTERN_FIELDS.index(field)
     if g == model.shape.gamma:
-        return int(_root_values(model, field)[i - 1])
+        return int(_pattern_roots(model)[k][i - 1])
     # below the top: the pattern tier again, every level kept, uncached
-    return int(_patterns(model, keep=True)[_PATTERN_FIELDS.index(field)][g][i - 1])
+    return int(_patterns(model, keep=True)[k][g][i - 1])
 
 
 def edge_count(model: NetworkModel, cluster: ClusterRef | None = None) -> int:
@@ -890,3 +887,33 @@ def _items(counts: np.ndarray) -> list[tuple[int, int]]:
     """(index, count) of every nonzero entry of a count array, index ascending."""
     keys = np.flatnonzero(counts)
     return list(zip(keys.tolist(), counts[keys].tolist()))
+
+
+_UNREACHABLE = "unreachable"
+
+
+def _value_counts(values: np.ndarray) -> dict[int, int]:
+    """{value: count} of an array's distinct values, value ascending."""
+    uniq, cnt = np.unique(values, return_counts=True)
+    return dict(zip(uniq.tolist(), cnt.tolist()))
+
+
+# every network property, in report order: a function of a model giving a
+# list of one int or histogram dict per root, read straight off the cached
+# passes, so a model gives one value and a forest of copies one per copy.
+# A histogram's keys come in ascending numeric order, the unreachable
+# bucket last; the emitters write them as they lie.
+PROPERTY_TABLE = {
+    "edges": lambda model: _edge_levels(model)[-1].tolist(),
+    "c3": lambda model: _pattern_roots(model)[1].tolist(),
+    "c4": lambda model: _pattern_roots(model)[2].tolist(),
+    "degree-dist": lambda model: [dict(_items(row)) for row in _root_counts(model, "degree")],
+    "distance-dist": lambda model: [
+        {**dict(_items(row[:-1])), _UNREACHABLE: int(row[-1])} for row in _free_scan(model)[0]
+    ],
+    "components": lambda model: [_value_counts(s) for s in _free_scan(model)[1]],
+    "diameter": lambda model: [_diameter(row) for row in _free_scan(model)[0]],
+    "clustering-dist": lambda model: [
+        {f"{b / 100:.2f}": n for b, n in _items(row)} for row in _root_counts(model, "clustering")
+    ],
+}

@@ -30,7 +30,6 @@ from .ensemble import (
     EnsembleSpec,
     check_properties,
     csv_rows,
-    json_value,
     report_csv,
     report_json,
     run_ensemble,
@@ -164,8 +163,7 @@ def cmd_analyze(args) -> int:
 
 
 def report_json_single(values: dict) -> str:
-    doc = {name: json_value(v) for name, v in values.items()}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(values, indent=2) + "\n"
 
 
 def cmd_ensemble(args) -> int:

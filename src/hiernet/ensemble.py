@@ -48,13 +48,7 @@ from .core import (
     _whole,
 )
 from .gen import GenParams, generate_network
-from .analytics import (
-    _diameter,
-    _free_scan,
-    _items,
-    _root_counts,
-    _root_values,
-)
+from .analytics import PROPERTY_TABLE
 
 __all__ = [
     "PROPERTIES",
@@ -64,14 +58,11 @@ __all__ = [
     "compute_properties",
     "run_copy",
     "run_ensemble",
-    "json_value",
     "csv_rows",
     "report_json",
     "report_csv",
     "summary_json",
 ]
-
-_UNREACHABLE = "unreachable"
 
 # resource guard: every copy's values are held until the report is built
 MAX_COPIES = 10**6
@@ -104,28 +95,7 @@ def check_properties(names, valid, kind: str = "property") -> tuple[str, ...]:
     return names
 
 
-def _value_counts(values: np.ndarray) -> dict:
-    uniq, cnt = np.unique(values, return_counts=True)
-    return {int(v): int(c) for v, c in zip(uniq, cnt)}
-
-
-# every network property, in report order: a function of a model giving a
-# list of one int or histogram dict per root, read straight off the cached
-# passes, so a model gives one value and a forest of copies one per copy
-PROPERTY_TABLE = {
-    "edges": lambda model: _root_values(model, "e").tolist(),
-    "c3": lambda model: _root_values(model, "c3").tolist(),
-    "c4": lambda model: _root_values(model, "c4").tolist(),
-    "degree-dist": lambda model: [dict(_items(row)) for row in _root_counts(model, "degree")],
-    "distance-dist": lambda model: [
-        {**dict(_items(row[:-1])), _UNREACHABLE: int(row[-1])} for row in _free_scan(model)[0]
-    ],
-    "components": lambda model: [_value_counts(s) for s in _free_scan(model)[1]],
-    "diameter": lambda model: [_diameter(row) for row in _free_scan(model)[0]],
-    "clustering-dist": lambda model: [
-        {f"{b / 100:.2f}": n for b, n in _items(row)} for row in _root_counts(model, "clustering")
-    ],
-}
+# every network property, in report order (`analytics.PROPERTY_TABLE`)
 PROPERTIES = tuple(PROPERTY_TABLE)
 
 
@@ -292,48 +262,36 @@ def _scalar_summary(vals) -> dict:
     }
 
 
-def _hist_items(hist: dict) -> list:
-    """Histogram entries sorted by numeric key, the unreachable bucket last."""
-    keys = [k for k in hist if k != _UNREACHABLE]
-    keys.sort(key=lambda k: float(k))
-    items = [(k, hist[k]) for k in keys]
-    if _UNREACHABLE in hist:
-        items.append((_UNREACHABLE, hist[_UNREACHABLE]))
-    return items
-
-
 def _mean_counts(hists, copies: int) -> dict:
+    """Each key's count summed over the copies' histograms and divided by `copies`.
+
+    The copies' keys interleave, so the merged keys are put in numeric
+    order again, the unreachable bucket last, and written as strings.
+    """
     total: dict = {}
     for h in hists:
         for k, v in h.items():
             total[k] = total.get(k, 0) + v
-    return {str(k): v / copies for k, v in _hist_items(total)}
+    keys = sorted(total, key=lambda k: math.inf if k == "unreachable" else float(k))
+    return {str(k): total[k] / copies for k in keys}
 
 
 # -- emitters ----------------------------------------------------------------
 
 
-def json_value(v):
-    """A property value for JSON: histogram keys as strings in numeric order, unreachable last."""
-    return {str(k): c for k, c in _hist_items(v)} if isinstance(v, dict) else v
-
-
 def report_json(report: dict) -> str:
-    """Render a report as JSON; numeric histogram keys become ordered strings."""
-    doc = dict(report)
-    doc["results"] = {name: [json_value(v) for v in vals]
-                      for name, vals in report["results"].items()}
-    return json.dumps(doc, indent=2) + "\n"
+    """Render a report as JSON, each histogram in the key order `PROPERTY_TABLE` built."""
+    return json.dumps(report, indent=2) + "\n"
 
 
 def csv_rows(rows) -> str:
-    """`copy,property,value` CSV of (copy, name, value) rows; histograms packed as k:v;k:v."""
+    """`copy,property,value` CSV of (copy, name, value) rows; histograms as k:v;k:v, in order."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["copy", "property", "value"])
     for c, name, v in rows:
         if isinstance(v, dict):
-            v = ";".join(f"{k}:{n}" for k, n in _hist_items(v))
+            v = ";".join(f"{k}:{n}" for k, n in v.items())
         w.writerow([c, name, v])
     return buf.getvalue()
 

@@ -223,7 +223,7 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
     forest = ensemble._forest(3, models)
     assert forest.shape.n_clusters(forest.shape.gamma) == len(models)
     table = {name: values(forest) for name, values in ensemble.PROPERTY_TABLE.items()}
-    wedges = an._root_values(forest, "p2").tolist()
+    wedges = an._pattern_roots(forest)[0].tolist()
     # the cache holds one value per root; the per-level aggregates cover every level
     assert [len(a) for a in forest._passes[an._pattern_roots]] == [len(models)] * 3
     levels = an.cluster_aggregates(forest)
@@ -243,6 +243,24 @@ def test_forest_reads_back_each_copy(int64_safe, monkeypatch):
         assert an._free_scan(forest)[1][j].tolist() == an.component_sizes(m)
         assert {name: values[j] for name, values in table.items()} == \
             compute_properties(m, PROPERTIES)
+
+
+def test_histograms_come_in_ascending_key_order():
+    # the emitters write each histogram's keys in the order the table gives them
+    models = [generate_network(STACK_PARAMS["nodes-243"], stream=c) for c in range(1, 4)]
+    forest = ensemble._forest(3, models)
+    hists = [h for values in ensemble.PROPERTY_TABLE.values() for h in values(forest)
+             if isinstance(h, dict)]
+    assert len(hists) == 4 * len(models)
+    for h in hists:
+        keys = [k for k in h if k != "unreachable"]
+        assert len(keys) >= 2 and keys == sorted(keys, key=float), keys
+        assert list(h) == keys + ["unreachable"] * ("unreachable" in h)
+    assert sum("unreachable" in h for h in hists) == len(models)  # every distance-dist
+    # merged keys interleave across copies, so the mean counts order them again
+    merged = ensemble._mean_counts([{2: 1, 10: 3, "unreachable": 4}, {9: 1, "unreachable": 2}], 2)
+    assert list(merged) == ["2", "9", "10", "unreachable"]
+    assert merged == {"2": 0.5, "9": 0.5, "10": 1.5, "unreachable": 3.0}
 
 
 def test_stacks_drop_their_copies_before_the_forest_runs():

@@ -80,13 +80,27 @@ def _properties(model: NetworkModel) -> dict:
     return {**compute_properties(model, PROPERTIES), "wedges": an.wedge_count(model)}
 
 
+REGULAR_G11 = GenParams(mode="regular", p=3, mu=0.5, seed=20261019, gamma=11)
+# 531441 nodes: sums over a level pass 2**31, and the distributions bin many chunks
+REGULAR_G12 = GenParams(mode="regular", p=3, mu=0.5, seed=20261019, gamma=12)
+NODES_P16 = GenParams(mode="by-nodes", p=16, mu=0.5, seed=20261019, n=50_000)
+
+
 @pytest.mark.parametrize("params, int64_safe", [
     # 177147 nodes: the top levels run on object arrays
-    (GenParams(mode="regular", p=3, mu=0.5, seed=20261019, gamma=11), an._INT64_SAFE_NODES),
-    (GenParams(mode="by-nodes", p=16, mu=0.5, seed=20261019, n=50_000), an._INT64_SAFE_NODES),
+    (REGULAR_G11, an._INT64_SAFE_NODES),
+    (REGULAR_G12, an._INT64_SAFE_NODES),
+    (NODES_P16, an._INT64_SAFE_NODES),
+    # child graphs of up to 40 children
+    (GenParams(mode="by-nodes", p=40, mu=0.5, seed=20261019, n=50_000), an._INT64_SAFE_NODES),
     # every pattern level on object arrays, level 1 read off the shared code tables
     (GenParams(mode="by-nodes", p=4, mu=0.5, seed=20261019, n=50_000), 0),
-], ids=["regular-p3-g11", "nodes-p16-n50000", "nodes-p4-n50000-object"])
+    (REGULAR_G11, 0),
+    (REGULAR_G12, 0),
+    (NODES_P16, 0),
+], ids=["regular-p3-g11", "regular-p3-g12", "nodes-p16-n50000", "nodes-p40-n50000",
+        "nodes-p4-n50000-object", "regular-p3-g11-object", "regular-p3-g12-object",
+        "nodes-p16-n50000-object"])
 def test_reordered_children_relabel_the_nodes(params, int64_safe, monkeypatch):
     monkeypatch.setattr(an, "_INT64_SAFE_NODES", int64_safe)
     rng = np.random.default_rng(20261019)
