@@ -68,7 +68,7 @@ MUTANTS = [
     (AN, "acc = [np.zeros(len(sizes[-1]), t) for t in dtypes]",
      "acc = [np.ones(len(sizes[-1]), t) for t in dtypes]",
      "_descend starts every root's accumulators at 1"),
-    (AN, "np.floor_divide(d * d + t, 2, out=t)", "np.floor_divide(d * d - t, 2, out=t)",
+    (AN, "last(idx, D, (D * D + F) // 2)", "last(idx, D, (D * D - F) // 2)",
      "T = (D**2 - F) / 2 in the node passes"),
     (AN, "return 2 * WE + tri - W * W, W", "return WE + tri - W * W, W",
      "_node_steps counts the linked siblings' edges once"),
@@ -80,11 +80,15 @@ MUTANTS = [
      "a forest's scan adds each root's pairs at the wrong row offset"),
     (AN, "np.flatnonzero(row[:-1]).max(initial=0)", "np.flatnonzero(row).max(initial=0)",
      "_diameter counts the unreachable bucket as a distance"),
-    (AN, "200 * t // np.maximum(d * (d - 1), 1)", "200 * t // np.maximum(d * (d - 1) + 1, 1)",
+    (AN, "200 * T // np.maximum(D * (D - 1), 1)", "200 * T // np.maximum(D * (D - 1) + 1, 1)",
      "the integer clustering bins divide by d(d - 1) + 1: values on a bin edge drop a bin"),
-    (AN, 'offsets[ends.searchsorted(at, side="right")]',
-     'offsets[ends.searchsorted(at, side="left")]',
-     "a forest bins each root's last node in the next root"),
+    (AN, "lo = int(root[0]) * width", "lo = int(root[0])",
+     "a forest adds each block's counts at its first root's index, not at that root's row"),
+    # -- analytics: the descent's last-level consumers
+    (AN, 'idx[0].astype(ends.dtype), side="right"', 'idx[0].astype(ends.dtype), side="left"',
+     "a forest block that starts a root counts its nodes in the root before"),
+    (AN, "put(idx, *(up if c == 1", "(g > 1 or c > 1) and put(idx, *(up if c == 1",
+     "level 1's one-child clusters never reach the consumer: their nodes go uncounted"),
     (AN, "keys = np.flatnonzero(counts)\n", "keys = np.flatnonzero(counts)[::-1]\n",
      "_items lists keys in descending order, so every histogram is reversed"),
     # -- analytics: climbs and point queries

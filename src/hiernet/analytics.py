@@ -12,11 +12,13 @@ or pass reaches it (a generated, stacked or loaded one is trusted as
 built); past that gate every climb and pass reads the shape's and the
 link table's private arrays, with no level or offset check.
 
-Four whole-network passes are cached, each through one primitive,
+Five whole-network passes are cached, each through one primitive,
 `_cached`: the edge tier's levels, the pattern tier's top level
-(`_pattern_roots`), the per-node passes and the distance scan.  A model's
-first read of a pass runs it and keeps its result on the model, every
-array read-only, so no reader can change what a later one sees.
+(`_pattern_roots`), the node counts (`_node_counts`, each root's nodes
+counted by degree and by clustering bin), the distance scan (`_free_scan`)
+and, only when asked for, the per-node arrays (`_per_node_passes`).  A
+model's first read of a pass runs it and keeps its result on the model,
+every array read-only, so no reader can change what a later one sees.
 
 The bottom-up pass is one driver, `_ascend`, with two tiers as its steps;
 each keeps what its readers use.  The edge tier (`_edge_levels`) reads the
@@ -70,38 +72,41 @@ ring term.
 
 Per-node quantities follow from one leaf-to-root climb, `core.node_climb`:
 one search of the shape's joined leaf cums finds the node's cluster on
-every level, and one gather per joined array reads all their child
-starts, counts and bit offsets.  Each climbed cluster's bits are read
-once, as bytes, and `_linked` lists the children linked to the chain
-child through a cached table of (sibling, offset) pairs per (c, a),
-`_sibling_bits`.  Whole-network distributions come from one top-down
-descent, `_descend`, whose steps are the node passes and the distance
-scan.  Pairs with the same (lowest common cluster, child, child) share one
-distance, weighted in the histogram by the two subtree sizes.  A cluster
-that some ancestor links sideways ("exited") gives its children distance
-1 where their bit is set and 2 elsewhere, read off the bits with no
-search; the scan runs a batched BFS on the child graphs of the free
+every level, and one gather per joined array reads all their child starts,
+counts and bit offsets.  Each climbed cluster's bits are read once, as
+bytes, and `_linked` lists the children linked to the chain child through
+a cached table of (sibling, offset) pairs per (c, a), `_sibling_bits`.
+Whole-network distributions come from one top-down descent, `_descend`,
+whose steps are the node passes and the distance scan.  Its last level
+hands each block of nodes to a consumer instead of scattering it into
+arrays N long: the node counts and the scan bin the block at once, and
+only `node_degrees`, `triangles_at_all_nodes` and `clustering_values`
+scatter it.  Pairs with the same (lowest common cluster, child, child)
+share one distance, weighted in the histogram by the two subtree sizes.  A
+cluster that some ancestor links sideways ("exited") gives its children
+distance 1 where their bit is set and 2 elsewhere, read off the bits with
+no search; the scan runs a batched BFS on the child graphs of the free
 clusters only, at O(c**3) per hop, and its one cached result serves the
 histogram, the diameter and the components.  A distance query finds both
-nodes' chains with one search of 2 * gamma needles, O(gamma log M) over
-M clusters; the lowest common cluster is the first level where they
-agree.  It reads that cluster's direct bit, continues x's climb from the
-positions already found to the first ancestor that links the chain
-sideways (distance 2), and only when there is none runs a BFS in that
-one child graph: O(gamma * (log M + p) + p**2), with no whole-network
-pass.
+nodes' chains with one search of 2 * gamma needles, O(gamma log M) over M
+clusters; the lowest common cluster is the first level where they agree.
+It reads that cluster's direct bit, continues x's climb from the positions
+already found to the first ancestor that links the chain sideways
+(distance 2), and only when there is none runs a BFS in that one child
+graph: O(gamma * (log M + p) + p**2), with no whole-network pass.
 
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
 for many small copies.  Every cached result already holds one value per
 root, in root order: the two tiers' top levels (`_edge_levels(model)[-1]`
-and `_pattern_roots`), and the distance scan's histogram row and component
-array.  `_root_counts` bins each root's slice of the per-node passes' D
-and T in chunks of nodes, so nothing past those two arrays is N long.
-`PROPERTY_TABLE`, at the end of this module, reads them all as they lie
-for the ensemble and the CLI, which read no pass themselves, and builds
-each histogram in the key order every report writes.  Other models have
-one root, and the public functions read root 0.
+and `_pattern_roots`), the node counts' rows, and the distance scan's
+histogram row and component array: a level-1 block finds its clusters'
+roots by their first nodes (`_block_roots`).  `PROPERTY_TABLE`, at the end
+of this module, reads those four passes as they lie for the ensemble and
+the CLI, which read no pass themselves, and builds each histogram in the
+key order every report writes; no property it lists builds an array as
+long as N.  Other models have one root, and the public functions read
+root 0.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
@@ -153,7 +158,8 @@ __all__ = [
 ]
 
 _INT64_SAFE_NODES = 40_000
-# entries of a row block's (c, c, rows) tensor past one cluster's c**2; nodes binned at once
+# entries of a row block's (c, c, rows) tensor past one cluster's c**2, which also
+# bounds the nodes of a level-1 block that the descent's last level bins at once
 _BLOCK_ENTRIES = 1 << 16
 _CODE_CHILDREN = 4  # blocks of at most 4 children, 2**6 child graphs, read by code
 
@@ -569,37 +575,57 @@ def clustering_coefficient(model: NetworkModel, x: int) -> float:
 # -- vectorised all-node passes ----------------------------------------------
 
 
-def _descend(model: NetworkModel, step, *dtypes) -> list[np.ndarray]:
+def _descend(model: NetworkModel, step, last, *dtypes) -> None:
     """One accumulator per dtype, zero on every root, carried down to the nodes.
 
     Every row block of `_level_groups`, top-down, hands its clusters' values
     to `step(g, c, sel, idx, V, B, *parents)`, which returns its children's;
-    a one-child cluster hands its values to its child with no step.
+    a one-child cluster hands its values to its child with no step.  The
+    levels above 1 scatter their children's values into arrays one level
+    long; level 1 hands each block to `last(idx, *values)` instead, its
+    children's 0-based node indices and values, so no array is as long as N
+    unless `last` builds one.  A network of one node hands its root.
     """
     sizes = model.shape._derived().sizes
     acc = [np.zeros(len(sizes[-1]), t) for t in dtypes]
+    if len(sizes) == 1:
+        last(np.zeros((1, 1), np.int64), *acc)
     for g in range(len(sizes) - 1, 0, -1):
-        below = [np.empty(len(sizes[g - 1]), t) for t in dtypes]
+        below = [np.empty(len(sizes[g - 1]), t) for t in dtypes] if g > 1 else []
+        put = _scatter(below) if g > 1 else last
         for c, sel, idx, V, B in _level_groups(model, g):
             up = [a[sel] for a in acc]
-            for a, x in zip(below, up if c == 1 else step(g, c, sel, idx, V, B, *up)):
-                a[idx] = x
+            put(idx, *(up if c == 1 else step(g, c, sel, idx, V, B, *up)))
         acc = below
-    return acc
 
 
-@_cached
-def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, triangles through each node) for all nodes, by one `_descend`.
+def _scatter(arrays: list[np.ndarray]):
+    """A `_descend` consumer that writes each block's values into `arrays` at its indices."""
 
-    Carries two per-chain accumulators down the tree: the degree, and twice
-    the flat terms (linked siblings' edges plus the two-sibling products,
-    half the triangle walks) less the sum of squared per-level degree
-    increments.  Triangles then follow from (deg**2 + that) / 2, because
+    def put(idx, *values):
+        for a, x in zip(arrays, values):
+            a[idx] = x
+
+    return put
+
+
+def _block_roots(ends: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The root of each cluster of a level-1 block: the one holding its first node idx[0]."""
+    return ends.searchsorted(idx[0].astype(ends.dtype), side="right")
+
+
+def _node_descent(model: NetworkModel, last) -> None:
+    """The node passes, one `_descend`: `last(idx, D, T)` gets each level-1 block's nodes.
+
+    D are the nodes' degrees and T the triangles through them.  The descent
+    carries two per-chain accumulators down the tree: the degree, and F,
+    twice the flat terms (linked siblings' edges plus the two-sibling
+    products, half the triangle walks) less the sum of squared per-level
+    degree increments.  Triangles then follow from (D**2 + F) / 2, because
     the cross products of increments from two different levels are exactly
-    the degree-times-new-weight terms; T is built in F's own buffer.
-    V <= N <= 2**27 and the edge tier's E < 2**53, so the walks (<= N**2),
-    the squares and twice the edges fit int64.
+    the degree-times-new-weight terms.  V <= N <= 2**27 and the edge tier's
+    E < 2**53, so the walks (<= N**2), the squares and twice the edges fit
+    int64.
     """
     edges = _edge_levels(model)
 
@@ -610,16 +636,57 @@ def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
             dF, dD = _node_steps(_adjacency(B, c), V, edges[g - 1][idx])
         return F + dF, D + dD
 
-    F, D = _descend(model, step, np.int64, np.int64)
-    T = F  # T = (D**2 + F) / 2 in F's buffer, D squared a chunk at a time
-    for lo in range(0, len(D), _BLOCK_ENTRIES):
-        d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
-        np.floor_divide(d * d + t, 2, out=t)
-    return D, T
+    _descend(model, step, lambda idx, F, D: last(idx, D, (D * D + F) // 2), np.int64, np.int64)
+
+
+@_cached
+def _per_node_passes(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, triangles through each node) in node order: `_node_descent` scattered."""
+    out = [np.empty(model.shape.n, np.int64) for _ in range(2)]
+    _node_descent(model, _scatter(out))
+    return tuple(out)
+
+
+@_cached
+def _node_counts(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per root, its nodes counted by degree and by clustering bin: two (roots, width) arrays.
+
+    One `_node_descent` bins each level-1 block's nodes as it reaches them,
+    at their roots' rows, so no array is as long as N.  The 101 clustering
+    bins are floor(100 * `_clustering`), in exact integers:
+    (200 t) // (d (d - 1)), 0 where d < 2 (t is 0 there too); t < 2**53
+    keeps 200 t below 2**61.  The degree rows widen as larger degrees come.
+    """
+    ends = _root_ends(model.shape)
+    counts = [np.zeros((len(ends), 1), np.int64), np.zeros((len(ends), 101), np.int64)]
+
+    def count(idx, D, T):
+        root = _block_roots(ends, idx)
+        for k, b in enumerate((D, 200 * T // np.maximum(D * (D - 1), 1))):
+            counts[k] = _add_counts(counts[k], root, b)
+
+    _node_descent(model, count)
+    return tuple(counts)
+
+
+def _add_counts(counts: np.ndarray, root: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(roots, width) `counts` plus a block's bins b, each cluster's at its root's row.
+
+    A block's roots ascend, so one bincount spans its rows alone; a bin past
+    the width first widens every row, at least twofold.
+    """
+    width = counts.shape[1]
+    if b.max() >= width:
+        counts = np.pad(counts, ((0, 0), (0, max(int(b.max()) + 1, 2 * width) - width)))
+        width = counts.shape[1]
+    lo = int(root[0]) * width
+    add = np.bincount((b + (root - root[0]) * width).ravel())
+    counts.reshape(-1)[lo:lo + len(add)] += add
+    return counts
 
 
 def _node_steps(A, V, E, *_):
-    """(F increment, degree increment W) of each child of a block, for `_per_node_passes`."""
+    """(F increment, degree increment W) of each child of a block, for `_node_descent`."""
     W, WE = _link_sums(A, np.stack([V, E]))
     tri = _triangle_walks(_walks(A, V), V, A) if A.shape[0] >= 3 else 0
     return 2 * WE + tri - W * W, W
@@ -636,12 +703,15 @@ def triangles_at_all_nodes(model: NetworkModel) -> np.ndarray:
 
 
 def degree_distribution(model: NetworkModel) -> Histogram:
-    """(degree, node count) pairs, degree ascending, counted chunk by chunk."""
-    return Histogram(tuple(_items(_root_counts(model, "degree")[0])))
+    """(degree, node count) pairs, degree ascending, counted block by block as the descent runs."""
+    return Histogram(tuple(_items(_node_counts(model)[0][0])))
 
 
 def clustering_values(model: NetworkModel) -> np.ndarray:
-    """Clustering coefficients in node order (float64, 0 where d < 2); bins share `_clustering`."""
+    """Clustering coefficients in node order (float64, 0 where d < 2).
+
+    The clustering distribution does not read them: `_node_counts` bins in exact integers.
+    """
     return _clustering(*_per_node_passes(model))
 
 
@@ -781,6 +851,7 @@ def _free_scan(model: NetworkModel):
     # is free to collect the unreachable pairs
     width = MAX_CHILDREN + 1
     hist = np.zeros(roots * width, np.int64)
+    lone = np.zeros(roots, np.int64)  # per root, nodes whose whole chain stays unlinked
     groups: list[np.ndarray] = []
     group_roots: list[np.ndarray] = []
 
@@ -808,14 +879,17 @@ def _free_scan(model: NetworkModel):
         hist += np.bincount(d.ravel(), (V[iu] * V[ju]).ravel(), len(hist)).astype(np.int64)
         return (ex | exits,)
 
-    lone = ~_descend(model, step, bool)[0]  # the nodes whose whole chain stays unlinked
+    def count_lone(idx, ex):
+        lone[:] += np.bincount(np.broadcast_to(_block_roots(ends, idx), ex.shape)[~ex], None, roots)
+
+    _descend(model, step, count_lone, bool)
     groups.append(np.ones(int(lone.sum()), np.int64))
     sizes = np.concatenate(groups)
     if roots == 1:
         sizes[::-1].sort()
         per_root = [sizes]
     else:
-        group_roots.append(ends.searchsorted(np.flatnonzero(lone).astype(ends.dtype) + 1))
+        group_roots.append(np.repeat(np.arange(roots), lone))
         owner = np.concatenate(group_roots)
         sizes = sizes[np.lexsort((-sizes, owner))]
         per_root = np.split(sizes, np.cumsum(np.bincount(owner, minlength=roots))[:-1])
@@ -855,34 +929,6 @@ def _root_ends(shape) -> np.ndarray:
     return d.cums[-1] - d.shifts[-1] if shape.gamma else np.ones(1, d.keys.dtype)
 
 
-def _root_counts(model: NetworkModel, kind: str) -> list[np.ndarray]:
-    """Per root, its nodes counted by degree ("degree") or by clustering bin, from 0.
-
-    The 101 clustering bins are floor(100 * `_clustering`), in exact
-    integers: (200 t) // (d (d - 1)), 0 where d < 2 (t is 0 there too);
-    t < 2**53 keeps 200 t below 2**61.
-    `np.bincount` copies its whole input, so it reads _BLOCK_ENTRIES nodes
-    at a time, each binned at its root's offset: one call per chunk.
-    """
-    D, T = _per_node_passes(model)
-    ends = _root_ends(model.shape)
-    if kind == "degree":
-        widths = np.maximum.reduceat(D, np.r_[0, ends[:-1]]) + 1
-    else:
-        widths = np.full(len(ends), 101)
-    offsets = np.cumsum(widths) - widths
-    counts = np.zeros(int(widths.sum()), np.int64)
-    for lo in range(0, len(D), _BLOCK_ENTRIES):
-        d, t = D[lo:lo + _BLOCK_ENTRIES], T[lo:lo + _BLOCK_ENTRIES]
-        b = d if kind == "degree" else 200 * t // np.maximum(d * (d - 1), 1)
-        if len(ends) > 1:
-            at = np.arange(lo, lo + len(b), dtype=ends.dtype)
-            b = b + offsets[ends.searchsorted(at, side="right")]
-        add = np.bincount(b)
-        counts[:len(add)] += add
-    return np.split(counts, offsets[1:])
-
-
 def _items(counts: np.ndarray) -> list[tuple[int, int]]:
     """(index, count) of every nonzero entry of a count array, index ascending."""
     keys = np.flatnonzero(counts)
@@ -907,13 +953,13 @@ PROPERTY_TABLE = {
     "edges": lambda model: _edge_levels(model)[-1].tolist(),
     "c3": lambda model: _pattern_roots(model)[1].tolist(),
     "c4": lambda model: _pattern_roots(model)[2].tolist(),
-    "degree-dist": lambda model: [dict(_items(row)) for row in _root_counts(model, "degree")],
+    "degree-dist": lambda model: [dict(_items(row)) for row in _node_counts(model)[0]],
     "distance-dist": lambda model: [
         {**dict(_items(row[:-1])), _UNREACHABLE: int(row[-1])} for row in _free_scan(model)[0]
     ],
     "components": lambda model: [_value_counts(s) for s in _free_scan(model)[1]],
     "diameter": lambda model: [_diameter(row) for row in _free_scan(model)[0]],
     "clustering-dist": lambda model: [
-        {f"{b / 100:.2f}": n for b, n in _items(row)} for row in _root_counts(model, "clustering")
+        {f"{b / 100:.2f}": n for b, n in _items(row)} for row in _node_counts(model)[1]
     ],
 }

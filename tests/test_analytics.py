@@ -728,23 +728,31 @@ def test_distributions_equal_a_sort_across_chunks_and_roots(chunk, demo9, monkey
                 assert (h.as_dict(), h.unreachable) == (hist, unreachable)
 
 
-def test_distributions_count_in_bounded_memory(monkeypatch):
-    # past the node passes' D and T nothing N long is built: one sorted copy
-    # of the degrees, or one float64 array over the nodes, is 8N bytes
-    m = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=7, gamma=10))
+def _every_property(m):
+    """The eight table properties and the wedges, the nine `hiernet analyze` reports."""
+    values = ensemble.compute_properties(m, ensemble.PROPERTIES)
+    return values, an.wedge_count(m)
+
+
+def test_distributions_count_in_bounded_memory():
+    # the degrees and clustering bins are counted as the descent reaches the
+    # nodes, so no whole-network property keeps or builds an array N long: the
+    # edge tier's levels are the largest thing held (8 B a level-1 cluster)
+    # one-time setup: the shared code tables
+    _every_property(generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=7, gamma=4)))
+    m = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=7, gamma=12))
     n = m.shape.n
-    assert n == 59049
-    an._per_node_passes(m)
-    monkeypatch.setattr(an, "_BLOCK_ENTRIES", 4096)
-    for name, bound in (("clustering-dist", 8 * n), ("degree-dist", n)):
-        ensemble.PROPERTY_TABLE[name](m)  # one-time setup
-        tracemalloc.start()
-        try:
-            ensemble.PROPERTY_TABLE[name](m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (name, peak)
+    assert n == 531441
+    tracemalloc.start()
+    try:
+        _every_property(m)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * n and held < 8 * n, (peak / n, held / n)
+    arrays = _arrays(list(m._passes.values()))
+    # level 0 of the edge tier is one zero, broadcast N long
+    assert max(a.size for a in arrays if a.strides != (0,)) < n / 2
 
 
 # -- the widest child graphs --------------------------------------------------
@@ -929,12 +937,13 @@ def test_every_cached_pass_is_read_only():
     params = GenParams(mode="by-nodes", p=3, mu=0.5, seed=7, n=243)
     copies = [generate_network(params, stream=s) for s in (1, 2, 3)]
     for m in (generate_network(params), ensemble._forest(3, copies)):
-        ensemble.compute_properties(m, ensemble.PROPERTIES)
-        an.wedge_count(m)  # the ninth property
-        passes = (an._edge_levels, an._pattern_roots, an._per_node_passes, an._free_scan)
+        _every_property(m)
+        passes = (an._edge_levels, an._pattern_roots, an._node_counts, an._free_scan)
         assert set(m._passes) == set(passes)
-        arrays = _arrays(list(m._passes.values()))
-        assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
+        an.node_degrees(m)  # the per-node arrays, on request
+        assert set(m._passes) == {*passes, an._per_node_passes}
+        arrays = _arrays(list(m._passes.values()))  # the node counts among them
+        assert len(arrays) > 12 and not any(a.flags.writeable for a in arrays)
 
 
 # -- point queries on wide random child graphs -------------------------------

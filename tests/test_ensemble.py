@@ -295,7 +295,7 @@ def test_analysis_failure_names_copy_range(monkeypatch, budget, where):
         raise ValueError("boom")
 
     monkeypatch.setattr(ensemble, "_FOREST_NODES", budget)
-    monkeypatch.setattr(an, "_per_node_passes", explode)
+    monkeypatch.setattr(an, "_node_counts", explode)
     spec = EnsembleSpec(params=PARAMS, copies=4, properties=("edges", "degree-dist"))
     with pytest.raises(HiernetError) as exc:
         run_ensemble(spec)

@@ -81,7 +81,7 @@ def _properties(model: NetworkModel) -> dict:
 
 
 REGULAR_G11 = GenParams(mode="regular", p=3, mu=0.5, seed=20261019, gamma=11)
-# 531441 nodes: sums over a level pass 2**31, and the distributions bin many chunks
+# 531441 nodes: sums over a level pass 2**31, and the distributions bin many level-1 blocks
 REGULAR_G12 = GenParams(mode="regular", p=3, mu=0.5, seed=20261019, gamma=12)
 NODES_P16 = GenParams(mode="by-nodes", p=16, mu=0.5, seed=20261019, n=50_000)
 
