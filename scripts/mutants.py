@@ -117,6 +117,22 @@ MUTANTS = [
      "_put_decimal takes every digit count to ascend"),
     (CORE, "1 <= nd.min() <= nd.max() <= 9", "1 <= nd.min() <= nd.max() <= 10",
      "_read_counts takes ten-digit counts, which wrap int32"),
+    # -- core: levels of equal-length lines, by rows
+    (CORE, "min(10 ** d - 1, n)", "min(10 ** d, n)",
+     "_bitmap_rows ends each run of labels one line into the next digit count"),
+    (CORE, "block[:, len(label) + d - 1 - k] += a", "block[:, len(label) + k] += a",
+     "_bitmap_rows writes a label's digit places in the wrong order"),
+    (CORE, "[:, width - 1 - where.nbits:-1]", "[:, width - where.nbits:]",
+     "_row_bits puts the bit columns one byte late, over the newline"),
+    (CORE, "and raw.startswith(_count_run(int(first), n), lo)",
+     'and raw.startswith(b"%d " % int(first), lo)',
+     "_read_count_line checks only the first count of a line it takes as one count repeated"),
+    (CORE, "counts.min() == counts.max()", "counts[0] == counts[-1]",
+     "_one_count takes a level whose first and last counts agree for one of one count"),
+    (CORE, "    if room is not None and total > room:\n        return None\n"
+           "    buf = np.empty(total, dtype=np.uint8)\n    for d,",
+     "    buf = np.empty(total, dtype=np.uint8)\n    for d,",
+     "_bitmap_rows ignores the room left in the input: a cut level fails to reshape"),
     # -- ensemble: forests and summaries
     (ENS, "max(1, *(m.shape.gamma for m in models))", "max(0, *(m.shape.gamma for m in models))",
      "a forest of zero-level copies gets no level, so one root"),

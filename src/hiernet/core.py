@@ -687,14 +687,22 @@ def validate(model: NetworkModel) -> list[str]:
 # -- text format ------------------------------------------------------------
 #
 # `serialize_chunks` yields the head (magic, header and `L` lines), then
-# each level's `B` lines as one numpy byte buffer: `_bitmap_lines` lays a
-# level out with the bits blank and gives each bit's position, int32 while
-# the level has fewer than 2**31 bytes.  Digits go in one place per pass
-# over uint32 values.  `serialize` joins the chunks; the CLI writes them to
-# its file one by one.  `deserialize` first reads its input as the exact
-# bytes `serialize` writes (`_parse_canonical`): it parses the header and
-# `L` lines in place, by offset, gathers each level's bits at the positions
-# the counts imply, re-renders the level and compares byte for byte.  Any
+# each level's `B` lines as one numpy byte buffer, which `_bitmap_lines`
+# lays out with the bits blank.  A level whose clusters all have the same
+# count c >= 2, as every level of a regular network does, is laid out by
+# rows: its lines split into one run per digit count of the label, and
+# each run is a (lines, line length) view of the buffer.  In a run the
+# label, ": " and the newline are the same columns on every line, the
+# label digits count up by one a line, and the bits are the c(c-1)/2
+# columns before the newline, so no position is built per line or per
+# bit.  Any other level gives each bit's position, int32 while the level
+# has fewer than 2**31 bytes, and writes its digits in one place per pass
+# over uint32 values.  An `L` line of one count is that count repeated.
+# `serialize` joins the chunks; the CLI writes them to its file one by
+# one.  `deserialize` first reads its input as the exact bytes `serialize`
+# writes (`_parse_canonical`): it parses the header and `L` lines in place,
+# by offset, reads each level's bits from the places the counts imply,
+# re-renders the level with those bits and compares byte for byte.  Any
 # other input goes to the line walker `_parse_lines`, which also accepts
 # the format's other spellings (extra whitespace, no final newline) and
 # names the offending line of a bad file.
@@ -774,23 +782,72 @@ def _read_counts(body: np.ndarray) -> np.ndarray | None:
     return counts
 
 
+def _one_count(counts: np.ndarray) -> int:
+    """The child count every cluster of a level has, or 0 when the counts differ."""
+    return int(counts[0]) if len(counts) and counts.min() == counts.max() else 0
+
+
+def _count_run(c: int, n: int) -> bytes:
+    """The body of an `L` line that lists the count c n times, its newline included."""
+    return b"%d " % c * (n - 1) + b"%d\n" % c
+
+
+def _read_count_line(raw: bytes, lo: int, eol: int) -> np.ndarray | None:
+    """The counts of the `L` line body raw[lo:eol], else None, as `_read_counts` takes them.
+
+    A body that is its first count repeated is read by comparing it with
+    `_count_run`; any other body goes to `_read_counts`.
+    """
+    space = raw.find(b" ", lo, eol)
+    first = raw[lo:eol if space < 0 else space]
+    n, rest = divmod(eol + 1 - lo, len(first) + 1)
+    if first.isdigit() and len(first) <= 9 and not rest and n <= MAX_NODES \
+            and raw.startswith(_count_run(int(first), n), lo):
+        return np.full(n, int(first), dtype=np.int32)
+    return _read_counts(np.frombuffer(raw, dtype=np.uint8, count=eol - lo, offset=lo))
+
+
 def _head(shape: HierarchyShape) -> bytes:
     """Magic line, header line and the `L` lines, as serialized."""
     parts = [f"{FORMAT_MAGIC}\np={shape.p} gamma={shape.gamma} n={shape.n}\n".encode("ascii")]
     for g in range(shape.gamma, 0, -1):
+        counts = shape.counts_at(g)
+        c = _one_count(counts)
         parts.append(b"L%d: " % g)
-        parts.append(_decimal_line(shape.counts_at(g)))
+        parts.append(_count_run(c, len(counts)) if c else _decimal_line(counts))
     return b"".join(parts)
+
+
+class _Rows(NamedTuple):
+    """Where the bits of a level of equal-length lines go, by runs of lines."""
+
+    lines: int  # the level's `B` lines, one per cluster
+    nbits: int  # the bits of each line, the columns before its newline
+    runs: tuple[tuple[int, int, int, int], ...]  # first byte, first line, lines, line length
 
 
 def _bitmap_lines(g: int, counts: np.ndarray, room: int | None = None):
     """The `B<g>.<i>: <bits>` lines of one level with the bits left blank.
 
-    Returns the level's bytes and the position of each bit in them, or None
-    when they would take more than `room` bytes.  Bits run in cluster order,
-    each vector in pair order, as `LinkTable` stores them.  Counts must be
+    Returns the level's bytes and where its bits go, or None when they
+    would take more than `room` bytes.  Bits run in cluster order, each
+    vector in pair order, as `LinkTable` stores them.  Counts must be
     valid, at most MAX_CHILDREN.
+
+    A level whose clusters all have c >= 2 children is laid out by rows:
+    one run of equal-length lines per digit count of the label, at most
+    nine, each a (lines, line length) view of the bytes.  A run's first
+    line is written whole; the rest are block copies of the lines before
+    them, blocks of 10**k lines with the label digit at place k raised,
+    so the label, ": " and the newline are the same columns on every
+    line.  The bits are the c(c-1)/2 columns before the newline, and
+    `where` is a `_Rows`.  Any other level places each line and each bit
+    by position, and `where` is the bits' positions, int32 while the
+    level has fewer than 2**31 bytes.
     """
+    c = _one_count(counts)
+    if c >= 2:
+        return _bitmap_rows(g, len(counts), c, room)
     idx = np.flatnonzero(counts >= 2)
     nbits = counts[idx].astype(np.int32, copy=False)
     nbits = nbits * (nbits - 1) // 2
@@ -829,6 +886,63 @@ def _bitmap_lines(g: int, counts: np.ndarray, room: int | None = None):
     return buf, at
 
 
+def _bitmap_rows(g: int, n: int, c: int, room: int | None):
+    """`_bitmap_lines` of a level of n clusters of c >= 2 children each."""
+    label = b"B%d." % g
+    nbits = c * (c - 1) // 2
+    runs, total = [], 0
+    for d in range(1, len(str(n)) + 1):  # the lines whose labels have d digits
+        first, end = 10 ** (d - 1) - 1, min(10 ** d - 1, n)  # 0-based, end exclusive
+        runs.append((total, first, end - first, len(label) + d + 3 + nbits))
+        total += (end - first) * runs[-1][3]
+    if room is not None and total > room:
+        return None
+    buf = np.empty(total, dtype=np.uint8)
+    for d, (lo, first, lines, width) in enumerate(runs, start=1):
+        rows = buf[lo:lo + lines * width].reshape(lines, width)
+        rows[0, :width - 1 - nbits] = np.frombuffer(b"B%d.%d: " % (g, first + 1), np.uint8)
+        rows[0, -1] = _NEWLINE
+        # once rows[:10**k] hold their lines (the bits blank), the next nine
+        # blocks of 10**k lines are their copies with the label digit at
+        # place k raised by 1 to 9: the labels count up from 10**(d-1)
+        for k in range(d):
+            step = 10 ** k
+            for a in range(1, 10):
+                block = rows[a * step:(a + 1) * step]
+                block[...] = rows[:len(block)]
+                block[:, len(label) + d - 1 - k] += a
+    return buf, _Rows(n, nbits, tuple(runs))
+
+
+def _row_bits(level: np.ndarray, where: _Rows):
+    """Each run's bit columns in `level`, laid out as `where` says: (first line, (lines, nbits) view)."""
+    for lo, first, lines, width in where.runs:
+        yield first, level[lo:lo + lines * width].reshape(lines, width)[:, width - 1 - where.nbits:-1]
+
+
+def _put_bits(buf: np.ndarray, where, flat: np.ndarray) -> None:
+    """Write a level's 0/1 bits, in `LinkTable` order, as digits at their places in `buf`."""
+    if isinstance(where, _Rows):
+        vectors = flat.reshape(where.lines, where.nbits)
+        for first, cols in _row_bits(buf, where):
+            np.add(vectors[first:first + len(cols)], _ZERO, out=cols)
+    else:
+        buf[where] = flat + _ZERO
+
+
+def _take_bits(buf: np.ndarray, where, level: np.ndarray) -> np.ndarray:
+    """The bytes at the bit places of `level`, laid out as `buf`, each less '0'; `buf` takes them too."""
+    if not isinstance(where, _Rows):
+        buf[where] = bits = level[where]
+        bits -= _ZERO
+        return bits
+    vectors = np.empty((where.lines, where.nbits), dtype=np.uint8)
+    for (first, cols), (_, got) in zip(_row_bits(buf, where), _row_bits(level, where)):
+        bits = np.subtract(got, _ZERO, out=vectors[first:first + len(got)])
+        np.add(bits, _ZERO, out=cols)  # got's own bytes: uint8 wraps back exactly
+    return vectors.reshape(-1)
+
+
 def serialize_chunks(model: NetworkModel) -> Iterator[bytes | np.ndarray]:
     """The bytes of `serialize`: the head, then one uint8 array per level from the root down.
 
@@ -842,9 +956,9 @@ def _render(model: NetworkModel):
     shape = model.shape
     yield _head(shape)
     for g in range(shape.gamma, 0, -1):
-        buf, at = _bitmap_lines(g, shape.counts_at(g))
-        buf[at] = model.links.flat_at(g) + _ZERO
-        del at
+        buf, where = _bitmap_lines(g, shape.counts_at(g))
+        _put_bits(buf, where, model.links.flat_at(g))
+        del where
         yield buf
         del buf  # before the next level's
 
@@ -896,12 +1010,11 @@ def _parse_canonical(raw: bytes) -> NetworkModel | None:
     p, gamma = int(m.group(1)), int(m.group(2))
     if p < 2 or gamma > MAX_NODES:
         return None
-    data = np.frombuffer(raw, dtype=np.uint8)
     top_down = []
     for g in range(gamma, 0, -1):
         pos, eol, label = eol + 1, raw.find(b"\n", eol + 1), b"L%d: " % g
         ok = eol >= 0 and raw.startswith(label, pos)
-        top_down.append(_read_counts(data[pos + len(label):eol]) if ok else None)
+        top_down.append(_read_count_line(raw, pos + len(label), eol) if ok else None)
         if top_down[-1] is None:
             return None
     shape = HierarchyShape(p, top_down[::-1])
@@ -909,15 +1022,15 @@ def _parse_canonical(raw: bytes) -> NetworkModel | None:
     if _shape_problems(shape) or shape.n > MAX_NODES or not raw.startswith(_head(shape)):
         return None
     pos = eol + 1  # the head's end, as it ends with the lines parsed above
+    data = np.frombuffer(raw, dtype=np.uint8)
     flats = []
     for g in range(gamma, 0, -1):
         level = _bitmap_lines(g, shape.counts_at(g), room=len(raw) - pos)
         if level is None:
             return None
-        buf, at = level
-        buf[at] = bits = data[pos:pos + len(buf)][at]
-        del level, at
-        bits -= _ZERO
+        buf, where = level
+        bits = _take_bits(buf, where, data[pos:pos + len(buf)])
+        del level, where
         if not raw.startswith(buf, pos) or (bits > 1).any():
             return None
         flats.append(bits)

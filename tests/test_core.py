@@ -545,10 +545,16 @@ _FUZZ_BYTES = st.sampled_from(
 
 @st.composite
 def _mutated_files(draw):
-    # p up to 12 gives multi-digit counts, n up to 80 multi-digit cluster indices
-    params = GenParams(mode="by-nodes", p=draw(st.integers(2, 12)),
-                       mu=draw(st.sampled_from([0.0, 0.5, 1.0])),
-                       seed=draw(st.integers(0, 1000)), n=draw(st.integers(1, 80)))
+    # p up to 12 gives multi-digit counts, n up to 80 multi-digit cluster
+    # indices; a regular shape has one count per level, so uniform `L` lines
+    # and `B` levels of equal-length lines
+    p = draw(st.integers(2, 12))
+    mu = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    seed = draw(st.integers(0, 1000))
+    if draw(st.booleans()):
+        params = GenParams(mode="regular", p=p, mu=mu, seed=seed, gamma=draw(st.integers(1, 4)))
+    else:
+        params = GenParams(mode="by-nodes", p=p, mu=mu, seed=seed, n=draw(st.integers(1, 80)))
     data = bytearray(serialize(generate_network(params)).encode("ascii"))
     for _ in range(draw(st.integers(0, 3))):
         pos = draw(st.integers(0, len(data)))
@@ -605,6 +611,43 @@ def test_codec_across_digit_widths():
         deserialize(zero_label)
     assert exc.value.line == zero_label[:zero_label.index("B1.010")].count("\n") + 1
     assert "'B1.10:'" in str(exc.value)
+
+
+@pytest.mark.parametrize("p,gamma", [(10, 5), (2, 14)])
+def test_codec_by_rows_on_uniform_levels(p, gamma):
+    # p=10: level-1 labels cross 9/10, 99/100, 999/1000 and 9999/10000 on
+    # 45-bit lines; p=2: 1-bit lines.  Every level is one count, so every
+    # `L` line is one count repeated and every level is read by rows
+    model = generate_network(GenParams(mode="regular", p=p, mu=0.5, seed=3, gamma=gamma))
+    text = serialize(model)
+    raw = text.encode("ascii")
+    assert core._parse_canonical(raw) == model == core._parse_lines(text)
+    assert serialize(deserialize(raw)) == text
+    labels = [i for i in (9, 10, 99, 100, 999, 1000, 9999, 10000) if i <= p ** (gamma - 1)]
+    assert all(f"\nB1.{i}: " in text for i in labels)
+    assert f"\nB1.{p ** (gamma - 1) + 1}: " not in text
+    l1 = text.index("\nL1: ") + 1
+    eol = text.index("\n", l1)
+    assert text[l1:eol] == f"L1: {p}" + f" {p}" * (p ** (gamma - 1) - 1)
+
+    def bit_two(i):
+        at = text.index(f"\nB1.{i}: ") + len(f"\nB1.{i}: ")
+        return text[:at] + "2" + text[at + 1:]
+
+    # a changed label digit, a bit 2 and a cut last bit are refused, naming
+    # the line; the other spellings of the `L` line and no final newline load
+    refused = [text.replace(f"\nB1.{i}: ", f"\nB1.{i + 1}: ", 1) for i in labels]
+    refused += [bit_two(labels[0]), bit_two(labels[-1]), text[:-2] + "\n"]
+    loaded = [text[:l1] + f"L1: 0{p}" + text[l1 + 4 + len(str(p)):],  # a leading zero
+              text[:l1] + f"L1: {p}  " + text[l1 + 5 + len(str(p)):],  # a doubled space
+              text[:eol] + " " + text[eol:],  # a trailing space
+              text[:-1]]
+    for spelled in refused + loaded:
+        assert spelled != text
+        assert core._parse_canonical(spelled.encode("ascii")) is None
+        want = _outcome(core._parse_lines, spelled)
+        assert _outcome(deserialize, spelled.encode("ascii")) == want
+        assert want == model if spelled in loaded else want[0] == "error"
 
 
 def test_read_counts_takes_only_what_sums_safely(monkeypatch):
@@ -780,10 +823,34 @@ def test_link_offsets_past_int32_are_int64_not_wrapped():
     assert "bitmap length" in validate(m)[-1]
 
 
+def test_codec_memory_per_node():
+    # regular p=3, gamma=12, by tracemalloc in bytes per node with numpy 2.4,
+    # the file's own bytes not counted: consuming serialize_chunks peaks at
+    # 8.0, one level's bytes and bits at a time, and deserialize at 13.5,
+    # set by the link table's int64 bit counts and offsets once the codec,
+    # which peaks at 9.3, has read the levels; the budgets are 9 and 15
+    small = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=2))
+    deserialize(serialize(small).encode("ascii"))  # one-time setup
+    model = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=12))
+    raw = serialize(model).encode("ascii")
+    tracemalloc.start()
+    try:
+        size = sum(len(chunk) for chunk in core.serialize_chunks(model))
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = deserialize(raw)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == len(raw) and loaded == model
+    assert written / model.shape.n <= 9
+    assert read / model.shape.n <= 15
+
+
 def test_deserialize_memory_against_file_size():
-    # the canonical path keeps the model, one level's template and its bit
-    # positions at a time, never a copy of the file: about 2x the file past
-    # the model with numpy 2.4
+    # the canonical path keeps the model and one level's template and bits at
+    # a time (and their positions, on a level of mixed counts), never a copy
+    # of the file: about 2x the file past the model with numpy 2.4
     small = serialize(generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=2)))
     deserialize(small.encode("ascii"))  # one-time setup
     raw = serialize(generate_network(
