@@ -76,8 +76,24 @@ MUTANTS = [
      "a lone child of a free cluster leads a component of its own"),
     (AN, "return (ex | exits,)", "return (exits,)",
      "the distance scan's exited flag is not inherited from the parent"),
+    (AN, "_all_counts.max(initial=0)), 3) + 1", "_all_counts.max(initial=0)), 2) + 1",
+     "the scan's histogram a bucket short on binary trees: exited pairs at 2 read unreachable"),
     (AN, "d += root * width", "d += root",
      "a forest's scan adds each root's pairs at the wrong row offset"),
+    (AN, 'root = ends[g].searchsorted(sel, side="right")',
+     'root = ends[g].searchsorted(sel, side="left")',
+     "a forest cluster that starts a root's run is scanned in the root before"),
+    (AN, 'root = ends[g].searchsorted(sel, side="right")\n',
+     'root = ends[g].searchsorted(sel, side="right").astype(np.int32)\n',
+     "the scan's roots narrowed to int32: root * (N + 1) wraps past 2**31"),
+    (AN, "(R * V[:, free]).sum(axis=1) + root[free] * (n + 1))[lead]",
+     "(R * V[:, free]).sum(axis=1))[lead]",
+     "a group key without its root offset: every forest group counts in root 0"),
+    (AN, "{**({1: int(lone)} if lone else {}), ", "{**{}, ",
+     "the components table leaves the lone nodes out of the size-1 count"),
+    (AN, "np.append(starts[ends[0][:-1]], len(below))",
+     "np.append(starts[ends[0][:-1] - 1], len(below))",
+     "_root_ends ends each run at its last cluster's first child, not the next root's first child"),
     (AN, "np.flatnonzero(row[:-1]).max(initial=0)", "np.flatnonzero(row).max(initial=0)",
      "_diameter counts the unreachable bucket as a distance"),
     (AN, "200 * T // np.maximum(D * (D - 1), 1)", "200 * T // np.maximum(D * (D - 1) + 1, 1)",
@@ -85,8 +101,10 @@ MUTANTS = [
     (AN, "lo = int(root[0]) * width", "lo = int(root[0])",
      "a forest adds each block's counts at its first root's index, not at that root's row"),
     # -- analytics: the descent's last-level consumers
-    (AN, 'idx[0].astype(ends.dtype), side="right"', 'idx[0].astype(ends.dtype), side="left"',
-     "a forest block that starts a root counts its nodes in the root before"),
+    (AN, 'ends.searchsorted(idx[0], side="right")', 'ends.searchsorted(idx[0], side="left")',
+     "a forest block that starts a root counts its nodes' degrees in the root before"),
+    (AN, 'ends[0].searchsorted(idx[0], side="right")', 'ends[0].searchsorted(idx[0], side="left")',
+     "a forest block that starts a root counts its lone nodes in the root before"),
     (AN, "put(idx, *(up if c == 1", "(g > 1 or c > 1) and put(idx, *(up if c == 1",
      "level 1's one-child clusters never reach the consumer: their nodes go uncounted"),
     (AN, "keys = np.flatnonzero(counts)\n", "keys = np.flatnonzero(counts)[::-1]\n",
@@ -138,7 +156,7 @@ MUTANTS = [
      "a forest of zero-level copies gets no level, so one root"),
     (ENS, "if g <= m.shape.gamma else _PAD_LEVEL", "if g < m.shape.gamma else _PAD_LEVEL",
      "_forest pads over each copy's top level"),
-    (ENS, 'key=lambda k: math.inf if k == "unreachable" else float(k)', "key=str",
+    (ENS, "key=lambda k: math.inf if k == _UNREACHABLE else float(k)", "key=str",
      "_mean_counts orders merged keys as strings: 10 before 9"),
 ]
 

@@ -100,13 +100,16 @@ of k copies side by side, which an ensemble builds to run each pass once
 for many small copies.  Every cached result already holds one value per
 root, in root order: the two tiers' top levels (`_edge_levels(model)[-1]`
 and `_pattern_roots`), the node counts' rows, and the distance scan's
-histogram row and component array: a level-1 block finds its clusters'
-roots by their first nodes (`_block_roots`).  `PROPERTY_TABLE`, at the end
+histogram row and component counts.  Each root's clusters form one run on
+every level, and a block finds its clusters' roots by a search of those
+runs' ends (`_root_ends`), k per level: a model, whose every cluster has
+root 0, takes the same path as a forest.  `PROPERTY_TABLE`, at the end
 of this module, reads those four passes as they lie for the ensemble and
 the CLI, which read no pass themselves, and builds each histogram in the
-key order every report writes; no property it lists builds an array as
-long as N.  Other models have one root, and the public functions read
-root 0.
+key order every report writes; no property it lists builds or keeps an
+array as long as N, the components of a sparse network included, which
+come back counted by size.  Other models have one root, and the public
+functions read root 0.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
@@ -124,7 +127,6 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .core import (
-    MAX_CHILDREN,
     ClusterRef,
     NetworkModel,
     _chain,
@@ -609,11 +611,6 @@ def _scatter(arrays: list[np.ndarray]):
     return put
 
 
-def _block_roots(ends: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The root of each cluster of a level-1 block: the one holding its first node idx[0]."""
-    return ends.searchsorted(idx[0].astype(ends.dtype), side="right")
-
-
 def _node_descent(model: NetworkModel, last) -> None:
     """The node passes, one `_descend`: `last(idx, D, T)` gets each level-1 block's nodes.
 
@@ -657,11 +654,11 @@ def _node_counts(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     (200 t) // (d (d - 1)), 0 where d < 2 (t is 0 there too); t < 2**53
     keeps 200 t below 2**61.  The degree rows widen as larger degrees come.
     """
-    ends = _root_ends(model.shape)
+    ends = _root_ends(model.shape)[0]
     counts = [np.zeros((len(ends), 1), np.int64), np.zeros((len(ends), 101), np.int64)]
 
     def count(idx, D, T):
-        root = _block_roots(ends, idx)
+        root = ends.searchsorted(idx[0], side="right")  # each cluster's root holds its first node
         for k, b in enumerate((D, 200 * T // np.maximum(D * (D - 1), 1))):
             counts[k] = _add_counts(counts[k], root, b)
 
@@ -824,7 +821,7 @@ def _child_graphs(A: np.ndarray, *_):
 
 @_cached
 def _free_scan(model: NetworkModel):
-    """(distance histograms, component sizes) of every root, by one `_descend`.
+    """(distance histograms, lone nodes, component sizes, their counts) per root, by one `_descend`.
 
     It carries the exited flags down: a cluster is exited when its parent
     is, or when it has a linked sibling.  The histogram weights each child
@@ -837,23 +834,26 @@ def _free_scan(model: NetworkModel):
     child, and a node whose whole chain stays unlinked is one on its own.
     A block of c <= 4 children reads all of it off `_code_table` by code.
 
-    Row r of the (roots, MAX_CHILDREN + 1) histogram counts root r's pairs
-    by distance, its last bucket the unreachable ones; the component sizes
-    come as one descending array per root.  Only the root count forks the
-    scan: a forest's blocks add into their roots' rows by a flat offset and
-    sort sizes per root.  One root skips that lookup and the lexsort, which
-    made regular gamma=13's scan 22% slower.
+    Every block finds its clusters' roots in `_root_ends` (on a model each
+    is 0), so a model and a forest take the one path.  Row r of the (roots,
+    width) histogram counts root r's pairs by distance, its last bucket the
+    unreachable ones; the width follows the widest cluster, so a forest of
+    many small copies holds a few buckets a root, not MAX_CHILDREN + 1.
+    Components come back as counts: a linked group holds at least two
+    nodes, so the lone nodes, one count per root, are exactly the size-1
+    components; each group is keyed root * (N + 1) + size, int64, and one
+    np.unique gives every root's sizes, ascending, and their counts, one
+    array each per root.
     """
-    shape = model.shape
-    ends = _root_ends(shape)
-    roots = len(ends)
-    # child-graph distances run 1 .. MAX_CHILDREN - 1, so the last bucket
-    # is free to collect the unreachable pairs
-    width = MAX_CHILDREN + 1
+    n = model.shape.n
+    ends = _root_ends(model.shape)
+    roots = len(ends[-1])
+    # child-graph distances run 1 .. c - 1 and exited ones 1 .. 2, so past the
+    # widest cluster's c and 2 the last bucket is free for the unreachable pairs
+    width = max(int(model.shape._all_counts.max(initial=0)), 3) + 1
     hist = np.zeros(roots * width, np.int64)
     lone = np.zeros(roots, np.int64)  # per root, nodes whose whole chain stays unlinked
-    groups: list[np.ndarray] = []
-    group_roots: list[np.ndarray] = []
+    keys = [np.zeros(0, np.int64)]  # root * (N + 1) + size of each linked group
 
     def step(g, c, sel, idx, V, B, ex):
         nonlocal hist
@@ -865,35 +865,25 @@ def _free_scan(model: NetworkModel):
         else:
             A = _adjacency(B, c)
             exits, (_, pair_d, R, lead) = A.any(axis=1), _child_graphs(A[:, :, free])
+        root = ends[g].searchsorted(sel, side="right")
         d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
         d[:, free] = pair_d
         d[d < 0] = width - 1
-        groups.append((R * V[:, free]).sum(axis=1)[lead])
-        if roots > 1:
-            layout = shape._derived()
-            root = ends.searchsorted(layout.cums[g - 1][sel] - layout.shifts[g - 1])
-            group_roots.append(np.broadcast_to(root[free], lead.shape)[lead])
-            d += root * width  # each pair counts in its own root's row
+        d += root * width  # each pair counts in its own root's row
+        keys.append(((R * V[:, free]).sum(axis=1) + root[free] * (n + 1))[lead])
         iu, ju = _child_pairs(c)
         # exact: partial sums are integers <= C(MAX_NODES, 2) < 2**53, pinned in test_core
         hist += np.bincount(d.ravel(), (V[iu] * V[ju]).ravel(), len(hist)).astype(np.int64)
         return (ex | exits,)
 
     def count_lone(idx, ex):
-        lone[:] += np.bincount(np.broadcast_to(_block_roots(ends, idx), ex.shape)[~ex], None, roots)
+        root = ends[0].searchsorted(idx[0], side="right")
+        lone[:] += np.bincount(np.broadcast_to(root, ex.shape)[~ex], None, roots)
 
     _descend(model, step, count_lone, bool)
-    groups.append(np.ones(int(lone.sum()), np.int64))
-    sizes = np.concatenate(groups)
-    if roots == 1:
-        sizes[::-1].sort()
-        per_root = [sizes]
-    else:
-        group_roots.append(np.repeat(np.arange(roots), lone))
-        owner = np.concatenate(group_roots)
-        sizes = sizes[np.lexsort((-sizes, owner))]
-        per_root = np.split(sizes, np.cumsum(np.bincount(owner, minlength=roots))[:-1])
-    return hist.reshape(roots, width), per_root
+    sizes, counts = np.unique(np.concatenate(keys), return_counts=True)
+    cuts = sizes.searchsorted(np.arange(1, roots) * (n + 1))
+    return hist.reshape(roots, width), lone, np.split(sizes % (n + 1), cuts), np.split(counts, cuts)
 
 
 def _diameter(row: np.ndarray) -> int:
@@ -914,19 +904,24 @@ def diameter(model: NetworkModel) -> int:
 
 def component_sizes(model: NetworkModel) -> list[int]:
     """Connected component sizes, descending."""
-    return _free_scan(model)[1][0].tolist()
+    _, lone, sizes, counts = _free_scan(model)
+    return np.repeat(sizes[0][::-1], counts[0][::-1]).tolist() + [1] * int(lone[0])
 
 
 # -- per root: one value per root of a forest, in root order; a model has one
 
 
-def _root_ends(shape) -> np.ndarray:
-    """One past the last node of each root, 0-based: a forest's copy offsets, in the keys' dtype.
+def _root_ends(shape) -> list[np.ndarray]:
+    """Per level from 0, one past each root's last cluster there: k ints a level, [n_g] on a model.
 
-    A search into them passes needles of that dtype, as one into the keys does.
+    A forest lays its copies side by side, so each root's clusters form one
+    run on every level: a run ends where the next root's first child starts.
     """
     d = shape._derived()
-    return d.cums[-1] - d.shifts[-1] if shape.gamma else np.ones(1, d.keys.dtype)
+    ends = [np.arange(1, len(d.sizes[-1]) + 1)]
+    for starts, below in zip(d.starts[::-1], d.sizes[-2::-1]):
+        ends.insert(0, np.append(starts[ends[0][:-1]], len(below)))
+    return ends
 
 
 def _items(counts: np.ndarray) -> list[tuple[int, int]]:
@@ -938,10 +933,9 @@ def _items(counts: np.ndarray) -> list[tuple[int, int]]:
 _UNREACHABLE = "unreachable"
 
 
-def _value_counts(values: np.ndarray) -> dict[int, int]:
-    """{value: count} of an array's distinct values, value ascending."""
-    uniq, cnt = np.unique(values, return_counts=True)
-    return dict(zip(uniq.tolist(), cnt.tolist()))
+def _component_counts(lone, sizes: np.ndarray, counts: np.ndarray) -> dict[int, int]:
+    """One root's {component size: count}, size ascending: its lone nodes are the size-1 ones."""
+    return {**({1: int(lone)} if lone else {}), **dict(zip(sizes.tolist(), counts.tolist()))}
 
 
 # every network property, in report order: a function of a model giving a
@@ -957,7 +951,7 @@ PROPERTY_TABLE = {
     "distance-dist": lambda model: [
         {**dict(_items(row[:-1])), _UNREACHABLE: int(row[-1])} for row in _free_scan(model)[0]
     ],
-    "components": lambda model: [_value_counts(s) for s in _free_scan(model)[1]],
+    "components": lambda model: [_component_counts(*root) for root in zip(*_free_scan(model)[1:])],
     "diameter": lambda model: [_diameter(row) for row in _free_scan(model)[0]],
     "clustering-dist": lambda model: [
         {f"{b / 100:.2f}": n for b, n in _items(row)} for row in _node_counts(model)[1]

@@ -11,7 +11,6 @@ reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import (
@@ -158,12 +157,11 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         _write_out(csv_rows((1, name, v) for name, v in values.items()), args.out)
     else:
-        _write_out(report_json_single(values), args.out)
+        _write_out(report_json(values), args.out)
     return 0
 
 
-def report_json_single(values: dict) -> str:
-    return json.dumps(values, indent=2) + "\n"
+report_json_single = report_json  # the name perfbench's analyze replay times
 
 
 def cmd_ensemble(args) -> int:

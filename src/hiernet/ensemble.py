@@ -48,7 +48,7 @@ from .core import (
     _whole,
 )
 from .gen import GenParams, generate_network
-from .analytics import PROPERTY_TABLE
+from .analytics import _UNREACHABLE, PROPERTY_TABLE
 
 __all__ = [
     "PROPERTIES",
@@ -272,7 +272,7 @@ def _mean_counts(hists, copies: int) -> dict:
     for h in hists:
         for k, v in h.items():
             total[k] = total.get(k, 0) + v
-    keys = sorted(total, key=lambda k: math.inf if k == "unreachable" else float(k))
+    keys = sorted(total, key=lambda k: math.inf if k == _UNREACHABLE else float(k))
     return {str(k): total[k] / copies for k in keys}
 
 
@@ -280,7 +280,7 @@ def _mean_counts(hists, copies: int) -> dict:
 
 
 def report_json(report: dict) -> str:
-    """Render a report as JSON, each histogram in the key order `PROPERTY_TABLE` built."""
+    """A report, or `hiernet analyze`'s values, as JSON, each histogram in the table's key order."""
     return json.dumps(report, indent=2) + "\n"
 
 

@@ -658,13 +658,15 @@ def _block_inputs(corpus):
 
 
 def _every_pass(m):
-    hist, components = an._free_scan(m)
+    hist, lone, sizes, counts = an._free_scan(m)
     return (
         [[getattr(a, f.name).tolist() for f in fields(a)] for a in an.cluster_aggregates(m)],
         an.node_degrees(m).tolist(),
         an.triangles_at_all_nodes(m).tolist(),
         hist.tolist(),
-        [sizes.tolist() for sizes in components],
+        lone.tolist(),
+        [s.tolist() for s in sizes],
+        [c.tolist() for c in counts],
     )
 
 
@@ -707,7 +709,7 @@ def test_distributions_equal_a_sort_across_chunks_and_roots(chunk, demo9, monkey
     forest = ensemble._forest(3, copies)
     models = [demo9, *map(generate_network, _DIST_CORPUS), forest]
     for m in models:
-        cuts = an._root_ends(m.shape)[:-1]
+        cuts = an._root_ends(m.shape)[0][:-1]
         degrees = np.split(an.node_degrees(m), cuts)
         d, t = an.node_degrees(m), an.triangles_at_all_nodes(m)
         bins = np.split(200 * t // np.maximum(d * (d - 1), 1), cuts)
@@ -753,6 +755,58 @@ def test_distributions_count_in_bounded_memory():
     arrays = _arrays(list(m._passes.values()))
     # level 0 of the edge tier is one zero, broadcast N long
     assert max(a.size for a in arrays if a.strides != (0,)) < n / 2
+
+
+def test_components_of_a_sparse_network_in_bounded_memory():
+    # regular p=3, gamma=12 at mu=3 has 510323 components, 491045 of them lone
+    # nodes: the scan counts them by size, with no array per component or per
+    # lone node. By tracemalloc in bytes per node with numpy 2.4, reading the
+    # components and the distances peaks at 6.7 and holds 0.02; the budgets
+    # are 10 and 1
+    m = generate_network(GenParams(mode="regular", p=3, mu=3, seed=1, gamma=12))
+    n = m.shape.n
+    # one-time setup: the layout, the edge tier and the shared code tables
+    an._edge_levels(m)
+    _every_property(generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=7, gamma=4)))
+    tracemalloc.start()
+    try:
+        components = ensemble.PROPERTY_TABLE["components"](m)
+        hists = ensemble.PROPERTY_TABLE["distance-dist"](m)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(components[0].values()) == 510323 and components[0][1] == 491045
+    assert sum(size * k for size, k in components[0].items()) == n
+    assert sum(hists[0].values()) == math.comb(n, 2)
+    assert peak <= 10 * n and held <= n, (peak / n, held / n)
+
+
+def test_forest_group_keys_past_2_31():
+    # 33000 two-node roots, linked at odd roots only: the last root's group
+    # key, root * (N + 1) + size, reaches 32999 * 66001 > 2**31. The scan's
+    # histogram is as wide as the widest cluster, so by tracemalloc with
+    # numpy 2.4 the scan peaks at 353 B a root; MAX_CHILDREN + 1 buckets a
+    # root would take 24.7 KB. The budget is 1 KB
+    roots = 33_000
+    bits = np.arange(roots, dtype=np.uint8) % 2
+    m = NetworkModel._trusted(HierarchyShape(2, [np.full(roots, 2)]),
+                              LinkTable([bits], [np.ones(roots, np.int64)]))
+    assert (roots - 1) * (m.shape.n + 1) > 2**31
+    m.shape._derived()  # one-time setup: the layout
+    tracemalloc.start()
+    try:
+        an._free_scan(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1000 * roots, peak / roots
+    linked = bits.astype(bool).tolist()
+    table = {name: ensemble.PROPERTY_TABLE[name](m)
+             for name in ("components", "distance-dist", "degree-dist")}
+    assert table["components"] == [{2: 1} if b else {1: 2} for b in linked]
+    assert table["distance-dist"] == [{1: 1, "unreachable": 0} if b else {"unreachable": 1}
+                                      for b in linked]
+    assert table["degree-dist"] == [{1: 2} if b else {0: 2} for b in linked]
 
 
 # -- the widest child graphs --------------------------------------------------
@@ -861,8 +915,8 @@ def test_every_small_child_graph_as_a_forest():
     assert hists == [{**h.as_dict(), "unreachable": h.unreachable}
                      for h in map(an.distance_distribution, models)]
     assert ensemble.PROPERTY_TABLE["diameter"](forest) == [an.diameter(m) for m in models]
-    assert [s.tolist() for s in an._free_scan(forest)[1]] == \
-        [an.component_sizes(m) for m in models]
+    assert ensemble.PROPERTY_TABLE["components"](forest) == \
+        [dict(sorted(Counter(an.component_sizes(m)).items())) for m in models]
     assert [h["unreachable"] > 0 for h in hists] == [True, False, True]
 
 

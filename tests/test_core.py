@@ -791,7 +791,7 @@ def test_layout_is_int32_and_keys_switch_to_int64(monkeypatch):
     wide = generate_network(params)
     for m, key_t in ((narrow, np.int32), (wide, np.int64)):
         layout = m.shape._derived()
-        assert layout.keys.dtype == layout.shifts.dtype == an._root_ends(m.shape).dtype == key_t
+        assert layout.keys.dtype == layout.shifts.dtype == key_t
         assert m.shape.leaf_cum_at(1).dtype == key_t
         assert m.shape._all_counts.dtype == layout.all_starts.dtype == np.int32
         assert all(s.dtype == np.int32 for s in layout.sizes)
@@ -802,9 +802,9 @@ def test_layout_is_int32_and_keys_switch_to_int64(monkeypatch):
         assert node_path(wide, x) == node_path(narrow, x)
         assert wide.shape.node_cluster(2, x) == narrow.shape.node_cluster(2, x)
         assert distance(wide, x, 1500) == distance(narrow, x, 1500)
-    # a forest of two copies looks up its roots in int64 ends
+    # a forest of two copies of the int64 model: its roots end at N and 2N
     forest = ensemble._forest(5, [wide, wide])
-    assert an._root_ends(forest.shape).dtype == np.int64
+    assert an._root_ends(forest.shape)[0].tolist() == [wide.shape.n, 2 * wide.shape.n]
     for values in ensemble.PROPERTY_TABLE.values():
         assert values(wide) == values(narrow) and values(forest) == values(narrow) * 2
     assert serialize(wide) == serialize(narrow)
