@@ -62,8 +62,8 @@ MUTANTS = [
     (AN, "_INT64_SAFE_NODES = 40_000", "_INT64_SAFE_NODES = 400_000",
      "pattern levels stay int64 up to 400000 nodes, where C4 overflows"),
     # -- analytics: the passes
-    (AN, "                    a.flags.writeable = False\n",
-     "                    a.flags.writeable = True\n",
+    (AN, "                a.flags.writeable = False\n",
+     "                a.flags.writeable = True\n",
      "_cached leaves a pass's arrays writable"),
     (AN, "acc = [np.zeros(len(sizes[-1]), t) for t in dtypes]",
      "acc = [np.ones(len(sizes[-1]), t) for t in dtypes]",
@@ -76,10 +76,17 @@ MUTANTS = [
      "a lone child of a free cluster leads a component of its own"),
     (AN, "return (ex | exits,)", "return (exits,)",
      "the distance scan's exited flag is not inherited from the parent"),
-    (AN, "_all_counts.max(initial=0)), 3) + 1", "_all_counts.max(initial=0)), 2) + 1",
-     "the scan's histogram a bucket short on binary trees: exited pairs at 2 read unreachable"),
-    (AN, "d += root * width", "d += root",
-     "a forest's scan adds each root's pairs at the wrong row offset"),
+    (AN, "max(top + 1, 2 * width)", "max(top, 2 * width)",
+     "_add_counts widens the rows one bin short of a value past twice their width"),
+    (AN, "(bins + (root - root[0]) * width)", "(bins + root * width)",
+     "_add_counts offsets a block's rows by their roots twice: in the bincount and the slice"),
+    (AN, "(root - root[0]) * width", "(root - root) * width",
+     "_add_counts adds every root of a block at the first root's row"),
+    (AN, "    dist = np.zeros(adj.shape, np.int64)\n", "    dist = np.ones(adj.shape, np.int64)\n",
+     "the child-graph BFS puts unreachable pairs in bucket 1, at distance 1"),
+    (AN, "hist = _add_counts(hist, root, d, (V[iu] * V[ju]).ravel())",
+     "hist = _add_counts(hist, root, d)",
+     "the scan counts each child pair once, not weighted by its two subtree sizes"),
     (AN, 'root = ends[g].searchsorted(sel, side="right")',
      'root = ends[g].searchsorted(sel, side="left")',
      "a forest cluster that starts a root's run is scanned in the root before"),
@@ -89,13 +96,18 @@ MUTANTS = [
     (AN, "(R * V[:, free]).sum(axis=1) + root[free] * (n + 1))[lead]",
      "(R * V[:, free]).sum(axis=1))[lead]",
      "a group key without its root offset: every forest group counts in root 0"),
-    (AN, "{**({1: int(lone)} if lone else {}), ", "{**{}, ",
+    (AN, "[{1: k} if k else {} for k in _free_scan(model)[1].tolist()]",
+     "[{} for k in _free_scan(model)[1].tolist()]",
      "the components table leaves the lone nodes out of the size-1 count"),
+    (AN, "np.bincount(root, size * count, len(hist))", "np.bincount(root, count, len(hist))",
+     "the lone-node identity subtracts each root's group count, not its grouped nodes"),
+    (AN, "_derived().sizes[-1] - linked", "_derived().sizes[-1][0] - linked",
+     "every root's lone nodes follow from root 0's node count"),
     (AN, "np.append(starts[ends[0][:-1]], len(below))",
      "np.append(starts[ends[0][:-1] - 1], len(below))",
      "_root_ends ends each run at its last cluster's first child, not the next root's first child"),
-    (AN, "np.flatnonzero(row[:-1]).max(initial=0)", "np.flatnonzero(row).max(initial=0)",
-     "_diameter counts the unreachable bucket as a distance"),
+    (AN, "max(row, default=0) for row in _rows", "min(row, default=0) for row in _rows",
+     "the diameter takes a root's shortest distance, not its longest"),
     (AN, "200 * T // np.maximum(D * (D - 1), 1)", "200 * T // np.maximum(D * (D - 1) + 1, 1)",
      "the integer clustering bins divide by d(d - 1) + 1: values on a bin edge drop a bin"),
     (AN, "lo = int(root[0]) * width", "lo = int(root[0])",
@@ -103,12 +115,11 @@ MUTANTS = [
     # -- analytics: the descent's last-level consumers
     (AN, 'ends.searchsorted(idx[0], side="right")', 'ends.searchsorted(idx[0], side="left")',
      "a forest block that starts a root counts its nodes' degrees in the root before"),
-    (AN, 'ends[0].searchsorted(idx[0], side="right")', 'ends[0].searchsorted(idx[0], side="left")',
-     "a forest block that starts a root counts its lone nodes in the root before"),
     (AN, "put(idx, *(up if c == 1", "(g > 1 or c > 1) and put(idx, *(up if c == 1",
      "level 1's one-child clusters never reach the consumer: their nodes go uncounted"),
-    (AN, "keys = np.flatnonzero(counts)\n", "keys = np.flatnonzero(counts)[::-1]\n",
-     "_items lists keys in descending order, so every histogram is reversed"),
+    (AN, "r, k = np.nonzero(counts[:, lo:])",
+     "r, k = (a[::-1] for a in np.nonzero(counts[:, lo:]))",
+     "_rows lists each row's keys in descending order, so every histogram is reversed"),
     # -- analytics: climbs and point queries
     (AN, "pair_offset(a, s, c) if a < s else pair_offset(s, a, c)",
      "pair_offset(a, s, c) if a < s else pair_offset(a, s, c)",
@@ -126,9 +137,9 @@ MUTANTS = [
     (CORE, "key_t = np.int32 if len(widths) * (n + 1) < _INT32_SAFE_KEYS else np.int64",
      "key_t = np.int32",
      "the shifted leaf cums stay int32 at any size"),
-    (CORE, "if not len(starts) or 0 <= starts.min() and starts.max() < _INT32_SAFE_KEYS:",
-     "if not len(starts) or starts.max() < _INT32_SAFE_KEYS:",
-     "LinkTable casts negative offsets to int32"),
+    (CORE, "all(not len(nb) or 0 <= nb.min() and nb.max() < _INT32_SAFE_KEYS",
+     "all(not len(nb) or nb.max() < _INT32_SAFE_KEYS",
+     "LinkTable builds int32 offsets over negative bit counts"),
     (CORE, "dt = np.int32 if total < _INT32_SAFE_BYTES else np.int64", "dt = np.int32",
      "_bitmap_lines' bit positions stay int32 past 2**31 bytes"),
     (CORE, "ascending = bool((nd[1:] >= nd[:-1]).all())", "ascending = True",

@@ -17,8 +17,10 @@ Five whole-network passes are cached, each through one primitive,
 (`_pattern_roots`), the node counts (`_node_counts`, each root's nodes
 counted by degree and by clustering bin), the distance scan (`_free_scan`)
 and, only when asked for, the per-node arrays (`_per_node_passes`).  A
-model's first read of a pass runs it and keeps its result on the model,
-every array read-only, so no reader can change what a later one sees.
+model's first read of a pass runs it and keeps its result, a tuple of
+arrays, on the model, every array read-only, so no reader can change what
+a later one sees.  The node counts and the scan's histogram count per
+root through one primitive too, `_add_counts`.
 
 The bottom-up pass is one driver, `_ascend`, with two tiers as its steps;
 each keeps what its readers use.  The edge tier (`_edge_levels`) reads the
@@ -79,15 +81,16 @@ a cached table of (sibling, offset) pairs per (c, a), `_sibling_bits`.
 Whole-network distributions come from one top-down descent, `_descend`,
 whose steps are the node passes and the distance scan.  Its last level
 hands each block of nodes to a consumer instead of scattering it into
-arrays N long: the node counts and the scan bin the block at once, and
-only `node_degrees`, `triangles_at_all_nodes` and `clustering_values`
-scatter it.  Pairs with the same (lowest common cluster, child, child)
-share one distance, weighted in the histogram by the two subtree sizes.  A
-cluster that some ancestor links sideways ("exited") gives its children
-distance 1 where their bit is set and 2 elsewhere, read off the bits with
-no search; the scan runs a batched BFS on the child graphs of the free
-clusters only, at O(c**3) per hop, and its one cached result serves the
-histogram, the diameter and the components.  A distance query finds both
+arrays N long: the node counts bin the block at once, only
+`node_degrees`, `triangles_at_all_nodes` and `clustering_values` scatter
+it, and the scan, which needs nothing of a node, ignores it.  Pairs with
+the same (lowest common cluster, child, child) share one distance,
+weighted in the histogram by the two subtree sizes.  A cluster that some
+ancestor links sideways ("exited") gives its children distance 1 where
+their bit is set and 2 elsewhere, read off the bits with no search; the
+scan runs a batched BFS on the child graphs of the free clusters only, at
+O(c**3) per hop, and its one cached result serves the histogram, the
+diameter and the components.  A distance query finds both
 nodes' chains with one search of 2 * gamma needles, O(gamma log M) over M
 clusters; the lowest common cluster is the first level where they agree.
 It reads that cluster's direct bit, continues x's climb from the positions
@@ -97,19 +100,23 @@ graph: O(gamma * (log M + p) + p**2), with no whole-network pass.
 
 The whole-network passes accept a root level of k >= 1 clusters: a forest
 of k copies side by side, which an ensemble builds to run each pass once
-for many small copies.  Every cached result already holds one value per
+for many small copies.  Every cached result already holds its values per
 root, in root order: the two tiers' top levels (`_edge_levels(model)[-1]`
-and `_pattern_roots`), the node counts' rows, and the distance scan's
-histogram row and component counts.  Each root's clusters form one run on
-every level, and a block finds its clusters' roots by a search of those
-runs' ends (`_root_ends`), k per level: a model, whose every cluster has
-root 0, takes the same path as a forest.  `PROPERTY_TABLE`, at the end
-of this module, reads those four passes as they lie for the ensemble and
-the CLI, which read no pass themselves, and builds each histogram in the
-key order every report writes; no property it lists builds or keeps an
-array as long as N, the components of a sparse network included, which
-come back counted by size.  Other models have one root, and the public
-functions read root 0.
+and `_pattern_roots`), one value a root; the node counts' and the scan
+histogram's rows, each only as wide as the largest value met; the lone
+nodes, one count a root; and the component sizes, three flat arrays of
+root, size and count.  Each root's clusters form one run on every level,
+and a block finds its clusters' roots by a search of those runs' ends
+(`_root_ends`), k per level: a model, whose every cluster has root 0,
+takes the same path as a forest.  `PROPERTY_TABLE`, at the end of this
+module, is the one reader of the node counts and the scan: it reads the
+four passes as they lie for the ensemble and the CLI, which read no pass
+themselves, and builds each histogram in the key order every report
+writes; no property it lists builds or keeps an array as long as N, the
+components of a sparse network included, which come back counted by
+size.  Other models have one root, and `degree_distribution`,
+`distance_distribution`, `diameter` and `component_sizes` return root 0
+of the table's entry.
 
 Aggregate arithmetic is exact.  Edges stay below C(2**27, 2) < 2**53, so
 the edge tier is int64 throughout.  Pattern levels whose largest cluster
@@ -304,10 +311,10 @@ def _cached(build):
     """`build`, a whole-network pass, as a reader that runs it once per model.
 
     The first read of a model vets it (`checked_model`), runs the pass,
-    makes every array of the result, a tuple of arrays or of lists of
-    arrays, read-only, and keeps it in the model's `_passes` under the
-    reader; later reads return it as it lies.  The values are
-    deterministic, so a racing recomputation by concurrent readers is harmless.
+    makes every array of the result, a tuple of arrays, read-only, and
+    keeps it in the model's `_passes` under the reader; later reads return
+    it as it lies.  The values are deterministic, so a racing recomputation
+    by concurrent readers is harmless.
     """
 
     @wraps(build)
@@ -315,9 +322,8 @@ def _cached(build):
         out = model._passes.get(read)
         if out is None:
             out = build(checked_model(model))
-            for part in out:
-                for a in part if isinstance(part, list) else (part,):
-                    a.flags.writeable = False
+            for a in out:
+                a.flags.writeable = False
             model._passes[read] = out
         return out
 
@@ -649,13 +655,14 @@ def _node_counts(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """Per root, its nodes counted by degree and by clustering bin: two (roots, width) arrays.
 
     One `_node_descent` bins each level-1 block's nodes as it reaches them,
-    at their roots' rows, so no array is as long as N.  The 101 clustering
-    bins are floor(100 * `_clustering`), in exact integers:
-    (200 t) // (d (d - 1)), 0 where d < 2 (t is 0 there too); t < 2**53
-    keeps 200 t below 2**61.  The degree rows widen as larger degrees come.
+    at their roots' rows, through `_add_counts`, so no array is as long as
+    N.  The clustering bins, 0 to 100, are floor(100 * `_clustering`), in
+    exact integers: (200 t) // (d (d - 1)), 0 where d < 2 (t is 0 there
+    too); t < 2**53 keeps 200 t below 2**61.  Both arrays start one bin
+    wide, so a root holds only as many bins as the largest value met.
     """
     ends = _root_ends(model.shape)[0]
-    counts = [np.zeros((len(ends), 1), np.int64), np.zeros((len(ends), 101), np.int64)]
+    counts = [np.zeros((len(ends), 1), np.int64) for _ in range(2)]
 
     def count(idx, D, T):
         root = ends.searchsorted(idx[0], side="right")  # each cluster's root holds its first node
@@ -666,19 +673,24 @@ def _node_counts(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     return tuple(counts)
 
 
-def _add_counts(counts: np.ndarray, root: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(roots, width) `counts` plus a block's bins b, each cluster's at its root's row.
+def _add_counts(counts: np.ndarray, root: np.ndarray, bins: np.ndarray, weights=None) -> np.ndarray:
+    """(roots, width) int64 `counts` plus a block's bins, each cluster's at its root's row.
 
-    A block's roots ascend, so one bincount spans its rows alone; a bin past
-    the width first widens every row, at least twofold.
+    `bins` is (k, rows) for the block's rows, whose roots `root` ascend, so
+    one bincount spans their rows alone; `weights`, flat like `bins`, count
+    each entry that many times instead of once.  A weighted bincount sums in
+    float64, which the callers keep exact: every partial sum is an integer
+    below 2**53.  A bin past the width first widens every row, at least
+    twofold; the grown array is returned.
     """
     width = counts.shape[1]
-    if b.max() >= width:
-        counts = np.pad(counts, ((0, 0), (0, max(int(b.max()) + 1, 2 * width) - width)))
+    top = int(bins.max())
+    if top >= width:
+        counts = np.pad(counts, ((0, 0), (0, max(top + 1, 2 * width) - width)))
         width = counts.shape[1]
     lo = int(root[0]) * width
-    add = np.bincount((b + (root - root[0]) * width).ravel())
-    counts.reshape(-1)[lo:lo + len(add)] += add
+    add = np.bincount((bins + (root - root[0]) * width).ravel(), weights)
+    counts.reshape(-1)[lo:lo + len(add)] += add.astype(np.int64, copy=False)
     return counts
 
 
@@ -701,7 +713,7 @@ def triangles_at_all_nodes(model: NetworkModel) -> np.ndarray:
 
 def degree_distribution(model: NetworkModel) -> Histogram:
     """(degree, node count) pairs, degree ascending, counted block by block as the descent runs."""
-    return Histogram(tuple(_items(_node_counts(model)[0][0])))
+    return Histogram(tuple(PROPERTY_TABLE["degree-dist"](model)[0].items()))
 
 
 def clustering_values(model: NetworkModel) -> np.ndarray:
@@ -793,7 +805,7 @@ def _child_graphs(A: np.ndarray, *_):
     The oracle's frontier expansion (`ExpandedGraph.bf_all_distances`) run
     on every cluster of the block at once, each hop one batched product,
     O(rows * c**3).  exits flags each child with a linked sibling; the
-    distances come in pair order like B, -1 where apart; R[i, j] when child
+    distances come in pair order like B, 0 where apart; R[i, j] when child
     j is reachable from child i; a lead flag marks the first child of each
     group of two or more linked children.
     """
@@ -812,47 +824,42 @@ def _child_graphs(A: np.ndarray, *_):
         d += 1
         dist[new] = d
         reach = grown
-    dist = np.where(reach, dist, -1).transpose(1, 2, 0)
-    R = dist >= 0
+    R = reach.transpose(1, 2, 0)
     iu, ju = _child_pairs(c)
     lead = (R.argmax(axis=1) == np.arange(c)[:, None]) & (R.sum(axis=1) >= 2)
-    return A.any(axis=1), dist[iu, ju], R, lead
+    return A.any(axis=1), dist.transpose(1, 2, 0)[iu, ju], R, lead
 
 
 @_cached
 def _free_scan(model: NetworkModel):
-    """(distance histograms, lone nodes, component sizes, their counts) per root, by one `_descend`.
+    """(distance histograms, lone nodes, and each group size's root, size, count) by one `_descend`.
 
     It carries the exited flags down: a cluster is exited when its parent
-    is, or when it has a linked sibling.  The histogram weights each child
-    pair by the product of its two subtree sizes; the weights sum to at most
-    C(N, 2) < 2**53, so every partial sum of a block's float64 bincount is
-    an exact integer.  Exited clusters take distances 1 and 2 from their
-    bits.  Free clusters run the child-graph BFS, and its reach also names
-    the components: linked children of a cluster none of whose ancestors
-    link it further form one component, counted at the group's first
-    child, and a node whose whole chain stays unlinked is one on its own.
-    A block of c <= 4 children reads all of it off `_code_table` by code.
+    is, or when it has a linked sibling.  Exited clusters take distances 1
+    and 2 from their bits.  Free clusters run the child-graph BFS, and its
+    reach also names the components: linked children of a cluster none of
+    whose ancestors link it further form one component, counted at the
+    group's first child.  A block of c <= 4 children reads all of it off
+    `_code_table` by code.  The scan needs nothing of a node, so `_descend`
+    hands its last level to a consumer that does nothing.
 
     Every block finds its clusters' roots in `_root_ends` (on a model each
     is 0), so a model and a forest take the one path.  Row r of the (roots,
-    width) histogram counts root r's pairs by distance, its last bucket the
-    unreachable ones; the width follows the widest cluster, so a forest of
-    many small copies holds a few buckets a root, not MAX_CHILDREN + 1.
-    Components come back as counts: a linked group holds at least two
-    nodes, so the lone nodes, one count per root, are exactly the size-1
-    components; each group is keyed root * (N + 1) + size, int64, and one
-    np.unique gives every root's sizes, ascending, and their counts, one
-    array each per root.
+    width) histogram counts root r's pairs by distance, through
+    `_add_counts` weighted by the product of the pair's two subtree sizes;
+    the weights sum to at most C(N, 2) < 2**53, so every partial sum is
+    exact.  Two distinct nodes are never at distance 0, so bucket 0 holds
+    the unreachable pairs.  Each linked group is keyed root * (N + 1) +
+    size, int64, and one np.unique gives the component sizes of every
+    root, ascending, and their counts, as three flat arrays in root order.
+    Every node that is not alone lies in exactly one group, the one at the
+    top free cluster of its chain, so a root's lone nodes, its size-1
+    components, are its node count less the sizes times the counts of its
+    groups.
     """
     n = model.shape.n
     ends = _root_ends(model.shape)
-    roots = len(ends[-1])
-    # child-graph distances run 1 .. c - 1 and exited ones 1 .. 2, so past the
-    # widest cluster's c and 2 the last bucket is free for the unreachable pairs
-    width = max(int(model.shape._all_counts.max(initial=0)), 3) + 1
-    hist = np.zeros(roots * width, np.int64)
-    lone = np.zeros(roots, np.int64)  # per root, nodes whose whole chain stays unlinked
+    hist = np.zeros((len(ends[-1]), 1), np.int64)
     keys = [np.zeros(0, np.int64)]  # root * (N + 1) + size of each linked group
 
     def step(g, c, sel, idx, V, B, ex):
@@ -868,44 +875,36 @@ def _free_scan(model: NetworkModel):
         root = ends[g].searchsorted(sel, side="right")
         d = 2 - B.astype(np.int64)  # exited: 1 where linked, 2 through the outside
         d[:, free] = pair_d
-        d[d < 0] = width - 1
-        d += root * width  # each pair counts in its own root's row
         keys.append(((R * V[:, free]).sum(axis=1) + root[free] * (n + 1))[lead])
         iu, ju = _child_pairs(c)
         # exact: partial sums are integers <= C(MAX_NODES, 2) < 2**53, pinned in test_core
-        hist += np.bincount(d.ravel(), (V[iu] * V[ju]).ravel(), len(hist)).astype(np.int64)
+        hist = _add_counts(hist, root, d, (V[iu] * V[ju]).ravel())
         return (ex | exits,)
 
-    def count_lone(idx, ex):
-        root = ends[0].searchsorted(idx[0], side="right")
-        lone[:] += np.bincount(np.broadcast_to(root, ex.shape)[~ex], None, roots)
-
-    _descend(model, step, count_lone, bool)
-    sizes, counts = np.unique(np.concatenate(keys), return_counts=True)
-    cuts = sizes.searchsorted(np.arange(1, roots) * (n + 1))
-    return hist.reshape(roots, width), lone, np.split(sizes % (n + 1), cuts), np.split(counts, cuts)
-
-
-def _diameter(row: np.ndarray) -> int:
-    """Largest finite distance of a scan histogram row; 0 when no pair is connected."""
-    return int(np.flatnonzero(row[:-1]).max(initial=0))
+    _descend(model, step, lambda *_: None, bool)
+    keys, count = np.unique(np.concatenate(keys), return_counts=True)
+    root, size = np.divmod(keys, n + 1)
+    linked = np.bincount(root, size * count, len(hist)).astype(np.int64)  # exact: at most N
+    lone = model.shape._derived().sizes[-1] - linked
+    return hist, lone, root, size, count
 
 
 def distance_distribution(model: NetworkModel) -> Histogram:
     """Histogram over all N(N-1)/2 node pairs, disconnected ones bucketed apart."""
-    row = _free_scan(model)[0][0]
-    return Histogram(tuple(_items(row[:-1])), unreachable=int(row[-1]))
+    counts = PROPERTY_TABLE["distance-dist"](model)[0]
+    unreachable = counts.pop(_UNREACHABLE)
+    return Histogram(tuple(counts.items()), unreachable)
 
 
 def diameter(model: NetworkModel) -> int:
     """Largest finite pairwise distance; 0 when no pair is connected."""
-    return _diameter(_free_scan(model)[0][0])
+    return PROPERTY_TABLE["diameter"](model)[0]
 
 
 def component_sizes(model: NetworkModel) -> list[int]:
     """Connected component sizes, descending."""
-    _, lone, sizes, counts = _free_scan(model)
-    return np.repeat(sizes[0][::-1], counts[0][::-1]).tolist() + [1] * int(lone[0])
+    counts = PROPERTY_TABLE["components"](model)[0]
+    return [size for size, k in reversed(counts.items()) for _ in range(k)]
 
 
 # -- per root: one value per root of a forest, in root order; a model has one
@@ -924,18 +923,20 @@ def _root_ends(shape) -> list[np.ndarray]:
     return ends
 
 
-def _items(counts: np.ndarray) -> list[tuple[int, int]]:
-    """(index, count) of every nonzero entry of a count array, index ascending."""
-    keys = np.flatnonzero(counts)
-    return list(zip(keys.tolist(), counts[keys].tolist()))
+def _fill(out: list[dict], row: np.ndarray, key: np.ndarray, n: np.ndarray) -> list[dict]:
+    """`out`, one dict a root, with each n[i] set at key[i] of dict row[i], in order."""
+    for i, k, x in zip(row.tolist(), key.tolist(), n.tolist()):
+        out[i][k] = x
+    return out
+
+
+def _rows(counts: np.ndarray, lo: int = 0) -> list[dict[int, int]]:
+    """Each row's {column: count} of its nonzero entries from column lo on, column ascending."""
+    r, k = np.nonzero(counts[:, lo:])
+    return _fill([{} for _ in counts], r, k + lo, counts[r, k + lo])
 
 
 _UNREACHABLE = "unreachable"
-
-
-def _component_counts(lone, sizes: np.ndarray, counts: np.ndarray) -> dict[int, int]:
-    """One root's {component size: count}, size ascending: its lone nodes are the size-1 ones."""
-    return {**({1: int(lone)} if lone else {}), **dict(zip(sizes.tolist(), counts.tolist()))}
 
 
 # every network property, in report order: a function of a model giving a
@@ -947,13 +948,17 @@ PROPERTY_TABLE = {
     "edges": lambda model: _edge_levels(model)[-1].tolist(),
     "c3": lambda model: _pattern_roots(model)[1].tolist(),
     "c4": lambda model: _pattern_roots(model)[2].tolist(),
-    "degree-dist": lambda model: [dict(_items(row)) for row in _node_counts(model)[0]],
+    "degree-dist": lambda model: _rows(_node_counts(model)[0]),
     "distance-dist": lambda model: [
-        {**dict(_items(row[:-1])), _UNREACHABLE: int(row[-1])} for row in _free_scan(model)[0]
+        {**row, _UNREACHABLE: n}
+        for row, n in zip(_rows(_free_scan(model)[0], 1), _free_scan(model)[0][:, 0].tolist())
     ],
-    "components": lambda model: [_component_counts(*root) for root in zip(*_free_scan(model)[1:])],
-    "diameter": lambda model: [_diameter(row) for row in _free_scan(model)[0]],
+    # size ascending: a root's lone nodes are its size-1 components
+    "components": lambda model: _fill(
+        [{1: k} if k else {} for k in _free_scan(model)[1].tolist()], *_free_scan(model)[2:]
+    ),
+    "diameter": lambda model: [max(row, default=0) for row in _rows(_free_scan(model)[0], 1)],
     "clustering-dist": lambda model: [
-        {f"{b / 100:.2f}": n for b, n in _items(row)} for row in _node_counts(model)[1]
+        {f"{b / 100:.2f}": n for b, n in row.items()} for row in _rows(_node_counts(model)[1])
     ],
 }

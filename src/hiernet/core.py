@@ -392,13 +392,14 @@ class LinkTable:
         flats = [_integers(f, np.uint8, "link bits") for f in flat_per_level]
         nbits = [_integers(nb, np.int64, "bit counts") for nb in nbits_per_level]
         widths = [len(nb) for nb in nbits]
-        starts = np.zeros(sum(widths), np.int64)
+        # counts in 0..2**31 - 1 whose bits before a level's last vector sum
+        # below 2**31 give int32 offsets, built as such; a negative count, or
+        # one whose int64 sum may wrap, keeps every offset int64
+        small = all(not len(nb) or 0 <= nb.min() and nb.max() < _INT32_SAFE_KEYS
+                    and nb[:-1].sum() < _INT32_SAFE_KEYS for nb in nbits)
+        starts = np.zeros(sum(widths), np.int32 if small else np.int64)
         for st, nb in zip(_split(starts, widths), nbits):
             np.cumsum(nb[:-1], out=st[1:])
-        # an int64 sum that wraps, or a negative count, leaves an offset outside
-        # 0..2**31 - 1 at or before the first wrong one
-        if not len(starts) or 0 <= starts.min() and starts.max() < _INT32_SAFE_KEYS:
-            starts = starts.astype(np.int32)
         self._all_starts = starts
         for a in (self._all_starts, *flats):
             a.flags.writeable = False

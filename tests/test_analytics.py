@@ -658,15 +658,14 @@ def _block_inputs(corpus):
 
 
 def _every_pass(m):
-    hist, lone, sizes, counts = an._free_scan(m)
+    hist, *components = an._free_scan(m)
     return (
         [[getattr(a, f.name).tolist() for f in fields(a)] for a in an.cluster_aggregates(m)],
         an.node_degrees(m).tolist(),
         an.triangles_at_all_nodes(m).tolist(),
-        hist.tolist(),
-        lone.tolist(),
-        [s.tolist() for s in sizes],
-        [c.tolist() for c in counts],
+        # a histogram row widens as its blocks come, so its trailing zeros may differ
+        an._rows(hist),
+        [a.tolist() for a in components],  # lone nodes, then each group size's root, size, count
     )
 
 
@@ -783,30 +782,38 @@ def test_components_of_a_sparse_network_in_bounded_memory():
 
 def test_forest_group_keys_past_2_31():
     # 33000 two-node roots, linked at odd roots only: the last root's group
-    # key, root * (N + 1) + size, reaches 32999 * 66001 > 2**31. The scan's
-    # histogram is as wide as the widest cluster, so by tracemalloc with
-    # numpy 2.4 the scan peaks at 353 B a root; MAX_CHILDREN + 1 buckets a
-    # root would take 24.7 KB. The budget is 1 KB
+    # key, root * (N + 1) + size, reaches 32999 * 66001 > 2**31. Every per-root
+    # count starts one bin wide and widens as values come, so by tracemalloc
+    # with numpy 2.4 the scan peaks at 113 B a root above what it starts
+    # from, and the node counts at 140; a row of MAX_CHILDREN + 1 distance
+    # buckets would take 24.7 KB a root, one of 101 clustering bins 808 B.
+    # The budgets are 250 B a root each
     roots = 33_000
     bits = np.arange(roots, dtype=np.uint8) % 2
     m = NetworkModel._trusted(HierarchyShape(2, [np.full(roots, 2)]),
                               LinkTable([bits], [np.ones(roots, np.int64)]))
     assert (roots - 1) * (m.shape.n + 1) > 2**31
-    m.shape._derived()  # one-time setup: the layout
+    an._edge_levels(m)  # one-time setup: the layout and the edge tier
+    peaks = []
     tracemalloc.start()
     try:
-        an._free_scan(m)
-        peak = tracemalloc.get_traced_memory()[1]
+        for read in (an._free_scan, an._node_counts):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            read(m)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
-    assert peak <= 1000 * roots, peak / roots
+    assert max(peaks) <= 250 * roots, [peak / roots for peak in peaks]
     linked = bits.astype(bool).tolist()
-    table = {name: ensemble.PROPERTY_TABLE[name](m)
-             for name in ("components", "distance-dist", "degree-dist")}
+    table = {name: ensemble.PROPERTY_TABLE[name](m) for name in
+             ("components", "distance-dist", "degree-dist", "clustering-dist", "diameter")}
     assert table["components"] == [{2: 1} if b else {1: 2} for b in linked]
     assert table["distance-dist"] == [{1: 1, "unreachable": 0} if b else {"unreachable": 1}
                                       for b in linked]
     assert table["degree-dist"] == [{1: 2} if b else {0: 2} for b in linked]
+    assert table["clustering-dist"] == [{"0.00": 2}] * roots
+    assert table["diameter"] == [int(b) for b in linked]
 
 
 # -- the widest child graphs --------------------------------------------------

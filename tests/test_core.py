@@ -826,9 +826,10 @@ def test_link_offsets_past_int32_are_int64_not_wrapped():
 def test_codec_memory_per_node():
     # regular p=3, gamma=12, by tracemalloc in bytes per node with numpy 2.4,
     # the file's own bytes not counted: consuming serialize_chunks peaks at
-    # 8.0, one level's bytes and bits at a time, and deserialize at 13.5,
-    # set by the link table's int64 bit counts and offsets once the codec,
-    # which peaks at 9.3, has read the levels; the budgets are 9 and 15
+    # 8.0, one level's bytes and bits at a time, and deserialize at 12.2,
+    # set by the link table's int64 bit counts and its offsets, built int32,
+    # once the codec, which peaks at 9.3, has read the levels; the budgets
+    # are 9 and 13
     small = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=2))
     deserialize(serialize(small).encode("ascii"))  # one-time setup
     model = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=12))
@@ -844,7 +845,7 @@ def test_codec_memory_per_node():
         tracemalloc.stop()
     assert size == len(raw) and loaded == model
     assert written / model.shape.n <= 9
-    assert read / model.shape.n <= 15
+    assert read / model.shape.n <= 13
 
 
 def test_deserialize_memory_against_file_size():
