@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AN, CORE, ENS = "src/hiernet/analytics.py", "src/hiernet/core.py", "src/hiernet/ensemble.py"
+GEN = "src/hiernet/gen.py"
 
 MUTANTS = [
     # -- analytics: block layout and code tables
@@ -137,9 +138,16 @@ MUTANTS = [
     (CORE, "key_t = np.int32 if len(widths) * (n + 1) < _INT32_SAFE_KEYS else np.int64",
      "key_t = np.int32",
      "the shifted leaf cums stay int32 at any size"),
-    (CORE, "all(not len(nb) or 0 <= nb.min() and nb.max() < _INT32_SAFE_KEYS",
-     "all(not len(nb) or nb.max() < _INT32_SAFE_KEYS",
-     "LinkTable builds int32 offsets over negative bit counts"),
+    (CORE, "small = not len(nb) or 0 <= nb.min() and nb.max() < _INT32_SAFE_KEYS",
+     "small = not len(nb) or nb.max() < _INT32_SAFE_KEYS",
+     "LinkTable builds a level's int32 offsets over negative bit counts"),
+    (CORE, "np.concatenate([np.zeros(0, np.int32), *starts])",
+     "np.concatenate([np.zeros(0, np.int64), *starts])",
+     "LinkTable joins the levels' offsets as int64 even when every level is int32"),
+    (CORE, "j = int(bad.argmax()) if bad.any()", "j = int(bad.argmax()) + 1 if bad.any()",
+     "validate names the vector after the first wrong end"),
+    (CORE, "    nbits -= counts\n", "",
+     "_bit_counts gives c*c/2, not c(c-1)/2"),
     (CORE, "dt = np.int32 if total < _INT32_SAFE_BYTES else np.int64", "dt = np.int32",
      "_bitmap_lines' bit positions stay int32 past 2**31 bytes"),
     (CORE, "ascending = bool((nd[1:] >= nd[:-1]).all())", "ascending = True",
@@ -162,6 +170,9 @@ MUTANTS = [
            "    buf = np.empty(total, dtype=np.uint8)\n    for d,",
      "    buf = np.empty(total, dtype=np.uint8)\n    for d,",
      "_bitmap_rows ignores the room left in the input: a cut level fails to reshape"),
+    # -- gen: link draws
+    (GEN, "            at += len(uniforms)\n", "",
+     "generate_links writes every block of a level at the level's start"),
     # -- ensemble: forests and summaries
     (ENS, "max(1, *(m.shape.gamma for m in models))", "max(0, *(m.shape.gamma for m in models))",
      "a forest of zero-level copies gets no level, so one root"),

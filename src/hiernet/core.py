@@ -164,10 +164,15 @@ def pair_offset(a: int, b: int, k: int) -> int:
 
 
 def _bit_counts(counts: np.ndarray) -> np.ndarray:
-    """c(c-1)/2, the bits of each c-child vertex, as int64: the int32 counts are widened first."""
+    """c(c-1)/2, the bits of each c-child vertex, as int64: the int32 counts are widened first.
+
+    Holds one int64 array, the result: c*c - c is built in it and halved
+    in place, exactly, as it is even.
+    """
     nbits = counts.astype(np.int64)
-    nbits *= nbits - 1
-    nbits //= 2
+    nbits *= nbits
+    nbits -= counts
+    nbits >>= 1
     return nbits
 
 
@@ -375,36 +380,44 @@ class LinkTable:
     lexicographic pair order, and the offset of each vector into it.  That
     is the whole layout: a vector runs from its offset to the next one, the
     last to the end of the flat array, so `nbits_at` reads the lengths off
-    the gaps and `validate` checks them, total included, against the counts.
+    the gaps and `validate` checks each vector's end against the counts.
     The per-level offsets are views of one array laid out like the shape's
-    counts, so a cluster's position there indexes its offset too.  They are
-    int32 unless an offset reaches 2**31 or falls below 0: then int64.
+    counts, so a cluster's position there indexes its offset too.  A level's
+    offsets are int32 unless one reaches 2**31 or falls below 0, and the
+    joined array is int64 if any level's is.
     """
 
     __slots__ = ("_flat", "_starts", "_all_starts")
 
     def __init__(self, flat_per_level, nbits_per_level):
-        """Bits and per-cluster bit counts per level; the counts give the offsets."""
-        flat_per_level, nbits_per_level = list(flat_per_level), list(nbits_per_level)
-        if len(flat_per_level) != len(nbits_per_level):
-            raise ParamError(f"{len(flat_per_level)} levels of link bits "
-                             f"but {len(nbits_per_level)} levels of bit counts")
+        """Bits and per-cluster bit counts per level; the counts give the offsets.
+
+        The bit counts may be any iterable, a lazy one too: each level's are
+        turned into its offsets and dropped before the next level's are read.
+        """
         flats = [_integers(f, np.uint8, "link bits") for f in flat_per_level]
-        nbits = [_integers(nb, np.int64, "bit counts") for nb in nbits_per_level]
-        widths = [len(nb) for nb in nbits]
-        # counts in 0..2**31 - 1 whose bits before a level's last vector sum
-        # below 2**31 give int32 offsets, built as such; a negative count, or
-        # one whose int64 sum may wrap, keeps every offset int64
-        small = all(not len(nb) or 0 <= nb.min() and nb.max() < _INT32_SAFE_KEYS
-                    and nb[:-1].sum() < _INT32_SAFE_KEYS for nb in nbits)
-        starts = np.zeros(sum(widths), np.int32 if small else np.int64)
-        for st, nb in zip(_split(starts, widths), nbits):
-            np.cumsum(nb[:-1], out=st[1:])
-        self._all_starts = starts
+        starts = []
+        for nb in nbits_per_level:
+            nb = _integers(nb, np.int64, "bit counts")
+            # counts in 0..2**31 - 1 whose bits before the level's last vector
+            # sum below 2**31 give int32 offsets, built as such; a negative
+            # count, or one whose int64 sum may wrap, keeps the level int64
+            small = not len(nb) or 0 <= nb.min() and nb.max() < _INT32_SAFE_KEYS \
+                and nb[:-1].sum() < _INT32_SAFE_KEYS
+            st = np.zeros(len(nb), np.int32 if small else np.int64)
+            # summed in the offsets' dtype: an int64 sum cast to int32 takes an int64 temporary
+            np.cumsum(nb[:-1], dtype=st.dtype, out=st[1:])
+            starts.append(st)
+            del nb
+        if len(flats) != len(starts):
+            raise ParamError(f"{len(flats)} levels of link bits "
+                             f"but {len(starts)} levels of bit counts")
+        # the leading empty array joins zero levels too
+        self._all_starts = np.concatenate([np.zeros(0, np.int32), *starts])
         for a in (self._all_starts, *flats):
             a.flags.writeable = False
         self._flat = tuple(flats)
-        self._starts = _split(self._all_starts, widths)
+        self._starts = _split(self._all_starts, [len(st) for st in starts])
 
     @classmethod
     def from_vectors(cls, vectors_per_level) -> "LinkTable":
@@ -657,7 +670,9 @@ def validate(model: NetworkModel) -> list[str]:
     """Check every structural invariant; returns [] when the model is well formed.
 
     Violations come back as human-readable strings and are never raised, so
-    a broken model can still be inspected.
+    a broken model can still be inspected.  The link table's stored offsets
+    are read in place: each level's vector ends, as the counts want them,
+    are one int64 array, dropped before the next level's.
     """
     shape, links = model.shape, model.links
     out = _shape_problems(shape)
@@ -665,21 +680,23 @@ def validate(model: NetworkModel) -> list[str]:
     if links.gamma != big_g:
         out.append(f"link table has {links.gamma} levels, shape has {big_g}")
         return out
-    for g in range(1, big_g + 1):
-        nb = links.nbits_at(g)
-        arr = shape._counts[g - 1]
-        if len(nb) != len(arr):
-            out.append(f"level {g}: {len(nb)} bit vectors for {len(arr)} clusters")
+    for g, (arr, starts, flat) in enumerate(zip(shape._counts, links._starts, links._flat), 1):
+        if len(starts) != len(arr):
+            out.append(f"level {g}: {len(starts)} bit vectors for {len(arr)} clusters")
             continue
-        want_nb = _bit_counts(arr)
-        bad = nb != want_nb
-        if bad.any():
-            j = int(np.argmax(bad))
-            out.append(
-                f"level {g} cluster {j + 1}: bitmap length != k(k-1)/2 "
-                f"(got {int(nb[j])}, want {int(want_nb[j])})"
-            )
-        flat = links.flat_at(g)
+        if len(arr):
+            ends = _bit_counts(arr)
+            np.cumsum(ends, out=ends)  # each vector's end, as the counts want it
+            # a vector of the wrong length moves every later end: the first
+            # stored end that differs, the flat length last, names it
+            bad = ends[:-1] != starts[1:]
+            j = int(bad.argmax()) if bad.any() else len(arr) - 1
+            end, want_end = int(starts[j + 1]) if j + 1 < len(arr) else len(flat), int(ends[j])
+            del ends, bad  # before the next level's
+            if end != want_end:
+                c = int(arr[j])
+                out.append(f"level {g} cluster {j + 1}: bitmap length != k(k-1)/2 "
+                           f"(got {end - int(starts[j])}, want {c * (c - 1) // 2})")
         if flat.size and int(flat.max()) > 1:
             out.append(f"level {g}: bit values outside 0/1")
     return out
@@ -711,19 +728,18 @@ def validate(model: NetworkModel) -> list[str]:
 _ZERO = np.uint8(ord("0"))
 _SPACE = ord(" ")
 _NEWLINE = ord("\n")
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10 = 10 ** np.arange(1, 10, dtype=np.int32)
 # bit positions are int32 in levels of fewer bytes: half the memory traffic of int64
 _INT32_SAFE_BYTES = 1 << 31
 
 
 def _n_digits(values: np.ndarray) -> np.ndarray:
-    """Decimal digit counts of non-negative int64, int32 or uint32 values.
+    """Decimal digit counts of non-negative int32 or uint32 values, at most ten.
 
-    The powers take the dtype of 32-bit values, as numpy would otherwise
-    copy the values to int64; such values have at most ten digits.
+    The powers take the values' dtype, as numpy would otherwise copy the
+    values to int64.
     """
-    powers = _POW10[1:10].astype(values.dtype) if values.dtype.itemsize == 4 else _POW10[1:]
-    return np.searchsorted(powers, values, side="right") + 1
+    return np.searchsorted(_POW10.astype(values.dtype), values, side="right") + 1
 
 
 def _put_decimal(buf: np.ndarray, stop: np.ndarray, values: np.ndarray, nd: np.ndarray) -> None:
@@ -731,14 +747,14 @@ def _put_decimal(buf: np.ndarray, stop: np.ndarray, values: np.ndarray, nd: np.n
 
     Works in place, so that a level's digits take no temporary as long as
     the level: each stop[j] moves back to its value's first digit, and
-    values already of the digits' dtype (uint32 up to nine places) are used
-    up.  uint32 divides about three times as fast as int64.  Where nd
-    ascends, as for cluster indices, the values with a digit at a place are
-    a suffix.
+    uint32 values are used up.  The values are labels and counts, at most
+    MAX_NODES, and are divided as uint32, about three times as fast as
+    int64.  Where nd ascends, as for cluster indices, the values with a
+    digit at a place are a suffix.
     """
     places = int(nd.max(initial=0))
     ascending = bool((nd[1:] >= nd[:-1]).all())
-    rest = values.astype(np.uint32 if places <= 9 else np.uint64, copy=False)
+    rest = values.astype(np.uint32, copy=False)
     tens = np.empty_like(rest)
     digit = np.empty(len(rest), dtype=np.uint8)
     for d in range(places):
@@ -1039,8 +1055,7 @@ def _parse_canonical(raw: bytes) -> NetworkModel | None:
         del buf  # before the next level's
     if pos != len(raw):
         return None
-    nbits = (_bit_counts(c) for c in shape._counts)
-    return NetworkModel._trusted(shape, LinkTable(flats[::-1], nbits))
+    return NetworkModel._trusted(shape, LinkTable(flats[::-1], map(_bit_counts, shape._counts)))
 
 
 def _parse_lines(text: str) -> NetworkModel:

@@ -134,7 +134,7 @@ def _forest(p: int, models: list[NetworkModel]) -> NetworkModel:
         for out, parts in zip((counts, flats), zip(*level)):
             out.append(np.concatenate(parts))
     return NetworkModel._trusted(HierarchyShape(p, counts),
-                                 LinkTable(flats, [_bit_counts(c) for c in counts]))
+                                 LinkTable(flats, map(_bit_counts, counts)))
 
 
 def _generated(params: GenParams, copy: int) -> NetworkModel:

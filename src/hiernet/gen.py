@@ -183,8 +183,9 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
     MAX_CHILDREN children, is refused before anything is drawn.
 
     Each level is drawn in blocks of whole clusters, at most about
-    _BLOCK_BITS bits a block, and each block's uniforms are compared with
-    its own clusters' omega: no float array is as long as the level.
+    _BLOCK_BITS bits a block, each block's uniforms compared with its own
+    clusters' omega straight into its slice of the level's one bool array:
+    no float array is as long as the level, and no block is kept.
     """
     _check_mu(mu)
     nbits_per_level = _link_bit_counts(shape)
@@ -192,41 +193,44 @@ def generate_links(shape: HierarchyShape, mu: float, rng: RngStream) -> LinkTabl
     for g, nbits in enumerate(nbits_per_level, start=1):
         sizes, total = shape.sizes_at(g), int(nbits.sum())
         rows = len(nbits) if total <= _BLOCK_BITS else max(1, _BLOCK_BITS // int(nbits.max()))
-        blocks = []
         for lo in range(0, len(nbits), rows):
             nb = nbits[lo:lo + rows]
             omega = sizes[lo:lo + rows].astype(np.float64) ** (-float(mu))
-            blocks.append(rng.uniforms(int(nb.sum())) < np.repeat(omega, nb))
-        bits = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            uniforms, omegas = rng.uniforms(int(nb.sum())), np.repeat(omega, nb)
+            if lo == 0:
+                # allocated after the first block's floats, the bits sit above
+                # them: freed, they leave a hole the next arrays reuse, not a
+                # heap top that glibc hands back and the next arrays fault in
+                bits, at = np.empty(total, dtype=bool), 0
+            np.less(uniforms, omegas, out=bits[at:at + len(uniforms)])
+            at += len(uniforms)
+            del uniforms, omegas  # before the next block's
         flats.append(bits.view(np.uint8))  # a bool is one byte, 0 or 1
     return LinkTable(flats, nbits_per_level)
 
 
 def _link_bit_counts(shape: HierarchyShape) -> list[np.ndarray]:
-    """Per-level bit counts c(c-1)/2 of every vertex.
+    """Per-level bit counts c(c-1)/2 of every vertex, one int64 array a level.
 
-    Refuses a shape needing more than MAX_LINK_BITS bits in all, or with a
-    vertex of more than MAX_CHILDREN children; each level is held to the
-    bit limit first.
+    Generation draws from this list, so it holds every level's counts.  The
+    shape's layout is built first: it refuses a shape of more than
+    MAX_NODES nodes or whose counts do not telescope, so a level's counts
+    sum to at most MAX_NODES and no bit sum can wrap.  Then refuses a shape
+    needing more than MAX_LINK_BITS bits in all, or with a vertex of more
+    than MAX_CHILDREN children, level by level in that order.
     """
+    shape._derived()
     out, total = [], 0
-    for g in range(1, shape.gamma + 1):
-        counts = shape.counts_at(g)
-        top = int(counts.max()) if len(counts) else 0
-        # the widest vertex is checked on its own first, so the int64 sum of a
-        # level's bits cannot wrap
-        if top * (top - 1) // 2 <= MAX_LINK_BITS:
-            out.append(_bit_counts(counts))
-            total += int(out[-1].sum())
-        if top * (top - 1) // 2 > MAX_LINK_BITS or total > MAX_LINK_BITS:
-            raise ParamError(
-                f"the shape needs more than {MAX_LINK_BITS} link bits, the supported maximum"
-            )
+    for g, counts in enumerate(shape._counts, start=1):
+        out.append(_bit_counts(counts))
+        total += int(out[-1].sum())
+        if total > MAX_LINK_BITS:
+            raise ParamError(f"the shape needs more than {MAX_LINK_BITS} link bits, "
+                             "the supported maximum")
+        top = int(counts.max(initial=0))
         if top > MAX_CHILDREN:
-            raise ParamError(
-                f"a level-{g} vertex has {top} children, more than the supported "
-                f"maximum {MAX_CHILDREN}"
-            )
+            raise ParamError(f"a level-{g} vertex has {top} children, more than the "
+                             f"supported maximum {MAX_CHILDREN}")
     return out
 
 

@@ -176,6 +176,12 @@ def test_validate_bitmap_length():
         assert len(m.links.vector(1, 1)) == got
         with pytest.raises(ParamError):
             serialize(m)
+    # a vector of the wrong length moves every later end; the first is named
+    for vectors, j, got, want in ((["", "011", "1"], 1, 0, 1), (["1", "01", "1"], 2, 2, 3)):
+        m = NetworkModel(HierarchyShape(3, [[2, 3, 2], [3]]),
+                         LinkTable.from_vectors([vectors, ["111"]]))
+        assert validate(m) == [f"level 1 cluster {j}: bitmap length != k(k-1)/2 "
+                               f"(got {got}, want {want})"]
 
 
 def test_link_table_reads_lengths_off_the_offsets(demo9):
@@ -662,9 +668,10 @@ def test_read_counts_takes_only_what_sums_safely(monkeypatch):
 
 
 def test_digit_counts_take_the_values_dtype():
-    # 32-bit labels and counts are searched with powers of their own dtype,
-    # so no int64 copy of a level is made
-    for dt in (np.int32, np.uint32, np.int64):
+    # labels are uint32 and counts int32, the only dtypes the codec writes:
+    # each is searched with powers of its own dtype, so no int64 copy of a
+    # level is made
+    for dt in (np.int32, np.uint32):
         top = int(np.iinfo(dt).max)
         values = np.array([0, 9, 10, 99, 10**9 - 1, 10**9, 2**31 - 1, top], dt)
         assert core._n_digits(values).tolist() == [len(str(int(v))) for v in values]
@@ -826,10 +833,10 @@ def test_link_offsets_past_int32_are_int64_not_wrapped():
 def test_codec_memory_per_node():
     # regular p=3, gamma=12, by tracemalloc in bytes per node with numpy 2.4,
     # the file's own bytes not counted: consuming serialize_chunks peaks at
-    # 8.0, one level's bytes and bits at a time, and deserialize at 12.2,
-    # set by the link table's int64 bit counts and its offsets, built int32,
-    # once the codec, which peaks at 9.3, has read the levels; the budgets
-    # are 9 and 13
+    # 6.4, one level's bytes and bits at a time, and deserialize at 9.3, in
+    # the codec; the link table it then builds, one level's int64 bit counts
+    # and int32 offsets at a time, peaks at 8.9; validate, one level's int64
+    # vector ends at a time, peaks at 3.1; the budgets are 9, 11 and 5
     small = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=2))
     deserialize(serialize(small).encode("ascii"))  # one-time setup
     model = generate_network(GenParams(mode="regular", p=3, mu=0.5, seed=1, gamma=12))
@@ -841,11 +848,16 @@ def test_codec_memory_per_node():
         tracemalloc.reset_peak()
         loaded = deserialize(raw)
         read = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        problems = validate(model)
+        checked = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert size == len(raw) and loaded == model
+    assert size == len(raw) and loaded == model and problems == []
     assert written / model.shape.n <= 9
-    assert read / model.shape.n <= 13
+    assert read / model.shape.n <= 11
+    assert checked / model.shape.n <= 5
 
 
 def test_deserialize_memory_against_file_size():
